@@ -31,6 +31,16 @@ def _shape_arg(text: str) -> Shape:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
+def _count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}: not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be non-negative")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maxac",
@@ -59,9 +69,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run the per-shape verification suite")
     p.add_argument("--w", type=_shape_arg, required=True, metavar="W1,W2,...")
-    p.add_argument("--samples", type=int, default=1000,
+    p.add_argument("--samples", type=_count_arg, default=1000,
                    help="non-maximal grids to sample (default 1000)")
-    p.add_argument("--trials", type=int, default=100,
+    p.add_argument("--trials", type=_count_arg, default=100,
                    help="seeded games per player count (default 100)")
     p.add_argument("--seed", type=int, default=0)
 

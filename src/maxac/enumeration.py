@@ -1,12 +1,27 @@
 """Exhaustive enumeration of maximal grids.
 
-Two independent routes to the same ground truth:
+``enumerate_maximal`` and ``count_maximal`` search the row-interval form
+(``rowform``) directly.  For d >= 2 a maximal grid is fixed by the left ends
+``l`` of its rows:
 
-* ``enumerate_maximal`` / ``count_maximal`` -- a pruned depth-first search
-  over the cells in lexicographic order, using bitmask conflict sets.
-* ``brute_force_maximal`` -- the definitional oracle that filters every
-  subset of the box through ``is_maximal``; exponential, kept naive on
-  purpose so the two routes share no machinery.
+* ``l = 1`` on boundary rows, those with some ``x_i = w_i``;
+* on the interior rows ``[w_1 - 1] x ... x [w_{d-1} - 1]``, ``l`` is any
+  order-reversing map into ``[1, w_d]``;
+* the h-rule then gives ``h(x)``: the smallest ``l`` over the rows strictly
+  below ``x``, which for an order-reversing ``l`` is ``l(x - (1, ..., 1))``,
+  or ``w_d`` when ``x`` has a coordinate equal to 1.
+
+The search assigns ``l`` to the interior rows in ascending lexicographic
+order; each row's choices are ``[1, min of l over its predecessors
+x - e_i]``.  Every partial assignment extends, so no branch dies.  A row's
+``h`` reads only earlier rows, so two grids first differ at the first row
+where their ``l`` differs, and the smaller ``l`` puts the smaller cell first:
+the leaves come out in canonical order (sorted by cell list) with no sort.
+For d = 1 the box is one row whose grids are the single cells ``(i,)``.
+
+Two oracles share no machinery with the search: ``brute_force_maximal``
+filters every subset of the box through ``is_maximal``, and the test suite
+keeps a bitmask include/exclude search over the cells.
 
 Plus greedy completion of a clean grid to a maximal one, and seeded random
 sampling of maximal grids via a shuffled completion order.
@@ -16,6 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice, product
 from typing import Iterator, Sequence
 
 from .core import Cell, Grid, Shape, contains_forbidden, is_maximal, strictly_below
@@ -25,50 +41,44 @@ DEFAULT_CELL_LIMIT = 25
 BRUTE_FORCE_CELL_LIMIT = 16
 
 
-def _conflict_masks(shape: Shape) -> tuple[list[Cell], list[int]]:
-    """Cells in lexicographic order and, per cell, the bitmask of cells it
-    cannot share a clean grid with (comparable cells; everyone when d = 1)."""
-    cells = list(shape.iter_cells())
-    n = len(cells)
-    masks = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            # lexicographic order means dominance can only point forward
-            if shape.d == 1 or strictly_below(cells[i], cells[j]):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return cells, masks
+def _interior_rows(
+    shape: Shape,
+) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
+    """Index of each interior row in lexicographic order, and per interior
+    row the slots whose minimum bounds its left end from above.
 
-
-def _iter_maximal_masks(n: int, masks: Sequence[int]) -> Iterator[int]:
-    """Yield the chosen-cell bitmasks of all maximal grids (order arbitrary).
-
-    Classic include/exclude search with two prunes: a cell conflicting with
-    the chosen set can only be excluded, and a branch dies as soon as some
-    excluded cell can no longer be blocked by any undecided cell (tracked via
-    ``pending`` and the precomputed ``expired`` masks).  A leaf is reached
-    with ``pending`` empty exactly when every zero cell conflicts with a
-    chosen cell, i.e. the grid is maximal.
+    Slots index the vector ``_iter_left_ends`` yields: interior rows first,
+    then the constants 1 (slot -2) and ``w_d`` (slot -1).  A row with no
+    predecessor is bounded by ``w_d`` alone.
     """
-    full = (1 << n) - 1
-    expired = []
-    for i in range(n + 1):
-        future = full ^ ((1 << i) - 1)
-        expired.append(sum(1 << c for c in range(n) if not masks[c] & future))
-    stack = [(0, 0, 0)]
-    while stack:
-        i, chosen, pending = stack.pop()
-        if pending & expired[i]:
-            continue
-        if i == n:
-            yield chosen
-            continue
-        bit = 1 << i
-        if masks[i] & chosen:
-            stack.append((i + 1, chosen, pending))
-        else:
-            stack.append((i + 1, chosen, pending | bit))
-            stack.append((i + 1, chosen | bit, pending & ~masks[i]))
+    index = {x: j for j, x in enumerate(product(*(range(1, w) for w in shape.dims[:-1])))}
+    bounds = [
+        tuple(index[x[:i] + (x[i] - 1,) + x[i + 1:]] for i in range(len(x)) if x[i] > 1)
+        or (-1,)
+        for x in index
+    ]
+    return index, bounds
+
+
+def _iter_left_ends(bounds: Sequence[tuple[int, ...]], top: int) -> Iterator[list[int]]:
+    """Yield every order-reversing left-end vector in ascending lexicographic
+    order, as one list updated in place (read it before advancing).
+
+    An odometer: bump the last entry still below its bound and reset the
+    ones after it to 1.  A row's bound reads only earlier rows, which the
+    bump leaves alone, and 1 is always allowed, so every step lands on a leaf.
+    """
+    n = len(bounds)
+    l = [1] * n + [1, top]
+    while True:
+        yield l
+        j = n - 1
+        while j >= 0 and l[j] == min([l[p] for p in bounds[j]]):
+            l[j] = 1
+            j -= 1
+        if j < 0:
+            return
+        l[j] += 1
 
 
 @dataclass(frozen=True)
@@ -105,14 +115,25 @@ def enumerate_maximal(
         raise ValueError("cap must be a positive integer")
     if shape.cell_count > max_cells:
         raise ShapeTooLargeError(shape.cell_count, max_cells)
-    cells, masks = _conflict_masks(shape)
-    found = [
-        tuple(c for k, c in enumerate(cells) if (mask >> k) & 1)
-        for mask in _iter_maximal_masks(len(cells), masks)
+    index, bounds = _interior_rows(shape)
+    top = shape.dims[-1]
+    # Per row: all of its cells, the slot of its l, and the slot of its h,
+    # which is l at x - (1, ..., 1) when that row exists and w_d otherwise.
+    # For d = 1 the one row () is its own x - (1, ..., 1), so h = l.
+    rows = [
+        (
+            tuple(x + (y,) for y in range(1, top + 1)),
+            index.get(x, -2),
+            index.get(tuple(c - 1 for c in x), -1),
+        )
+        for x in shape.iter_rows()
     ]
-    found.sort()
-    count = len(found)
-    kept = found if cap is None else found[:cap]
+    leaves = _iter_left_ends(bounds, top)
+    kept = [
+        tuple(c for cells, lo, hi in rows for c in cells[l[lo] - 1 : l[hi]])
+        for l in islice(leaves, cap)
+    ]
+    count = len(kept) + sum(1 for _ in leaves)
     return EnumerationReport(
         shape=shape,
         grids=tuple(Grid(shape, ones) for ones in kept),
@@ -125,8 +146,8 @@ def count_maximal(shape: Shape, *, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
     """Number of maximal grids over ``shape``, without storing them."""
     if shape.cell_count > max_cells:
         raise ShapeTooLargeError(shape.cell_count, max_cells)
-    _, masks = _conflict_masks(shape)
-    return sum(1 for _ in _iter_maximal_masks(shape.cell_count, masks))
+    _, bounds = _interior_rows(shape)
+    return sum(1 for _ in _iter_left_ends(bounds, shape.dims[-1]))
 
 
 def brute_force_maximal(

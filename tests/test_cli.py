@@ -184,6 +184,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])  # unknown verb
     assert exc.value.code == 2
+    for flag in ("--samples", "--trials"):
+        for bad in ("-1", "-5", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--w", "2,2", flag, bad])
+            assert exc.value.code == 2
+    assert "must be non-negative" in capsys.readouterr().err
 
 
 def test_bad_json_input(capsys, monkeypatch):

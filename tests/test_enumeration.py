@@ -1,4 +1,7 @@
+import math
+
 import pytest
+from bitmask_search import search_maximal
 
 from maxac import (
     AlreadyContainsError,
@@ -7,9 +10,11 @@ from maxac import (
     ShapeTooLargeError,
     brute_force_maximal,
     complete_to_maximal,
+    count_2d,
     count_maximal,
     enumerate_maximal,
     is_maximal,
+    iter_shapes,
     max_size,
     random_maximal,
     weight,
@@ -78,6 +83,54 @@ def test_search_agrees_with_subset_filter():
     for dims in [(2, 2), (2, 3), (3, 3), (2, 2, 2), (6,), (1, 5), (3, 2, 2)]:
         shape = Shape(dims)
         assert enumerate_maximal(shape).grids == brute_force_maximal(shape)
+
+
+def test_search_agrees_with_bitmask_search_on_every_shape_in_budget():
+    shapes = list(iter_shapes(25, 4))
+    assert len(shapes) == 739
+    for shape in shapes:
+        expected = search_maximal(shape)
+        assert [g.ones for g in enumerate_maximal(shape).grids] == expected, shape.dims
+        assert count_maximal(shape) == len(expected), shape.dims
+
+
+def test_count_2d_above_the_budget():
+    for w1 in range(1, 11):
+        for w2 in range(1, 11):
+            shape = Shape((w1, w2))
+            assert count_maximal(shape, max_cells=shape.cell_count) == count_2d(w1, w2)
+    assert count_maximal(Shape((10, 10)), max_cells=100) == 48620
+
+
+def plane_partitions(a: int, b: int, c: int) -> int:
+    """Plane partitions in an a x b x c box, by MacMahon's box formula."""
+    pairs = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
+    return math.prod(i + j + c - 1 for i, j in pairs) // math.prod(i + j - 1 for i, j in pairs)
+
+
+def test_count_3d_is_macmahons_box_formula():
+    # interior rows form a (w1-1) x (w2-1) grid, and l - 1 is a plane
+    # partition in it with parts below w3
+    assert plane_partitions(2, 2, 2) == 20 and plane_partitions(3, 3, 2) == 175
+    for dims in [(a, b, c) for a in range(1, 6) for b in range(1, 6) for c in range(1, 6)]:
+        shape = Shape(dims)
+        assert count_maximal(shape, max_cells=shape.cell_count) == plane_partitions(
+            *(w - 1 for w in dims)
+        ), dims
+
+
+def test_cap_keeps_the_first_grids_above_the_budget():
+    for dims, total in [((8, 8), 3432), ((4, 4, 3), 175), ((3, 3, 3, 3), 168)]:
+        shape = Shape(dims)
+        full = enumerate_maximal(shape, max_cells=shape.cell_count)
+        keys = [g.ones for g in full.grids]
+        assert full.count == len(keys) == total and not full.truncated
+        assert keys == sorted(keys)
+        capped = enumerate_maximal(shape, cap=5, max_cells=shape.cell_count)
+        assert capped.count == total and capped.truncated
+        assert capped.grids == full.grids[:5]
+        exact = enumerate_maximal(shape, cap=total, max_cells=shape.cell_count)
+        assert exact.grids == full.grids and not exact.truncated
 
 
 def test_brute_force_budget():
