@@ -54,12 +54,9 @@ from .errors import (
 from .game import GameState, Transcript, play, predict_loser, safe_moves
 from .normalize import NormalizeReport, convert_step, find_pair, normalize, peel
 from .rowform import (
-    NEG_INF,
-    POS_INF,
     CharacterizationReport,
     IntervalMap,
     RowId,
-    agg_bounds,
     ancestor_rows,
     check_characterization,
     descendant_rows,
@@ -124,12 +121,9 @@ __all__ = [
     "find_pair",
     "normalize",
     "peel",
-    "NEG_INF",
-    "POS_INF",
     "CharacterizationReport",
     "IntervalMap",
     "RowId",
-    "agg_bounds",
     "ancestor_rows",
     "check_characterization",
     "descendant_rows",

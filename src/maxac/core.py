@@ -111,8 +111,8 @@ class Grid:
         dims, ones = obj["w"], obj["ones"]
         if not isinstance(dims, list) or not isinstance(ones, list):
             raise ValueError('"w" and "ones" must be arrays')
-        if not all(isinstance(c, list) for c in ones):
-            raise ValueError('"ones" must be an array of coordinate arrays')
+        if not all(isinstance(c, list) and all(_is_int(x) for x in c) for c in ones):
+            raise ValueError('"ones" must be an array of integer coordinate arrays')
         return cls(Shape(tuple(dims)), tuple(tuple(c) for c in ones))
 
 

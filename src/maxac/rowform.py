@@ -8,9 +8,9 @@ one-cells form contiguous segments, so it is fully described by the interval
   l-rule:  l(x) = max(1,   largest h among the descendant rows of x)
 
 where ancestors (descendants) of a row are the rows strictly below (above) it
-in all first d-1 coordinates.  The empty row set carries the sentinel bounds
-(POS_INF, NEG_INF).  For d = 1 the rules are not used; that case is covered
-directly by ``contains_forbidden``.
+in all first d-1 coordinates; with no ancestors (descendants) the rule reads
+h(x) = w_d (l(x) = 1).  For d = 1 the rules are not used; that case is
+covered directly by ``contains_forbidden``.
 """
 
 from __future__ import annotations
@@ -18,63 +18,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping
 
-from .core import Grid, Shape
+from .core import Grid, Shape, _is_int
 from .errors import EmptyRowError, NonContiguousRowError
 
 RowId = tuple[int, ...]
-
-
-class _Extreme:
-    """Ordered sentinel comparable with integers; deliberately no arithmetic."""
-
-    __slots__ = ("_sign", "_name")
-
-    def __init__(self, sign: int, name: str):
-        self._sign = sign
-        self._name = name
-
-    def __repr__(self):
-        return self._name
-
-    def __lt__(self, other):
-        return other is not self and self._sign < 0
-
-    def __gt__(self, other):
-        return other is not self and self._sign > 0
-
-    def __le__(self, other):
-        return other is self or self._sign < 0
-
-    def __ge__(self, other):
-        return other is self or self._sign > 0
-
-
-POS_INF = _Extreme(+1, "POS_INF")
-NEG_INF = _Extreme(-1, "NEG_INF")
-
-Bound = Union[int, _Extreme]
 
 
 @dataclass(frozen=True)
 class IntervalMap:
     """One interval [l, h] for every row of the box (a total map).
 
-    Emptiness is not representable: 1 <= l <= h <= w_d must hold per row.
+    Emptiness is not representable: 1 <= l <= h <= w_d must hold per row,
+    with ``int`` bounds (bools, floats and strings are rejected, not converted).
     """
 
     shape: Shape
     intervals: Mapping[RowId, tuple[int, int]]
 
     def __post_init__(self):
-        fixed = {tuple(row): (int(l), int(h)) for row, (l, h) in self.intervals.items()}
+        fixed = {tuple(row): (l, h) for row, (l, h) in self.intervals.items()}
         top = self.shape.dims[-1]
         seen = 0
         for row in self.shape.iter_rows():
             if row not in fixed:
                 raise ValueError(f"missing interval for row {row}")
             l, h = fixed[row]
+            if type(l) is not int or type(h) is not int:
+                raise ValueError(f"row {row}: bounds ({l!r}, {h!r}) must be integers")
             if not 1 <= l <= h <= top:
                 raise ValueError(f"row {row}: interval ({l}, {h}) violates 1 <= l <= h <= {top}")
             seen += 1
@@ -100,13 +72,16 @@ class IntervalMap:
     def from_json_obj(cls, obj) -> "IntervalMap":
         if not isinstance(obj, dict) or "w" not in obj or "rows" not in obj:
             raise ValueError('interval-map JSON must be an object with "w" and "rows"')
-        if not isinstance(obj["rows"], list):
-            raise ValueError('"rows" must be an array')
+        if not isinstance(obj["w"], list) or not isinstance(obj["rows"], list):
+            raise ValueError('"w" and "rows" must be arrays')
         intervals = {}
         for entry in obj["rows"]:
             if not isinstance(entry, dict) or not {"x", "l", "h"} <= set(entry):
                 raise ValueError('each row entry needs "x", "l" and "h"')
-            intervals[tuple(entry["x"])] = (entry["l"], entry["h"])
+            x = entry["x"]
+            if not isinstance(x, list) or not all(_is_int(v) for v in x):
+                raise ValueError(f'row id "x" must be an array of integers, got {x!r}')
+            intervals[tuple(x)] = (entry["l"], entry["h"])
         if len(intervals) != len(obj["rows"]):
             raise ValueError("duplicate row in interval-map JSON")
         return cls(Shape(tuple(obj["w"])), intervals)
@@ -157,23 +132,6 @@ def descendant_rows(row: RowId, shape: Shape) -> Iterator[RowId]:
     yield from product(*(range(x + 1, w + 1) for x, w in zip(row, shape.dims)))
 
 
-def agg_bounds(rows: Iterable[RowId], m: IntervalMap) -> tuple[Bound, Bound]:
-    """(smallest l, largest h) over a collection of rows.
-
-    The empty collection yields the sentinels (POS_INF, NEG_INF), which
-    compare correctly against integers but support no arithmetic.
-    """
-    lo: Bound = POS_INF
-    hi: Bound = NEG_INF
-    for row in rows:
-        l, h = m.intervals[row]
-        if l < lo:
-            lo = l
-        if h > hi:
-            hi = h
-    return lo, hi
-
-
 @dataclass(frozen=True)
 class CharacterizationReport:
     """Outcome of the local maximality check; falsy when some row violates it."""
@@ -207,18 +165,24 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
     if m.shape.d < 2:
         raise ValueError("the characterization applies to d >= 2 only; "
                          "use contains_forbidden for d = 1")
-    top = m.top
-    rows = sorted(m.intervals)
+    intervals = m.intervals
+    rows = sorted(intervals)
     for row in rows:
-        l_anc, _ = agg_bounds(ancestor_rows(row), m)
-        want_h = min(top, l_anc)
-        h = m.intervals[row][1]
+        want_h = m.top
+        for anc in ancestor_rows(row):
+            l = intervals[anc][0]
+            if l < want_h:
+                want_h = l
+        h = intervals[row][1]
         if h != want_h:
             return CharacterizationReport(False, row, "h", want_h, h)
     for row in rows:
-        _, h_desc = agg_bounds(descendant_rows(row, m.shape), m)
-        want_l = max(1, h_desc)
-        l = m.intervals[row][0]
+        want_l = 1
+        for desc in descendant_rows(row, m.shape):
+            h = intervals[desc][1]
+            if h > want_l:
+                want_l = h
+        l = intervals[row][0]
         if l != want_l:
             return CharacterizationReport(False, row, "l", want_l, l)
     return CharacterizationReport(True)

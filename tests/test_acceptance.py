@@ -1,40 +1,34 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Every check is exact (no tolerances); the shape sweeps are the stated
-ones: all shapes with d <= 4 and at most 20 cells for the structural laws,
-with the named minimum list used where a criterion needs heavy per-shape
-sampling or play.
+lines.  Each criterion runs the matching ``maxac.verification`` check over
+its sweep, so the claims have one implementation: all shapes with d <= 4 and
+at most 20 cells for the structural laws, with the named minimum list used
+where a criterion needs heavy per-shape sampling or play.  Every check is
+exact (no tolerances).
 """
 
 import itertools
 import math
 
 from maxac import (
-    EmptyRowError,
-    NonContiguousRowError,
     Shape,
-    brute_force_maximal,
-    check_characterization,
-    convert_step,
     count_2d,
-    count_all_le2,
     count_maximal,
     enumerate_maximal,
-    extend_by_two,
-    find_pair,
-    is_maximal,
     iter_shapes,
-    max_size,
-    normalize,
-    peel,
-    play,
-    predict_loser,
-    project_last,
-    sample_non_maximal,
     to_intervals,
-    weight,
     x_set,
+)
+from maxac.verification import (
+    check_bijection,
+    check_brute_force,
+    check_counting,
+    check_equivalence,
+    check_game,
+    check_normalization,
+    check_peel_recurrence,
+    check_size_law,
 )
 
 # the minimum shape list every sweep must include
@@ -45,6 +39,8 @@ MINIMUM_SHAPES = [
 
 SWEEP = [s for s in iter_shapes(20, 4)]
 
+PLAYERS = (2, 3, 5)
+
 
 def _report(number: int, name: str, passed: bool, detail: str = ""):
     tail = f" ({detail})" if detail else ""
@@ -52,8 +48,16 @@ def _report(number: int, name: str, passed: bool, detail: str = ""):
     assert passed, f"criterion {number} ({name}) failed: {detail}"
 
 
-def _interval_weight(m):
-    return sum(h - l + 1 for l, h in m.intervals.values())
+def _run(check, shape, *args, **kwargs):
+    """Run one check and fail on a failed or skipped result."""
+    result = check(shape, *args, **kwargs)
+    assert result.passed, (shape.dims, result.detail)
+    assert not result.detail.startswith("skipped"), (shape.dims, result.detail)
+    return result
+
+
+def _maximal(shape):
+    return enumerate_maximal(shape).grids
 
 
 def test_criterion_1_size_law():
@@ -61,10 +65,9 @@ def test_criterion_1_size_law():
     assert all(Shape(d) in SWEEP for d in MINIMUM_SHAPES)
     grids = 0
     for shape in SWEEP:
-        expected = max_size(shape)
-        for g in enumerate_maximal(shape).grids:
-            assert weight(g) == expected, (shape.dims, g.ones)
-            grids += 1
+        maximal = _maximal(shape)
+        _run(check_size_law, shape, maximal)
+        grids += len(maximal)
     _report(1, "size-law", True, f"{len(SWEEP)} shapes, {grids} grids")
 
 
@@ -74,29 +77,20 @@ def test_criterion_2_characterization_equivalence():
     Checked for every maximal grid of every swept shape (d >= 2), plus 1000
     seeded non-maximal grids per shape on the minimum list.
     """
-
-    def equivalent(g):
-        try:
-            local = bool(check_characterization(to_intervals(g)))
-        except (EmptyRowError, NonContiguousRowError):
-            local = False
-        return is_maximal(g) == local
-
     checked = 0
     for shape in SWEEP:
         if shape.d < 2:
             continue
-        for g in enumerate_maximal(shape).grids:
-            assert equivalent(g), (shape.dims, g.ones)
-            checked += 1
+        maximal = _maximal(shape)
+        _run(check_equivalence, shape, maximal, samples=0)
+        checked += len(maximal)
     sampled = 0
     for dims in MINIMUM_SHAPES:
         shape = Shape(dims)
         if shape.d < 2:
             continue
-        for g in sample_non_maximal(shape, 1000, seed=2):
-            assert equivalent(g), (shape.dims, g.ones)
-            sampled += 1
+        _run(check_equivalence, shape, _maximal(shape), samples=1000, seed=2)
+        sampled += 1000
     _report(2, "characterization-equivalence", True,
             f"{checked} maximal + {sampled} sampled grids")
 
@@ -105,9 +99,8 @@ def test_criterion_3_counting_2d():
     """count_maximal((w1, w2)) equals the binomial C(w1 + w2 - 2, w1 - 1)."""
     for w1 in range(1, 6):
         for w2 in range(1, 6):
-            formula = count_2d(w1, w2)
-            enumerated = count_maximal(Shape((w1, w2)))
-            assert formula == enumerated == math.comb(w1 + w2 - 2, w1 - 1)
+            _run(check_counting, Shape((w1, w2)))
+            assert count_2d(w1, w2) == math.comb(w1 + w2 - 2, w1 - 1)
     assert count_maximal(Shape((2, 2))) == 2
     assert count_maximal(Shape((5, 5))) == 70
     _report(3, "counting-2d", True, "all w1, w2 in [1, 5]")
@@ -117,15 +110,7 @@ def test_criterion_4_bijection():
     """Appending a size-2 axis is a bijection between maximal-grid sets."""
     shapes = [s for s in iter_shapes(12, 4)]
     for shape in shapes:
-        base = enumerate_maximal(shape).grids
-        extended = enumerate_maximal(Shape(shape.dims + (2,))).grids
-        assert len(base) == len(extended), shape.dims
-        images = sorted((extend_by_two(g) for g in base), key=lambda g: g.ones)
-        assert images == list(extended), shape.dims
-        for g in base:
-            assert project_last(extend_by_two(g)) == g, shape.dims
-        for m in extended:
-            assert extend_by_two(project_last(m)) == m, shape.dims
+        _run(check_bijection, shape, _maximal(shape))
     _report(4, "append-layer-bijection", True, f"{len(shapes)} base shapes")
 
 
@@ -135,7 +120,8 @@ def test_criterion_5_all_le2_corollary():
     for d in range(1, 5):
         for dims in itertools.product((1, 2), repeat=d):
             shape = Shape(dims)
-            assert count_all_le2(shape) == count_maximal(shape) == min(dims)
+            _run(check_counting, shape)
+            assert count_maximal(shape) == min(dims)
             boxes += 1
     for n in range(1, 7):
         assert count_maximal(Shape((n,))) == n
@@ -155,23 +141,10 @@ def test_criterion_6_normalization():
     for shape in SWEEP:
         if shape.d < 2 or shape.dims[-1] < 2:
             continue
-        for g in enumerate_maximal(shape).grids:
-            m = to_intervals(g)
-            expected_steps = len(x_set(m))
-            report = normalize(m)
-            assert report.steps == expected_steps == len(report.pairs)
-            assert not x_set(report.result)
-            current = m
-            for _ in range(expected_steps):
-                chosen, _anchor = find_pair(current)
-                nxt = convert_step(current)
-                assert _interval_weight(nxt) == _interval_weight(current)
-                assert check_characterization(nxt)
-                assert x_set(nxt) == x_set(current) - {chosen}
-                current = nxt
-            assert current == report.result
-            grids += 1
-            steps += expected_steps
+        maximal = _maximal(shape)
+        _run(check_normalization, shape, maximal)
+        grids += len(maximal)
+        steps += sum(len(x_set(to_intervals(g))) for g in maximal)
     _report(6, "normalization", True, f"{grids} grids, {steps} convert steps")
 
 
@@ -182,19 +155,9 @@ def test_criterion_7_peel_recurrence():
     for shape in SWEEP:
         if shape.d < 2:
             continue
-        for g in enumerate_maximal(shape).grids:
-            current = to_intervals(g)
-            while current.shape.dims[-1] > 1:
-                current = normalize(current).result
-                prefix = current.shape.dims[:-1]
-                drop = math.prod(prefix) - math.prod(p - 1 for p in prefix)
-                before = _interval_weight(current)
-                current = peel(current)
-                assert before - _interval_weight(current) == drop
-                assert check_characterization(current)
-            assert _interval_weight(current) == max_size(current.shape)
-            assert _interval_weight(current) == math.prod(current.shape.dims[:-1])
-            grids += 1
+        maximal = _maximal(shape)
+        _run(check_peel_recurrence, shape, maximal)
+        grids += len(maximal)
     _report(7, "peel-recurrence", True, f"{grids} grids telescoped")
 
 
@@ -206,17 +169,8 @@ def test_criterion_8_game_loser_invariance():
         shape = Shape(dims)
         if shape.cell_count > 16:
             continue
-        for m in (2, 3, 5):
-            expected = predict_loser(shape, m)
-            for trial in range(100):
-                t = play(shape, m, ["random"] * m, seed=trial)
-                assert t.loser == expected, (dims, m, trial)
-                safe_count = len(t.final_state.moves)
-                if t.terminal_cell is not None:
-                    safe_count -= 1
-                assert safe_count == max_size(shape), (dims, m, trial)
-                assert t.forced
-            configs += 1
+        _run(check_game, shape, trials=100, players=PLAYERS, seed=0)
+        configs += len(PLAYERS)
     _report(8, "game-loser-invariance", True, f"{configs} configs x 100 games")
 
 
@@ -227,7 +181,7 @@ def test_criterion_9_oracle_cross_check():
         shape = Shape(dims)
         if shape.cell_count > 16:
             continue
-        assert enumerate_maximal(shape).grids == brute_force_maximal(shape), dims
+        _run(check_brute_force, shape, _maximal(shape))
         shapes += 1
     _report(9, "oracle-cross-check", True, f"{shapes} shapes")
 

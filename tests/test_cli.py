@@ -1,10 +1,26 @@
+import copy
+import io
 import json
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxac.cli import main
 
 GRID_33 = {"w": [3, 3], "ones": [[1, 3], [2, 3], [3, 1], [3, 2], [3, 3]]}
+GRID_22 = {"w": [2, 2], "ones": [[1, 1], [1, 2], [2, 1]]}
+MAP_22 = {"w": [2, 2], "rows": [{"x": [1], "l": 1, "h": 2}, {"x": [2], "l": 1, "h": 1}]}
+MAP_33_NORMALIZED = {
+    "w": [3, 3],
+    "rows": [
+        {"x": [1], "l": 2, "h": 3},
+        {"x": [2], "l": 2, "h": 2},
+        {"x": [3], "l": 1, "h": 2},
+    ],
+}
 
 
 def run(capsys, *argv):
@@ -72,8 +88,6 @@ def test_verify_passes(capsys):
 
 
 def test_normalize_from_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GRID_33)))
     status, out, _ = run(capsys, "normalize", "--json")
     assert status == 0
@@ -88,8 +102,6 @@ def test_normalize_from_stdin(capsys, monkeypatch):
 
 
 def test_normalize_rejects_non_maximal_grid(capsys, monkeypatch):
-    import io
-
     bad = {"w": [2, 2], "ones": [[1, 2], [2, 1]]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
     status, out, err = run(capsys, "normalize", "--json")
@@ -98,8 +110,6 @@ def test_normalize_rejects_non_maximal_grid(capsys, monkeypatch):
 
 
 def test_normalize_reports_empty_row(capsys, monkeypatch):
-    import io
-
     bad = {"w": [2, 2], "ones": [[1, 1]]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
     status, _, err = run(capsys, "normalize", "--json")
@@ -108,16 +118,8 @@ def test_normalize_reports_empty_row(capsys, monkeypatch):
 
 
 def test_peel_accepts_interval_map_input(capsys, tmp_path, monkeypatch):
-    normalized = {
-        "w": [3, 3],
-        "rows": [
-            {"x": [1], "l": 2, "h": 3},
-            {"x": [2], "l": 2, "h": 2},
-            {"x": [3], "l": 1, "h": 2},
-        ],
-    }
     path = tmp_path / "map.json"
-    path.write_text(json.dumps(normalized))
+    path.write_text(json.dumps(MAP_33_NORMALIZED))
     status, out, _ = run(capsys, "peel", "--input", str(path), "--json")
     assert status == 0
     obj = json.loads(out)
@@ -193,8 +195,6 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_bad_json_input(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
     status, _, err = run(capsys, "normalize", "--json")
     assert status == 1
@@ -208,3 +208,72 @@ def test_verify_plain_prints_one_line_per_check(capsys):
     assert status == 0
     lines = out.strip().splitlines()
     assert sum(1 for line in lines if line.startswith("PASS")) == 8
+
+
+def _first_row(**change):
+    return dict(MAP_22, rows=[dict(MAP_22["rows"][0], **change), MAP_22["rows"][1]])
+
+
+@pytest.mark.parametrize("bad", [
+    *(_first_row(l=v) for v in (1.9, True, "1", None, [1])),
+    *(_first_row(x=v) for v in (1, [1.0], [[1]])),
+    dict(MAP_22, w=5),
+    {"w": [2, 2], "ones": [[1, "a"], [1, 2]]},
+    {"w": [2, 2], "ones": [[1, [1]], [1, 2]]},
+])
+def test_malformed_json_exits_1(capsys, monkeypatch, bad):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
+    status, out, err = run(capsys, "normalize", "--json")
+    assert status == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
+def test_verify_zero_trials_says_skipped(capsys):
+    status, out, _ = run(capsys, "verify", "--w", "2,2", "--samples", "5",
+                         "--trials", "0", "--json")
+    assert status == 0
+    game = json.loads(out)["checks"][-1]
+    assert game == {"name": "game-loser", "passed": True,
+                    "detail": "skipped: 0 trials requested"}
+
+
+# every field one swap can reach: the dims, one ones-coordinate, or one row's
+# id, id coordinate or bound
+FIELDS = [(GRID_33, ("w",)), (GRID_33, ("w", 1)), (GRID_33, ("ones", 2, 0)),
+          (GRID_22, ("w", 1)), (GRID_22, ("ones", 0, 1)), (GRID_22, ("ones", 1))]
+FIELDS += [(MAP_33_NORMALIZED, path) for row in range(3) for path in (
+    ("rows", row, "x"), ("rows", row, "x", 0), ("rows", row, "l"), ("rows", row, "h"))]
+FIELDS += [(MAP_33_NORMALIZED, ("w",)), (MAP_33_NORMALIZED, ("w", 0))]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("normalize", "peel", "extend", "project")),
+       st.sampled_from(FIELDS), json_values)
+def test_json_verbs_never_leak_a_traceback(verb, field, value):
+    base, path = field
+    obj = copy.deepcopy(base)
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(json.dumps(obj))
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main([verb, "--json"])
+    finally:
+        sys.stdin = saved
+    if status == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue())
+    else:
+        assert status == 1 and out.getvalue() == ""
+        assert "error" in json.loads(err.getvalue())

@@ -1,14 +1,11 @@
 import pytest
 
 from maxac import (
-    NEG_INF,
-    POS_INF,
     EmptyRowError,
     Grid,
     IntervalMap,
     NonContiguousRowError,
     Shape,
-    agg_bounds,
     ancestor_rows,
     check_characterization,
     descendant_rows,
@@ -79,24 +76,11 @@ def test_interval_map_validation():
         IntervalMap(Shape((2, 2)), {(1,): (1, 3), (2,): (1, 1)})
     with pytest.raises(ValueError):  # row outside the box
         IntervalMap(Shape((2, 2)), {(1,): (1, 1), (2,): (1, 1), (3,): (1, 1)})
-
-
-def test_agg_bounds_examples():
-    m = IntervalMap(Shape((3, 3)), {(1,): (3, 3), (2,): (3, 3), (3,): (1, 3)})
-    assert agg_bounds([], m) == (POS_INF, NEG_INF)
-    m2 = IntervalMap(Shape((2, 2)), {(1,): (1, 2), (2,): (1, 1)})
-    assert agg_bounds([(1,)], m2) == (1, 2)
-    assert agg_bounds([(1,), (2,)], m) == (3, 3)
-
-
-def test_sentinels_order_but_do_not_add():
-    assert NEG_INF < 1 < POS_INF
-    assert min(5, POS_INF) == 5
-    assert max(1, NEG_INF) == 1
-    assert not POS_INF < POS_INF and not NEG_INF < NEG_INF
-    assert NEG_INF < POS_INF
-    with pytest.raises(TypeError):
-        POS_INF + 1  # arithmetic is deliberately unsupported
+    for bad in (1.9, 1.0, True, "1", None, [1]):  # bounds are not coerced
+        with pytest.raises(ValueError):
+            IntervalMap(Shape((2, 2)), {(1,): (bad, 2), (2,): (1, 1)})
+        with pytest.raises(ValueError):
+            IntervalMap(Shape((2, 2)), {(1,): (1, 2), (2,): (1, bad)})
 
 
 def test_ancestor_descendant_rows():
@@ -204,3 +188,10 @@ def test_interval_map_json_rejects_malformed_input():
         IntervalMap.from_json_obj({"w": [2, 2]})
     with pytest.raises(ValueError):
         IntervalMap.from_json_obj({"w": [2, 2], "rows": [{"x": [1], "l": 1}]})
+    rows = [{"x": [1], "l": 1, "h": 2}, {"x": [2], "l": 1, "h": 1}]
+    with pytest.raises(ValueError):
+        IntervalMap.from_json_obj({"w": 5, "rows": rows})
+    for bad_x in (1, [1.0], [[1]], "1", [True]):
+        bad_rows = [dict(rows[0], x=bad_x), rows[1]]
+        with pytest.raises(ValueError):
+            IntervalMap.from_json_obj({"w": [2, 2], "rows": bad_rows})
