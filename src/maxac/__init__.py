@@ -51,7 +51,7 @@ from .errors import (
     StrategyReturnedOutOfRangeError,
     XSetNonEmptyError,
 )
-from .game import GameState, Transcript, play, predict_loser, safe_moves
+from .game import GAME_CELL_LIMIT, GameState, Transcript, play, predict_loser, safe_moves
 from .normalize import NormalizeReport, convert_step, find_pair, normalize, peel
 from .rowform import (
     CharacterizationReport,
@@ -111,6 +111,7 @@ __all__ = [
     "StrategyReturnedNonZeroCellError",
     "StrategyReturnedOutOfRangeError",
     "XSetNonEmptyError",
+    "GAME_CELL_LIMIT",
     "GameState",
     "Transcript",
     "play",

@@ -3,7 +3,7 @@
 A grid is a binary d-dimensional matrix over a box of dimensions
 w = (w_1, ..., w_d), identified with the set of its one-cells.  The forbidden
 configuration is a pair of one-cells p, q with p strictly below q in every
-coordinate (for d = 1, by convention, any two one-cells).  Grids avoiding it
+coordinate (for d = 1, any two distinct one-cells).  Grids avoiding it
 are exactly the antichains of the box under strict dominance; grids where no
 further cell can be turned on are the maximal ones, and all of them share the
 same weight ``max_size``.
@@ -123,13 +123,14 @@ def strictly_below(a: Cell, b: Cell) -> bool:
     return all(x < y for x, y in zip(a, b))
 
 
-def contains_forbidden(g: Grid) -> bool:
-    """Whether some one-cell strictly dominates another.
+def comparable(a: Cell, b: Cell) -> bool:
+    """True iff one of ``a``, ``b`` lies strictly below the other, i.e. the
+    two cells cannot both be on.  Any two distinct cells of a 1-d box are."""
+    return strictly_below(a, b) or strictly_below(b, a)
 
-    For d = 1 any two one-cells count as the forbidden configuration.
-    """
-    if g.shape.d == 1:
-        return len(g.ones) >= 2
+
+def contains_forbidden(g: Grid) -> bool:
+    """Whether some one-cell strictly dominates another."""
     ones = g.ones
     # ones are sorted, so dominance can only point forward
     for i, p in enumerate(ones):
@@ -149,9 +150,7 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
 
     Assumes ``g`` itself avoids it and ``cell`` is currently off.
     """
-    if g.shape.d == 1:
-        return len(g.ones) >= 1
-    return any(strictly_below(p, cell) or strictly_below(cell, p) for p in g.ones)
+    return any(comparable(p, cell) for p in g.ones)
 
 
 def is_maximal(g: Grid) -> bool:

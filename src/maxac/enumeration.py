@@ -20,8 +20,10 @@ the leaves come out in canonical order (sorted by cell list) with no sort.
 For d = 1 the box is one row whose grids are the single cells ``(i,)``.
 
 Two oracles share no machinery with the search: ``brute_force_maximal``
-filters every subset of the box through ``is_maximal``, and the test suite
-keeps a bitmask include/exclude search over the cells.
+filters every subset of the box as a bitmask against per-cell masks of the
+comparable cells (the tests check it against ``is_maximal`` on every subset
+of small boxes), and the test suite keeps a bitmask include/exclude search
+over the cells.
 
 Plus greedy completion of a clean grid to a maximal one, and seeded random
 sampling of maximal grids via a shuffled completion order.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from typing import Iterator, Sequence
 
-from .core import Cell, Grid, Shape, contains_forbidden, is_maximal, strictly_below
+from .core import Cell, Grid, Shape, comparable, contains_forbidden
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -153,18 +155,24 @@ def count_maximal(shape: Shape, *, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
 def brute_force_maximal(
     shape: Shape, *, max_cells: int = BRUTE_FORCE_CELL_LIMIT
 ) -> tuple[Grid, ...]:
-    """Independent oracle: filter all 2^n subsets of the box through
-    ``is_maximal``.  Exponential; for cross-checking the search only."""
+    """Independent oracle: filter all 2^n subsets of the box, as bitmasks over
+    the cells in lexicographic order.  A subset is maximal iff each cell is
+    in it exactly when no cell of it is comparable to that cell.
+    Exponential; for cross-checking the search only."""
     n = shape.cell_count
     if n > max_cells:
         raise ShapeTooLargeError(n, max_cells)
     cells = list(shape.iter_cells())
+    conflicts = [
+        sum(1 << j for j, b in enumerate(cells) if comparable(a, b)) for a in cells
+    ]
     out = []
     for mask in range(1 << n):
-        ones = tuple(c for k, c in enumerate(cells) if (mask >> k) & 1)
-        g = Grid(shape, ones)
-        if is_maximal(g):
-            out.append(g)
+        for k in range(n):
+            if (mask >> k) & 1 == bool(conflicts[k] & mask):
+                break
+        else:
+            out.append(Grid(shape, tuple(c for k, c in enumerate(cells) if (mask >> k) & 1)))
     out.sort(key=lambda g: g.ones)
     return tuple(out)
 
@@ -184,19 +192,12 @@ def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
         cells = [tuple(c) for c in order]
         if sorted(cells) != sorted(g.shape.iter_cells()):
             raise ValueError("order must be a permutation of the box's cells")
-    d = g.shape.d
     ones = list(g.ones)
     one_set = set(ones)
     for cell in cells:
         if cell in one_set:
             continue
-        if d == 1:
-            blocked = bool(ones)
-        else:
-            blocked = any(
-                strictly_below(p, cell) or strictly_below(cell, p) for p in ones
-            )
-        if not blocked:
+        if not any(comparable(p, cell) for p in ones):
             ones.append(cell)
             one_set.add(cell)
     return Grid(g.shape, ones)

@@ -5,6 +5,17 @@ strictly dominating pair of one-cells loses.  As long as everyone plays
 moves that keep the board clean, the board grows into a maximal grid after
 exactly ``max_size`` moves, so the player ``max_size mod m`` is stuck and
 loses regardless of strategy.
+
+``play`` carries the safe moves from turn to turn as one list in ascending
+lexicographic order.  It starts as the whole box; a flip of ``cell`` keeps
+only the cells that differ from ``cell`` and are not comparable to it.  One
+move therefore costs O(|safe| d) <= O(n d) for a box of n cells, instead of
+rescanning every cell against every one-cell.  A flip is losing exactly when
+its cell has left the list, and the mover is stuck exactly when the list is
+empty.  ``safe_moves`` recomputes the same set from a board by definition
+and serves as the oracle in tests.  A ``Grid`` and ``GameState`` are built
+only for callable strategies, which see the full state, and for the
+transcript.
 """
 
 from __future__ import annotations
@@ -13,8 +24,9 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import Cell, Grid, Shape, flip_creates_containment, max_size
+from .core import Cell, Grid, Shape, comparable, flip_creates_containment, max_size
 from .errors import (
+    ShapeTooLargeError,
     StrategyReturnedNonZeroCellError,
     StrategyReturnedOutOfRangeError,
 )
@@ -23,6 +35,9 @@ from .errors import (
 Strategy = Union[str, Callable[["GameState"], Cell]]
 
 BUILTIN_STRATEGIES = ("lex", "random")
+
+# largest box ``play`` accepts; a game on n cells takes O(n max_size d) steps
+GAME_CELL_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -95,7 +110,8 @@ def play(
     safe move, "random" a uniform safe move (one generator seeded per game
     drives all random players), and a callable may return any zero cell --
     including an unsafe one, losing on the spot.  Built-ins flip the first
-    zero cell once no safe move remains.
+    zero cell once no safe move remains.  Boxes of more than
+    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError``.
     """
     if players < 2:
         raise ValueError("the game needs at least two players")
@@ -104,37 +120,42 @@ def play(
     for s in strategies:
         if not callable(s) and s not in BUILTIN_STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
+    if shape.cell_count > GAME_CELL_LIMIT:
+        raise ShapeTooLargeError(shape.cell_count, GAME_CELL_LIMIT)
 
     rng = random.Random(seed)
-    board = Grid(shape)
+    # the zero cells not comparable to any one-cell, ascending: the safe moves
+    safe = list(shape.iter_cells())
+    one_set: set[Cell] = set()
     moves: list[tuple[int, Cell]] = []
-    while True:
-        state = GameState(shape=shape, board=board, players=players, moves=tuple(moves))
-        player = state.to_move
-        if len(board.ones) == shape.cell_count:
-            # full clean board: the player to move cannot move at all
-            return Transcript(final_state=state, loser=player,
-                              terminal_cell=None, forced=True)
+    while len(moves) < shape.cell_count:
+        player = len(moves) % players
         strategy = strategies[player]
-        safe = sorted(safe_moves(state))
         if callable(strategy):
-            returned = strategy(state)
+            returned = strategy(_state(shape, players, moves))
             try:
                 cell = tuple(returned)
             except TypeError:
                 raise StrategyReturnedOutOfRangeError(player, returned) from None
             if not shape.contains_cell(cell):
                 raise StrategyReturnedOutOfRangeError(player, cell)
-            if cell in board.one_set:
+            if cell in one_set:
                 raise StrategyReturnedNonZeroCellError(player, cell)
         elif safe:
             cell = safe[0] if strategy == "lex" else rng.choice(safe)
         else:
-            cell = next(c for c in shape.iter_cells() if c not in board.one_set)
-        losing = flip_creates_containment(board, cell)
-        board = Grid(shape, board.ones + (cell,))
+            cell = next(c for c in shape.iter_cells() if c not in one_set)
         moves.append((player, cell))
-        if losing:
-            final = GameState(shape=shape, board=board, players=players, moves=tuple(moves))
-            return Transcript(final_state=final, loser=player,
+        one_set.add(cell)
+        if cell not in safe:
+            return Transcript(final_state=_state(shape, players, moves), loser=player,
                               terminal_cell=cell, forced=not safe)
+        safe = [c for c in safe if c != cell and not comparable(c, cell)]
+    # full clean board: the player to move cannot move at all
+    return Transcript(final_state=_state(shape, players, moves),
+                      loser=len(moves) % players, terminal_cell=None, forced=True)
+
+
+def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]]) -> GameState:
+    board = Grid(shape, [c for _, c in moves])
+    return GameState(shape=shape, board=board, players=players, moves=tuple(moves))

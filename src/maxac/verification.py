@@ -62,6 +62,8 @@ def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
     with punctured maximal grids (clean but unsaturated), so both failure
     modes of the characterization get exercised.
     """
+    if count < 1:
+        return []
     rng = random.Random(f"{shape.dims}:{seed}")
     cells = list(shape.iter_cells())
     maximal = enumerate_maximal(shape).grids

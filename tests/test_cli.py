@@ -157,6 +157,12 @@ def test_game(capsys):
     assert obj["moves"][-1] == [1, obj["terminal_cell"]]
 
 
+def test_game_too_large(capsys):
+    status, out, err = run(capsys, "game", "--w", "1000,1000", "--json")
+    assert status == 1 and out == ""
+    assert json.loads(err)["error"] == "ShapeTooLarge"
+
+
 def test_game_single_strategy_broadcasts(capsys):
     status, out, _ = run(
         capsys, "game", "--w", "2,2", "--players", "3", "--strategy", "lex", "--json"

@@ -85,6 +85,19 @@ def test_search_agrees_with_subset_filter():
         assert enumerate_maximal(shape).grids == brute_force_maximal(shape)
 
 
+def test_subset_filter_equals_filtering_through_is_maximal():
+    shapes = list(iter_shapes(10, 4))
+    assert len(shapes) == 179
+    for shape in shapes:
+        cells = list(shape.iter_cells())
+        subsets = (
+            Grid(shape, [c for k, c in enumerate(cells) if (mask >> k) & 1])
+            for mask in range(1 << len(cells))
+        )
+        expected = sorted((g for g in subsets if is_maximal(g)), key=lambda g: g.ones)
+        assert brute_force_maximal(shape) == tuple(expected), shape.dims
+
+
 def test_search_agrees_with_bitmask_search_on_every_shape_in_budget():
     shapes = list(iter_shapes(25, 4))
     assert len(shapes) == 739

@@ -1,12 +1,16 @@
 import pytest
+import reference_game
 
 from maxac import (
+    GAME_CELL_LIMIT,
     GameState,
     Grid,
     Shape,
+    ShapeTooLargeError,
     StrategyReturnedNonZeroCellError,
     StrategyReturnedOutOfRangeError,
     is_maximal,
+    iter_shapes,
     max_size,
     play,
     predict_loser,
@@ -136,3 +140,80 @@ def test_transcript_json():
     assert obj["w"] == [2, 2] and obj["players"] == 2
     assert obj["moves"] == [[0, [1, 1]], [1, [1, 2]], [0, [2, 1]], [1, [2, 2]]]
     assert obj["loser"] == 1 and obj["terminal_cell"] == [2, 2] and obj["forced"]
+
+
+def _strategies(style, players):
+    if style == "mixed":
+        return ["lex" if p % 2 else "random" for p in range(players)]
+    return [style] * players
+
+
+def _assert_same_game(shape, players, strategies, seed):
+    got = play(shape, players, strategies, seed=seed).to_json_obj()
+    want = reference_game.play(shape, players, strategies, seed=seed).to_json_obj()
+    assert got == want, (shape.dims, players, seed)
+
+
+def test_play_matches_the_rescanning_reference_on_every_small_shape():
+    shapes = list(iter_shapes(10, 4))
+    assert len(shapes) == 179
+    for k, shape in enumerate(shapes):
+        for m in (2, 3, 5):
+            for style in ("lex", "random", "mixed"):
+                _assert_same_game(shape, m, _strategies(style, m), seed=k * 7 + m)
+
+
+def test_play_matches_the_rescanning_reference_on_large_boards():
+    for dims in [(10, 10), (15, 15), (5, 5, 5)]:
+        for seed, (m, style) in enumerate([(2, "random"), (3, "mixed"), (5, "lex")]):
+            _assert_same_game(Shape(dims), m, _strategies(style, m), seed)
+
+
+def _last_safe_or_unsafe(state):
+    """Deterministic callable: the last safe move, or once the board holds
+    three cells, the first zero cell even if it loses."""
+    safe = sorted(safe_moves(state))
+    if safe and len(state.board.ones) < 3:
+        return safe[-1]
+    return next(c for c in state.shape.iter_cells() if c not in state.board.one_set)
+
+
+def test_play_matches_the_reference_with_callable_strategies():
+    for dims in [(2, 2), (3, 3), (2, 2, 2), (1, 4), (4,), (4, 3)]:
+        shape = Shape(dims)
+        for seed in range(3):
+            _assert_same_game(shape, 2, ["random", _last_safe_or_unsafe], seed)
+            _assert_same_game(shape, 3, [_last_safe_or_unsafe, "lex", "random"], seed)
+
+
+def test_callable_strategies_see_the_board_and_the_player_to_move():
+    played = []
+
+    def checking(player):
+        def strategy(state):
+            assert state.board.ones == tuple(sorted(played))
+            assert state.to_move == player
+            cell = min(safe_moves(state), default=None)
+            if cell is None:
+                cell = next(c for c in state.shape.iter_cells() if c not in state.board.one_set)
+            played.append(cell)
+            return cell
+
+        return strategy
+
+    for dims in [(3, 3), (2, 2, 2), (1, 5), (3,)]:
+        shape = Shape(dims)
+        played.clear()
+        t = play(shape, 3, [checking(p) for p in range(3)])
+        assert [c for _, c in t.final_state.moves] == played
+        assert t.loser == predict_loser(shape, 3)
+
+
+def test_game_cell_budget():
+    assert GAME_CELL_LIMIT == 10_000
+    t = play(Shape((GAME_CELL_LIMIT,)), 2, ["lex", "lex"])
+    assert t.loser == 1 and t.terminal_cell == (2,)
+    for dims in [(GAME_CELL_LIMIT + 1,), (1000, 1000), (101, 100)]:
+        with pytest.raises(ShapeTooLargeError) as info:
+            play(Shape(dims), 2, ["lex", "lex"])
+        assert info.value.limit == GAME_CELL_LIMIT
