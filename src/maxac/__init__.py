@@ -57,9 +57,7 @@ from .rowform import (
     CharacterizationReport,
     IntervalMap,
     RowId,
-    ancestor_rows,
     check_characterization,
-    descendant_rows,
     from_intervals,
     to_intervals,
     x_set,
@@ -125,9 +123,7 @@ __all__ = [
     "CharacterizationReport",
     "IntervalMap",
     "RowId",
-    "ancestor_rows",
     "check_characterization",
-    "descendant_rows",
     "from_intervals",
     "to_intervals",
     "x_set",

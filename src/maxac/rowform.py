@@ -11,14 +11,22 @@ where ancestors (descendants) of a row are the rows strictly below (above) it
 in all first d-1 coordinates; with no ancestors (descendants) the rule reads
 h(x) = w_d (l(x) = 1).  For d = 1 the rules are not used; that case is
 covered directly by ``contains_forbidden``.
+
+``check_characterization`` tests both rules in one O(rows * d) sweep: the
+ancestors of x are exactly the rows at or below x - (1,...,1), so the h-rule
+reads a closed prefix minimum of l there, and symmetrically the l-rule reads
+a closed suffix maximum of h at x + (1,...,1).  Both are separable running
+folds over flat strided row indices, one axis at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .core import Grid, Shape, _is_int
 from .errors import EmptyRowError, NonContiguousRowError
@@ -31,7 +39,8 @@ class IntervalMap:
     """One interval [l, h] for every row of the box (a total map).
 
     Emptiness is not representable: 1 <= l <= h <= w_d must hold per row,
-    with ``int`` bounds (bools, floats and strings are rejected, not converted).
+    with ``int`` row ids and bounds (bools, floats and strings are rejected,
+    not converted).
     """
 
     shape: Shape
@@ -39,6 +48,9 @@ class IntervalMap:
 
     def __post_init__(self):
         fixed = {tuple(row): (l, h) for row, (l, h) in self.intervals.items()}
+        if not set(map(type, chain.from_iterable(fixed))) <= {int}:
+            bad = next(row for row in fixed if any(type(x) is not int for x in row))
+            raise ValueError(f"row id {bad!r} must have integer coordinates")
         top = self.shape.dims[-1]
         seen = 0
         for row in self.shape.iter_rows():
@@ -118,20 +130,6 @@ def from_intervals(m: IntervalMap) -> Grid:
     return Grid(m.shape, ones)
 
 
-def ancestor_rows(row: RowId) -> Iterator[RowId]:
-    """Rows strictly below ``row`` in every coordinate (none for d = 1)."""
-    if not row:
-        return
-    yield from product(*(range(1, x) for x in row))
-
-
-def descendant_rows(row: RowId, shape: Shape) -> Iterator[RowId]:
-    """Rows strictly above ``row`` in every coordinate (none for d = 1)."""
-    if not row:
-        return
-    yield from product(*(range(x + 1, w + 1) for x, w in zip(row, shape.dims)))
-
-
 @dataclass(frozen=True)
 class CharacterizationReport:
     """Outcome of the local maximality check; falsy when some row violates it."""
@@ -154,6 +152,49 @@ class CharacterizationReport:
         )
 
 
+# keyed by the row dimensions alone, so one plan serves every level of a
+# normalize/peel chain, which shrinks only the last axis
+@lru_cache(maxsize=256)
+def _sweep_plan(pre: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], int]:
+    """Flat strided layout of the rows of a box with row dimensions ``pre``.
+
+    Flat order is ascending lexicographic order.  Returns the rows; the
+    (previous, current) slice pairs that fold each coordinate value into the
+    next along every axis but the last; the flat index of every row that has
+    a descendant; and the flat offset of (1, ..., 1).
+    """
+    n = math.prod(pre)
+    strides = [math.prod(pre[k + 1:]) for k in range(len(pre))]
+    chunks = tuple(
+        (slice(lo - s, lo), slice(lo, lo + s))
+        for w, s in zip(pre[:-1], strides)
+        for base in range(0, n, w * s)
+        for lo in range(base + s, base + w * s, s)
+    )
+    inner = [0]
+    for w, s in zip(pre, strides):
+        inner = [i + c * s for i in inner for c in range(w - 1)]
+    rows = tuple(product(*(range(1, w + 1) for w in pre)))
+    return rows, chunks, tuple(inner), sum(strides)
+
+
+def _prefix_min(a: list[int], chunks, w: int) -> None:
+    """In place: each slot becomes the minimum over its closed lower orthant.
+
+    The fold is separable: whole chunks at a time along every axis but the
+    last, then a running minimum along each line of ``w`` slots.
+    """
+    for prev, cur in chunks:
+        a[cur] = [p if p < q else q for p, q in zip(a[prev], a[cur])]
+    for i in range(1, len(a)):
+        if i % w and a[i - 1] < a[i]:
+            a[i] = a[i - 1]
+
+
+# reports are frozen, so every passing check returns this one
+_HOLDS = CharacterizationReport(True)
+
+
 def check_characterization(m: IntervalMap) -> CharacterizationReport:
     """Check the h-rule and l-rule at every row (d >= 2 only).
 
@@ -165,27 +206,33 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
     if m.shape.d < 2:
         raise ValueError("the characterization applies to d >= 2 only; "
                          "use contains_forbidden for d = 1")
-    intervals = m.intervals
-    rows = sorted(intervals)
-    for row in rows:
-        want_h = m.top
-        for anc in ancestor_rows(row):
-            l = intervals[anc][0]
-            if l < want_h:
-                want_h = l
-        h = intervals[row][1]
-        if h != want_h:
-            return CharacterizationReport(False, row, "h", want_h, h)
-    for row in rows:
-        want_l = 1
-        for desc in descendant_rows(row, m.shape):
-            h = intervals[desc][1]
-            if h > want_l:
-                want_l = h
-        l = intervals[row][0]
-        if l != want_l:
-            return CharacterizationReport(False, row, "l", want_l, l)
-    return CharacterizationReport(True)
+    top = m.top
+    pre = m.shape.dims[:-1]
+    rows, chunks, inner, diag = _sweep_plan(pre)
+    bounds = list(map(m.intervals.__getitem__, rows))
+    ls = [l for l, _ in bounds]
+    hs = [h for _, h in bounds]
+    n = len(rows)
+
+    low = ls.copy()
+    _prefix_min(low, chunks, pre[-1])
+    want_h = [top] * n
+    for i in inner:  # row i + diag has ancestors, all at or below row i
+        want_h[i + diag] = low[i]
+    if hs != want_h:
+        k = next(k for k in range(n) if hs[k] != want_h[k])
+        return CharacterizationReport(False, rows[k], "h", want_h[k], hs[k])
+
+    # suffix maximum of h = -(prefix minimum of -h over the reversed layout)
+    high = [-h for h in reversed(hs)]
+    _prefix_min(high, chunks, pre[-1])
+    want_l = [1] * n
+    for i in inner:  # row i's descendants are at or above row i + diag
+        want_l[i] = -high[n - 1 - i - diag]
+    if ls != want_l:
+        k = next(k for k in range(n) if ls[k] != want_l[k])
+        return CharacterizationReport(False, rows[k], "l", want_l[k], ls[k])
+    return _HOLDS
 
 
 def x_set(m: IntervalMap) -> set[RowId]:

@@ -1,15 +1,20 @@
+import random
+
 import pytest
+import reference_normalize as ref
 
 from maxac import (
     BottomedOutError,
     EmptyXSetError,
     IntervalMap,
+    NotMaximalError,
     Shape,
     XSetNonEmptyError,
     check_characterization,
     convert_step,
     enumerate_maximal,
     find_pair,
+    iter_shapes,
     max_size,
     normalize,
     peel,
@@ -45,11 +50,9 @@ def test_find_pair_returns_diagonal_neighbors():
                 top = m.top
                 assert m.intervals[x][1] == top > m.intervals[x][0]
                 # no rival top-touching descendant of the anchor
-                from maxac import descendant_rows
-
                 assert not any(
                     m.intervals[z][1] == top
-                    for z in descendant_rows(x_prime, m.shape)
+                    for z in ref.descendant_rows(x_prime, m.shape)
                     if z != x
                 )
                 m = convert_step(m)
@@ -144,3 +147,57 @@ def test_peel_telescopes_to_the_closed_form():
                 m = peel(m)
                 assert check_characterization(m)
             assert _iw(m) == max_size(m.shape)
+
+
+# all-full rows: the h-rule fails at (2,); unguarded, normalize "converted"
+# two rows and dropped the weight from 9 to 5
+FULL33 = IntervalMap(Shape((3, 3)), {(1,): (1, 3), (2,): (1, 3), (3,): (1, 3)})
+# every row only at the top: the l-rule fails at (3,); unguarded, the pair
+# search ran out of descendants inside min()
+TOPS33 = IntervalMap(Shape((3, 3)), {(1,): (3, 3), (2,): (3, 3), (3,): (3, 3)})
+
+
+@pytest.mark.parametrize("m", [FULL33, TOPS33], ids=["full", "tops"])
+@pytest.mark.parametrize("op", [normalize, find_pair, convert_step])
+def test_convert_machinery_rejects_non_maximal_maps(op, m):
+    assert not check_characterization(m)
+    with pytest.raises(NotMaximalError) as err:
+        op(m)
+    assert str(err.value) == str(check_characterization(m))
+
+
+def _chain(norm, m):
+    """Reports of normalize at every level of the normalize/peel chain."""
+    reports = []
+    while m.top > 1:
+        reports.append(norm(m))
+        m = peel(reports[-1].result)
+    return reports
+
+
+def test_normalize_matches_reference_on_every_small_maximal_grid():
+    shapes = grids = steps = 0
+    for shape in iter_shapes(25, 4):
+        if shape.d < 2:
+            continue
+        shapes += 1
+        for g in enumerate_maximal(shape).grids:
+            grids += 1
+            m = to_intervals(g)
+            reports = _chain(normalize, m)
+            assert reports == _chain(ref.normalize, m), g.ones
+            steps += sum(r.steps for r in reports)
+    assert (shapes, grids, steps) == (714, 1447, 4055)
+
+
+@pytest.mark.parametrize(
+    "dims, seed",
+    [((30, 30), 1), ((12, 12, 12), 2), ((6, 6, 6, 6), 3), ((3, 3, 3, 3, 3), 4)],
+    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"seed{v}",
+)
+def test_normalize_matches_reference_on_large_maps(dims, seed):
+    m = ref.seeded_maximal_map(dims, random.Random(seed))
+    assert ref.check_characterization(m)
+    reports = _chain(normalize, m)
+    assert reports == _chain(ref.normalize, m)
+    assert len(reports) == dims[-1] - 1 and sum(r.steps for r in reports) > 0

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+import reference_normalize as ref
+from reference_normalize import ancestor_rows, descendant_rows
 
 from maxac import (
     EmptyRowError,
@@ -6,9 +10,7 @@ from maxac import (
     IntervalMap,
     NonContiguousRowError,
     Shape,
-    ancestor_rows,
     check_characterization,
-    descendant_rows,
     enumerate_maximal,
     from_intervals,
     is_maximal,
@@ -83,6 +85,17 @@ def test_interval_map_validation():
             IntervalMap(Shape((2, 2)), {(1,): (1, 2), (2,): (1, bad)})
 
 
+def test_interval_map_rejects_non_integer_row_ids():
+    # (1.0,) hashes like (1,), so the row lookup alone would accept it and
+    # to_json_obj would then emit "x": [1.0], which from_json_obj rejects
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="row id"):
+            IntervalMap(Shape((2, 2)), {(bad,): (1, 2), (2,): (1, 1)})
+    with pytest.raises(ValueError, match="row id"):
+        IntervalMap(Shape((2, 2, 2)), {(1, 1): (1, 2), (1, 2.0): (1, 2),
+                                       (2, 1): (1, 2), (2, 2): (1, 1)})
+
+
 def test_ancestor_descendant_rows():
     s = Shape((3, 3, 4))
     assert sorted(ancestor_rows((2, 3))) == [(1, 1), (1, 2)]
@@ -110,6 +123,37 @@ def test_check_characterization_rejects_d1():
     m = IntervalMap(Shape((5,)), {(): (2, 2)})
     with pytest.raises(ValueError):
         check_characterization(m)
+
+
+def _random_map(shape, rng) -> IntervalMap:
+    """Uniform valid intervals, or a maximal map with one row redrawn."""
+    top = shape.dims[-1]
+    if rng.random() < 0.5:
+        fixed = {}
+        for row in shape.iter_rows():
+            a, b = rng.randint(1, top), rng.randint(1, top)
+            fixed[row] = (min(a, b), max(a, b))
+        return IntervalMap(shape, fixed)
+    fixed = dict(ref.seeded_maximal_map(shape.dims, rng).intervals)
+    row = rng.choice(sorted(fixed))
+    a, b = rng.randint(1, top), rng.randint(1, top)
+    fixed[row] = (min(a, b), max(a, b))
+    return IntervalMap(shape, fixed)
+
+
+def test_check_characterization_matches_pairwise_reference():
+    rng = random.Random(6)
+    seen = set()
+    for dims in [(1, 3), (3, 1, 2), (2, 2), (3, 3), (4, 5), (5, 1), (2, 3, 4),
+                 (3, 3, 3), (1, 1, 4), (2, 1, 3, 2), (3, 3, 2, 2), (3, 3, 3, 3)]:
+        shape = Shape(dims)
+        for _ in range(150):
+            m = _random_map(shape, rng)
+            report = check_characterization(m)
+            assert report == ref.check_characterization(m), m
+            seen.add(report.rule)
+    # maps that pass, and maps failing each rule, all occur
+    assert seen == {None, "h", "l"}
 
 
 def test_x_set_examples():
