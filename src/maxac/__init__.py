@@ -18,11 +18,9 @@ from .core import (
     weight,
 )
 from .counting import (
-    LastAxisPartition,
     count_2d,
     count_all_le2,
     extend_by_two,
-    partition_last_axis,
     project_last,
 )
 from .enumeration import (
@@ -42,7 +40,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyRowError,
     EmptyXSetError,
-    InconsistentRowError,
     NonContiguousRowError,
     NotMaximalError,
     PreconditionViolatedError,
@@ -81,11 +78,9 @@ __all__ = [
     "max_size",
     "strictly_below",
     "weight",
-    "LastAxisPartition",
     "count_2d",
     "count_all_le2",
     "extend_by_two",
-    "partition_last_axis",
     "project_last",
     "BRUTE_FORCE_CELL_LIMIT",
     "DEFAULT_CELL_LIMIT",
@@ -101,7 +96,6 @@ __all__ = [
     "DimensionMismatchError",
     "EmptyRowError",
     "EmptyXSetError",
-    "InconsistentRowError",
     "NonContiguousRowError",
     "NotMaximalError",
     "PreconditionViolatedError",

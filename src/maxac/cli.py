@@ -16,10 +16,10 @@ import sys
 from .core import Grid, Shape, max_size
 from .counting import count_2d, count_all_le2, extend_by_two, project_last
 from .enumeration import DEFAULT_CELL_LIMIT, count_maximal, enumerate_maximal
-from .errors import BoxError, NotMaximalError, PreconditionViolatedError
+from .errors import BoxError, PreconditionViolatedError
 from .game import play
 from .normalize import normalize, peel
-from .rowform import IntervalMap, check_characterization, to_intervals
+from .rowform import IntervalMap, to_intervals
 from .verification import verify_shape
 
 
@@ -109,17 +109,12 @@ def _read_json(args) -> dict:
 
 
 def _read_interval_map(args) -> IntervalMap:
-    """Accept either a grid or an interval map, and require it maximal."""
+    """Accept either a grid or an interval map; ``normalize`` and ``peel``
+    check that it is maximal."""
     obj = _read_json(args)
     if "rows" in obj:
-        m = IntervalMap.from_json_obj(obj)
-    else:
-        m = to_intervals(Grid.from_json_obj(obj))
-    if m.shape.d >= 2:
-        report = check_characterization(m)
-        if not report:
-            raise NotMaximalError(str(report))
-    return m
+        return IntervalMap.from_json_obj(obj)
+    return to_intervals(Grid.from_json_obj(obj))
 
 
 def _grid_plain(g: Grid) -> str:

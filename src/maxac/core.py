@@ -55,11 +55,6 @@ class Shape:
     def cell_count(self) -> int:
         return math.prod(self.dims)
 
-    @cached_property
-    def row_count(self) -> int:
-        """Number of fibers along the last axis (one for d = 1)."""
-        return math.prod(self.dims[:-1])
-
     def iter_cells(self) -> Iterator[Cell]:
         """All cells in ascending lexicographic order."""
         return product(*(range(1, w + 1) for w in self.dims))

@@ -5,16 +5,24 @@ C(w1 + w2 - 2, w1 - 1).  Appending a dimension of size 2 neither creates nor
 destroys maximal grids: ``extend_by_two`` and ``project_last`` realize the
 bijection explicitly, which pins the count at min(w_i) whenever every
 dimension is 1 or 2.
+
+Both directions read the row-interval form.  In a maximal grid, a zero cell
+(x, y) of row x with y < l(x) lies strictly below some one-cell: a one-cell
+strictly below it would also lie strictly below the one-cell (x, l(x)).
+Symmetrically a zero cell with y > h(x) lies strictly above some one-cell.
+So every cell of the box is a one-cell, dominated, or dominating, and never
+two of these; the extended grid puts them on both layers, layer 2 and layer 1
+respectively.  For d = 1 the single row () has the interval [i, i] of its one
+cell i, and the same reading applies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .core import Cell, Grid, Shape, is_maximal, strictly_below
-from .errors import InconsistentRowError, NotMaximalError, PreconditionViolatedError
-from .rowform import RowId, to_intervals
+from .core import Grid, Shape, is_maximal
+from .errors import NotMaximalError, PreconditionViolatedError
+from .rowform import to_intervals
 
 
 def count_2d(w1: int, w2: int) -> int:
@@ -24,70 +32,33 @@ def count_2d(w1: int, w2: int) -> int:
     return math.comb(w1 + w2 - 2, w1 - 1)
 
 
-@dataclass(frozen=True)
-class LastAxisPartition:
-    """Rows of a [..., 2]-shaped grid, split by which layer cells are on."""
-
-    s12: frozenset[RowId]  # ones on both layers
-    s11: frozenset[RowId]  # one on layer 1 only
-    s22: frozenset[RowId]  # one on layer 2 only
-
-
-def partition_last_axis(g: Grid) -> LastAxisPartition:
-    """Classify every row of a grid whose last dimension is 2.
-
-    Rows must all be nonempty (EmptyRowError otherwise); with only two
-    layers, a nonempty row is automatically contiguous.
-    """
-    if g.shape.dims[-1] != 2:
-        raise ValueError("the last dimension must be 2")
-    s12, s11, s22 = set(), set(), set()
-    for row, (l, h) in to_intervals(g).intervals.items():
-        if (l, h) == (1, 2):
-            s12.add(row)
-        elif h == 1:
-            s11.add(row)
-        else:
-            s22.add(row)
-    return LastAxisPartition(frozenset(s12), frozenset(s11), frozenset(s22))
-
-
 def extend_by_two(n: Grid) -> Grid:
     """Append a size-2 axis, sending a maximal grid to the unique maximal
     grid one dimension up.
 
-    Cells of ``n`` fill both layers of their row.  Any other row dominates or
-    is dominated by some cell of ``n`` (never both, else ``n`` would contain
-    the forbidden configuration): dominating rows go on layer 1, dominated
-    rows on layer 2.
+    In row x with interval [l, h], cells in [l, h] fill both layers, cells
+    below l (dominated) go on layer 2 and cells above h (dominating) on
+    layer 1.
     """
     if not is_maximal(n):
         raise NotMaximalError()
-    new_shape = Shape(n.shape.dims + (2,))
-    members = n.one_set
-    ones: list[Cell] = []
-    for row in new_shape.iter_rows():
-        if row in members:
-            ones.append(row + (1,))
-            ones.append(row + (2,))
-            continue
-        dominates = any(strictly_below(p, row) for p in n.ones)
-        dominated = any(strictly_below(row, p) for p in n.ones)
-        if dominates == dominated:
-            raise InconsistentRowError(row)
-        ones.append(row + (1,) if dominates else row + (2,))
-    return Grid(new_shape, ones)
+    top = n.shape.dims[-1]
+    ones = []
+    for row, (l, h) in to_intervals(n).intervals.items():
+        ones += [row + (y, 2) for y in range(1, h + 1)]
+        ones += [row + (y, 1) for y in range(l, top + 1)]
+    return Grid(Shape(n.shape.dims + (2,)), ones)
 
 
 def project_last(m: Grid) -> Grid:
     """Drop a size-2 last axis from a maximal grid: keep the rows filled on
-    both layers.  Inverse of ``extend_by_two``."""
+    both layers, i.e. whose interval is [1, 2].  Inverse of ``extend_by_two``."""
     if m.shape.d < 2 or m.shape.dims[-1] != 2:
         raise ValueError("the shape must end with a dimension of size 2")
     if not is_maximal(m):
         raise NotMaximalError()
-    both = partition_last_axis(m).s12
-    return Grid(Shape(m.shape.dims[:-1]), sorted(both))
+    both = [row for row, lh in to_intervals(m).intervals.items() if lh == (1, 2)]
+    return Grid(Shape(m.shape.dims[:-1]), both)
 
 
 def count_all_le2(s: Shape) -> int:

@@ -152,16 +152,15 @@ def count_maximal(shape: Shape, *, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
     return sum(1 for _ in _iter_left_ends(bounds, shape.dims[-1]))
 
 
-def brute_force_maximal(
-    shape: Shape, *, max_cells: int = BRUTE_FORCE_CELL_LIMIT
-) -> tuple[Grid, ...]:
+def brute_force_maximal(shape: Shape) -> tuple[Grid, ...]:
     """Independent oracle: filter all 2^n subsets of the box, as bitmasks over
     the cells in lexicographic order.  A subset is maximal iff each cell is
     in it exactly when no cell of it is comparable to that cell.
-    Exponential; for cross-checking the search only."""
+    Exponential, so bounded by ``BRUTE_FORCE_CELL_LIMIT``; for cross-checking
+    the search only."""
     n = shape.cell_count
-    if n > max_cells:
-        raise ShapeTooLargeError(n, max_cells)
+    if n > BRUTE_FORCE_CELL_LIMIT:
+        raise ShapeTooLargeError(n, BRUTE_FORCE_CELL_LIMIT)
     cells = list(shape.iter_cells())
     conflicts = [
         sum(1 << j for j, b in enumerate(cells) if comparable(a, b)) for a in cells

@@ -93,16 +93,6 @@ class NotMaximalError(BoxError):
         super().__init__(detail)
 
 
-class InconsistentRowError(BoxError):
-    """A row could not be placed on exactly one side of the appended axis."""
-
-    code = "InconsistentRow"
-
-    def __init__(self, row):
-        self.row = row
-        super().__init__(f"row {row} is not comparable to exactly one side of the base grid")
-
-
 class PreconditionViolatedError(BoxError):
     """A closed form was asked outside its domain of validity."""
 

@@ -8,10 +8,12 @@ cross-section, shrinking the box by one along the last axis and the weight by
 exactly the number of ancestor-free rows.  Iterating the two moves down to
 w_d = 1 telescopes any maximal grid's weight to the closed form.
 
-``normalize``, ``find_pair`` and ``convert_step`` are defined on maximal maps
-only: they check the characterization on entry and raise NotMaximalError.
-Convert steps preserve it, so one check covers a whole normalization, and on
-a maximal map the work is small:
+``normalize``, ``find_pair``, ``convert_step`` and ``peel`` are defined on
+maximal maps only: each checks the characterization on entry (one O(rows * d)
+sweep) and raises NotMaximalError.  Unguarded, ``peel`` would drop the wrong
+weight on a map that breaks the h-rule but has an empty obstruction set.
+Convert steps preserve the characterization, so one check covers a whole
+normalization, and on a maximal map the work is small:
 
 * A convert step lowers only h(x), so it removes exactly x from the
   obstruction set and adds nothing.  ``normalize`` therefore computes the set
@@ -158,10 +160,10 @@ def peel(m: IntervalMap) -> IntervalMap:
     exactly the ancestor-free ones (some coordinate equal to 1); each of
     those loses its top cell and the box loses its last layer.  The weight
     therefore drops by prod(w_i, i < d) - prod(w_i - 1, i < d), and the
-    characterization still holds on the smaller box.
+    characterization still holds on the smaller box.  Requires the
+    characterization to hold (else NotMaximalError).
     """
-    if m.shape.d < 2:
-        raise ValueError("peel applies to d >= 2 only")
+    _require_maximal(m, "peel")
     if m.top < 2:
         raise BottomedOutError("last dimension is already 1")
     obstructed = x_set(m)
@@ -169,7 +171,7 @@ def peel(m: IntervalMap) -> IntervalMap:
         raise XSetNonEmptyError(obstructed)
     new_shape = Shape(m.shape.dims[:-1] + (m.top - 1,))
     fixed = {
-        row: (l, h - 1) if any(x == 1 for x in row) else (l, h)
+        row: (l, h - 1) if 1 in row else (l, h)
         for row, (l, h) in m.intervals.items()
     }
     return IntervalMap(new_shape, fixed)

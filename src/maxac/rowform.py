@@ -247,5 +247,5 @@ def x_set(m: IntervalMap) -> set[RowId]:
     return {
         row
         for row, (_, h) in m.intervals.items()
-        if h == top and all(x > 1 for x in row)
+        if h == top and 1 not in row
     }

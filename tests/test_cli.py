@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxac import check_characterization
 from maxac.cli import main
 
 GRID_33 = {"w": [3, 3], "ones": [[1, 3], [2, 3], [3, 1], [3, 2], [3, 3]]}
@@ -129,6 +130,36 @@ def test_peel_accepts_interval_map_input(capsys, tmp_path, monkeypatch):
         {"x": [2], "l": 2, "h": 2},
         {"x": [3], "l": 1, "h": 2},
     ]
+
+
+def test_peel_rejects_non_maximal_interval_map(capsys, monkeypatch):
+    # empty obstruction set, but the h-rule fails at (2,)
+    bad = {"w": [3, 3], "rows": [{"x": [1], "l": 1, "h": 3},
+                                 {"x": [2], "l": 1, "h": 2},
+                                 {"x": [3], "l": 1, "h": 2}]}
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
+    status, out, err = run(capsys, "peel", "--json")
+    assert status == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "NotMaximal",
+        "detail": "row (2,) violates the h-rule: expected 1, found 2",
+    }
+
+
+def test_normalize_runs_the_characterization_sweep_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return check_characterization(m)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("maxac.") and hasattr(module, "check_characterization"):
+            monkeypatch.setattr(module, "check_characterization", counted)
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GRID_33)))
+    status, _, _ = run(capsys, "normalize", "--json")
+    assert status == 0
+    assert len(calls) == 1
 
 
 def test_extend_and_project_round_trip(capsys, tmp_path):

@@ -12,8 +12,8 @@ from maxac import (
     extend_by_two,
     is_maximal,
     iter_shapes,
-    partition_last_axis,
     project_last,
+    to_intervals,
     weight,
 )
 
@@ -61,25 +61,14 @@ def test_project_last_examples():
         project_last(Grid(Shape((3, 3)), [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2)]))
 
 
-def test_partition_invariants():
-    for dims in [(2, 2), (3, 2), (2, 2, 2), (4, 2)]:
-        shape = Shape(dims)
-        for g in enumerate_maximal(shape).grids:
-            part = partition_last_axis(g)
-            rows = set(shape.iter_rows())
-            assert part.s12 | part.s11 | part.s22 == rows
-            assert not (part.s12 & part.s11 or part.s12 & part.s22 or part.s11 & part.s22)
-            assert weight(g) == 2 * len(part.s12) + len(part.s11) + len(part.s22)
-
-
 def test_extended_weight_bookkeeping():
     for dims in [(2,), (3,), (2, 2), (3, 2)]:
         shape = Shape(dims)
         for g in enumerate_maximal(shape).grids:
             image = extend_by_two(g)
-            part = partition_last_axis(image)
-            assert weight(image) == shape.cell_count + len(part.s12)
-            assert set(part.s12) == set(g.ones)
+            both = {row for row, lh in to_intervals(image).intervals.items() if lh == (1, 2)}
+            assert weight(image) == shape.cell_count + len(both)
+            assert both == set(g.ones)
 
 
 def test_bijection_on_small_shapes():

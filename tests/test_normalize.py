@@ -155,10 +155,13 @@ FULL33 = IntervalMap(Shape((3, 3)), {(1,): (1, 3), (2,): (1, 3), (3,): (1, 3)})
 # every row only at the top: the l-rule fails at (3,); unguarded, the pair
 # search ran out of descendants inside min()
 TOPS33 = IntervalMap(Shape((3, 3)), {(1,): (3, 3), (2,): (3, 3), (3,): (3, 3)})
+# the h-rule fails at (2,) but the obstruction set is empty; unguarded, peel
+# returned a 3x2 map of weight 6 where every maximal grid weighs 4
+PEELBAD33 = IntervalMap(Shape((3, 3)), {(1,): (1, 3), (2,): (1, 2), (3,): (1, 2)})
 
 
-@pytest.mark.parametrize("m", [FULL33, TOPS33], ids=["full", "tops"])
-@pytest.mark.parametrize("op", [normalize, find_pair, convert_step])
+@pytest.mark.parametrize("m", [FULL33, TOPS33, PEELBAD33], ids=["full", "tops", "peelbad"])
+@pytest.mark.parametrize("op", [normalize, find_pair, convert_step, peel])
 def test_convert_machinery_rejects_non_maximal_maps(op, m):
     assert not check_characterization(m)
     with pytest.raises(NotMaximalError) as err:
