@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 from .errors import DimensionMismatchError
@@ -73,14 +73,33 @@ class Shape:
 
 @dataclass(frozen=True)
 class Grid:
-    """Binary grid over a box, stored as the sorted tuple of its one-cells."""
+    """Binary grid over a box, stored as the sorted tuple of its one-cells.
+
+    Construction rejects a cell of the wrong length (DimensionMismatchError),
+    a coordinate that is not an ``int`` or is a ``bool``, a cell outside the
+    box, and a duplicate cell (ValueError), naming the lexicographically
+    first offending cell.  The check is one column-wise pass over the sorted
+    cells; only an input it rejects, or one with ``int`` subclasses such as
+    ``IntEnum``, is walked cell by cell.
+    """
 
     shape: Shape
     ones: tuple[Cell, ...] = field(default=())
 
     def __post_init__(self):
-        cells = tuple(sorted(tuple(c) for c in self.ones))
+        cells = tuple(sorted(map(tuple, self.ones)))
         object.__setattr__(self, "ones", cells)
+        dims = self.shape.dims
+        # the per-cell loop below runs only when this pass fails
+        if not cells or (
+            set(map(len, cells)) == {len(dims)}
+            and all(
+                set(map(type, col)) == {int} and min(col) >= 1 and max(col) <= w
+                for col, w in zip(zip(*cells), dims)
+            )
+            and len(set(cells)) == len(cells)
+        ):
+            return
         for c in cells:
             if len(c) != self.shape.d:
                 raise DimensionMismatchError(
@@ -106,9 +125,14 @@ class Grid:
         dims, ones = obj["w"], obj["ones"]
         if not isinstance(dims, list) or not isinstance(ones, list):
             raise ValueError('"w" and "ones" must be arrays')
-        if not all(isinstance(c, list) and all(_is_int(x) for x in c) for c in ones):
+        # the type fold admits exactly list and int, the common case; the
+        # per-coordinate test also admits their subclasses (never bool)
+        if not (
+            set(map(type, ones)) <= {list}
+            and set(map(type, chain.from_iterable(ones))) <= {int}
+        ) and not all(isinstance(c, list) and all(_is_int(x) for x in c) for c in ones):
             raise ValueError('"ones" must be an array of integer coordinate arrays')
-        return cls(Shape(tuple(dims)), tuple(tuple(c) for c in ones))
+        return cls(Shape(tuple(dims)), ones)
 
 
 def strictly_below(a: Cell, b: Cell) -> bool:

@@ -14,6 +14,11 @@ So every cell of the box is a one-cell, dominated, or dominating, and never
 two of these; the extended grid puts them on both layers, layer 2 and layer 1
 respectively.  For d = 1 the single row () has the interval [i, i] of its one
 cell i, and the same reading applies.
+
+The same row form decides whether the input is maximal at all: for d >= 2 a
+grid is maximal exactly when its rows are nonempty contiguous segments that
+satisfy the h- and l-rules (``rowform``), one O(rows * d) sweep instead of a
+pairwise check of every zero cell against every one-cell.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 import math
 
 from .core import Grid, Shape, is_maximal
-from .errors import NotMaximalError, PreconditionViolatedError
-from .rowform import to_intervals
+from .errors import (EmptyRowError, NonContiguousRowError, NotMaximalError,
+                     PreconditionViolatedError)
+from .rowform import IntervalMap, check_characterization, to_intervals
 
 
 def count_2d(w1: int, w2: int) -> int:
@@ -30,6 +36,26 @@ def count_2d(w1: int, w2: int) -> int:
     if w1 < 1 or w2 < 1:
         raise ValueError("dimensions must be positive")
     return math.comb(w1 + w2 - 2, w1 - 1)
+
+
+def _maximal_row_form(g: Grid) -> IntervalMap:
+    """The row form of ``g``, or NotMaximalError if ``g`` is not maximal.
+
+    For d >= 2 an empty or gapped row, or a row breaking the h- or l-rule,
+    certifies non-maximality in one O(rows * d) sweep; d = 1 keeps the
+    pairwise check, where the rules do not apply.
+    """
+    if g.shape.d == 1:
+        if not is_maximal(g):
+            raise NotMaximalError()
+        return to_intervals(g)
+    try:
+        m = to_intervals(g)
+    except (EmptyRowError, NonContiguousRowError):
+        raise NotMaximalError() from None
+    if not check_characterization(m):
+        raise NotMaximalError()
+    return m
 
 
 def extend_by_two(n: Grid) -> Grid:
@@ -40,11 +66,9 @@ def extend_by_two(n: Grid) -> Grid:
     below l (dominated) go on layer 2 and cells above h (dominating) on
     layer 1.
     """
-    if not is_maximal(n):
-        raise NotMaximalError()
     top = n.shape.dims[-1]
     ones = []
-    for row, (l, h) in to_intervals(n).intervals.items():
+    for row, (l, h) in _maximal_row_form(n).intervals.items():
         ones += [row + (y, 2) for y in range(1, h + 1)]
         ones += [row + (y, 1) for y in range(l, top + 1)]
     return Grid(Shape(n.shape.dims + (2,)), ones)
@@ -55,9 +79,7 @@ def project_last(m: Grid) -> Grid:
     both layers, i.e. whose interval is [1, 2].  Inverse of ``extend_by_two``."""
     if m.shape.d < 2 or m.shape.dims[-1] != 2:
         raise ValueError("the shape must end with a dimension of size 2")
-    if not is_maximal(m):
-        raise NotMaximalError()
-    both = [row for row, lh in to_intervals(m).intervals.items() if lh == (1, 2)]
+    both = [row for row, lh in _maximal_row_form(m).intervals.items() if lh == (1, 2)]
     return Grid(Shape(m.shape.dims[:-1]), both)
 
 

@@ -135,6 +135,6 @@ def test_grid_json_rejects_malformed_input():
         Grid.from_json_obj({"w": [2, 2]})
     with pytest.raises(ValueError):
         Grid.from_json_obj({"w": [2, 2], "ones": [1, 2]})
-    for ones in ([[1, "a"], [1, 2]], [[1, [1]], [1, 2]], [[1.0, 1]], [[True, 1]]):
-        with pytest.raises(ValueError):
+    for ones in ([[1, "a"], [1, 2]], [[1, [1]], [1, 2]], [[1.0, 1]], [[True, 1]], [{"x": 1}]):
+        with pytest.raises(ValueError, match="integer coordinate arrays"):
             Grid.from_json_obj({"w": [2, 2], "ones": ones})

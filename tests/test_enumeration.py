@@ -149,6 +149,10 @@ def test_cap_keeps_the_first_grids_above_the_budget():
 def test_brute_force_budget():
     with pytest.raises(ShapeTooLargeError):
         brute_force_maximal(Shape((5, 4)))
+    # the limit is exactly 16 cells
+    assert len(brute_force_maximal(Shape((4, 4)))) == 20
+    with pytest.raises(ShapeTooLargeError):
+        brute_force_maximal(Shape((1, 17)))
 
 
 def test_complete_to_maximal_examples():

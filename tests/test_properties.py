@@ -1,9 +1,14 @@
-"""Property-based checks of the order axioms and count identities."""
+"""Property-based checks of the order axioms, count identities and grid
+validation."""
 
-from hypothesis import given, settings
+from enum import IntEnum
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from reference_grid import validate
 
 from maxac import (
+    DimensionMismatchError,
     Grid,
     Shape,
     contains_forbidden,
@@ -90,3 +95,44 @@ def test_random_completion_hits_the_size_law(dims, seed):
     g = random_maximal(shape, seed)
     assert is_maximal(g)
     assert weight(g) == max_size(shape)
+
+
+class Level(IntEnum):
+    LOW = 1
+    HIGH = 3
+
+
+# in-range and out-of-range ints, plus the look-alikes: bool, float, IntEnum
+coordinates = st.one_of(
+    st.integers(-1, 5), st.booleans(), st.sampled_from([1.0, 2.5]), st.sampled_from(Level)
+)
+
+
+def _cell_lists(dims):
+    """Mostly cells inside the box (small boxes make duplicates common),
+    with odd coordinates and ragged lengths mixed in."""
+    plain = st.tuples(*[st.integers(1, w) for w in dims])
+    odd = st.tuples(*[coordinates] * len(dims))
+    ragged = st.lists(coordinates, min_size=1, max_size=4).map(tuple)
+    return st.lists(st.one_of(plain, plain, odd, ragged), max_size=8)
+
+
+grid_inputs = small_dims.flatmap(lambda dims: st.tuples(st.just(dims), _cell_lists(dims)))
+
+
+def _outcome(build):
+    try:
+        cells = build()
+    except (DimensionMismatchError, ValueError) as exc:
+        return type(exc), str(exc)
+    return "ok", repr(cells)
+
+
+@settings(max_examples=300)
+@given(grid_inputs)
+@example(((3, 3), [(Level.HIGH, Level.LOW), (2, 2)]))  # accepted via the per-cell loop
+@example(((2, 2), [(1, 2), (True, 1)]))
+def test_grid_validation_agrees_with_the_per_cell_oracle(case):
+    dims, cells = case
+    shape = Shape(dims)
+    assert _outcome(lambda: Grid(shape, cells).ones) == _outcome(lambda: validate(shape, cells))
