@@ -77,10 +77,12 @@ class Grid:
 
     Construction rejects a cell of the wrong length (DimensionMismatchError),
     a coordinate that is not an ``int`` or is a ``bool``, a cell outside the
-    box, and a duplicate cell (ValueError), naming the lexicographically
-    first offending cell.  The check is one column-wise pass over the sorted
-    cells; only an input it rejects, or one with ``int`` subclasses such as
-    ``IntEnum``, is walked cell by cell.
+    box, and a duplicate cell (ValueError).  It names the first cell, in
+    sorted order, of the wrong length, with a bad coordinate or outside the
+    box; only when there is none does it name the first duplicate.  The
+    check is one column-wise pass over the sorted cells; only an input it
+    rejects, or one with ``int`` subclasses such as ``IntEnum``, is walked
+    cell by cell.
     """
 
     shape: Shape
@@ -125,12 +127,11 @@ class Grid:
         dims, ones = obj["w"], obj["ones"]
         if not isinstance(dims, list) or not isinstance(ones, list):
             raise ValueError('"w" and "ones" must be arrays')
-        # the type fold admits exactly list and int, the common case; the
-        # per-coordinate test also admits their subclasses (never bool)
+        # exactly list and int, as json.loads builds them (so never bool)
         if not (
             set(map(type, ones)) <= {list}
             and set(map(type, chain.from_iterable(ones))) <= {int}
-        ) and not all(isinstance(c, list) and all(_is_int(x) for x in c) for c in ones):
+        ):
             raise ValueError('"ones" must be an array of integer coordinate arrays')
         return cls(Shape(tuple(dims)), ones)
 

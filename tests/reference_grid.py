@@ -3,7 +3,7 @@
 ``validate`` sorts the cells and then tests each one in turn: its length,
 then every coordinate for being an ``int`` (``bool`` excluded, subclasses
 such as ``IntEnum`` admitted) inside ``[1, w_i]``; then adjacent cells for
-duplicates.  It raises for the lexicographically first offending cell.  It
+duplicates.  It raises for the first offending cell in that order.  It
 shares none of the column-wise pass in ``maxac.core.Grid``, and the tests
 require both to accept the same inputs and to raise the same exception
 types with the same messages.

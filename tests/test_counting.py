@@ -49,11 +49,9 @@ def test_extend_by_two_examples():
 def test_extend_rejects_non_maximal_input():
     with pytest.raises(NotMaximalError):
         extend_by_two(Grid(Shape((2, 2)), [(1, 2)]))
-
-
-def test_extend_and_project_reject_sampled_non_maximal_grids():
     # the row-form guard must reject what the pairwise is_maximal rejects:
-    # empty rows, gapped rows and rows breaking the h- or l-rule alike
+    # empty rows, gapped rows and rows breaking the h- or l-rule alike, in
+    # both directions of the bijection
     for shape in iter_shapes(16, 4):
         projectable = shape.d >= 2 and shape.dims[-1] == 2
         for g in sample_non_maximal(shape, 5):
