@@ -17,7 +17,7 @@ from .core import Grid, Shape, max_size
 from .counting import count_2d, count_all_le2, extend_by_two, project_last
 from .enumeration import DEFAULT_CELL_LIMIT, count_maximal, enumerate_maximal
 from .errors import BoxError, PreconditionViolatedError
-from .game import play
+from .game import _check_players, play
 from .normalize import normalize, peel
 from .rowform import IntervalMap, to_intervals
 from .verification import verify_shape
@@ -196,6 +196,7 @@ def _run(args) -> tuple[object, str, int]:
 
     if args.verb == "game":
         names = args.strategy.split(",")
+        _check_players(args.players)  # before the strategy list is built
         if len(names) == 1:
             names = names * args.players
         transcript = play(args.w, args.players, names, seed=args.seed)

@@ -6,25 +6,33 @@ moves that keep the board clean, the board grows into a maximal grid after
 exactly ``max_size`` moves, so the player ``max_size mod m`` is stuck and
 loses regardless of strategy.
 
-``play`` carries the safe moves from turn to turn as one list in ascending
-lexicographic order.  It starts as the whole box; a flip of ``cell`` keeps
-only the cells that differ from ``cell`` and are not comparable to it.  One
-move therefore costs O(|safe| d) <= O(n d) for a box of n cells, instead of
-rescanning every cell against every one-cell.  A flip is losing exactly when
-its cell has left the list, and the mover is stuck exactly when the list is
-empty.  ``safe_moves`` recomputes the same set from a board by definition
-and serves as the oracle in tests.  A ``Grid`` and ``GameState`` are built
-only for callable strategies, which see the full state, and for the
-transcript.
+``play`` keeps one alive flag per cell over flat row-major indices (flat
+order is ascending lexicographic order): a cell is alive while it is a safe
+move.  A flip loses exactly when its cell is already dead, and the mover is
+stuck exactly when no cell is alive.  A safe flip of ``x`` kills ``x`` and
+every cell strictly above or below it, by a flood fill over unit steps
+``+e_i`` from ``x + (1,...,1)`` and ``-e_i`` from ``x - (1,...,1)`` that stops
+at dead cells.  The flood kills exactly the newly comparable cells: a cell
+``y > x`` that is already dead is dead through a one-cell ``q < y`` (a
+one-cell above ``y`` would lie above ``x`` and ``x`` would not be safe), so
+every cell above ``y`` is dead too, and the alive cells above ``x`` form a
+down-set that the flood reaches in full; likewise below.  The alive cells
+are counted in a Fenwick tree, so "lex" and "random" find their cell in
+O(log n).  Each cell dies once per game, at O(d) flood steps and one
+O(log n) Fenwick update, so built-in strategies play a whole game on a box
+of n cells in O(n (d + log n)).  ``safe_moves`` recomputes the safe set from a board by definition and serves
+as the oracle in tests.  A ``Grid`` and ``GameState`` are built only for
+callable strategies, which see the full state, and for the transcript.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import Cell, Grid, Shape, comparable, flip_creates_containment, max_size
+from .core import Cell, Grid, Shape, flip_creates_containment, max_size
 from .errors import (
     ShapeTooLargeError,
     StrategyReturnedNonZeroCellError,
@@ -36,7 +44,7 @@ Strategy = Union[str, Callable[["GameState"], Cell]]
 
 BUILTIN_STRATEGIES = ("lex", "random")
 
-# largest box ``play`` accepts; a game on n cells takes O(n max_size d) steps
+# largest box ``play`` accepts; a game on n cells takes O(n (d + log n)) steps
 GAME_CELL_LIMIT = 10_000
 
 
@@ -111,10 +119,10 @@ def play(
     drives all random players), and a callable may return any zero cell --
     including an unsafe one, losing on the spot.  Built-ins flip the first
     zero cell once no safe move remains.  Boxes of more than
-    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError``.
+    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError``; fewer than two or
+    more than ``GAME_CELL_LIMIT + 1`` players raise ``ValueError``.
     """
-    if players < 2:
-        raise ValueError("the game needs at least two players")
+    _check_players(players)
     if len(strategies) != players:
         raise ValueError(f"expected {players} strategies, got {len(strategies)}")
     for s in strategies:
@@ -124,11 +132,38 @@ def play(
         raise ShapeTooLargeError(shape.cell_count, GAME_CELL_LIMIT)
 
     rng = random.Random(seed)
-    # the zero cells not comparable to any one-cell, ascending: the safe moves
-    safe = list(shape.iter_cells())
+    n = shape.cell_count
+    cells = list(shape.iter_cells())  # flat row-major index -> cell
+    strides = [math.prod(shape.dims[k + 1:]) for k in range(shape.d)]
+    # per direction: the coordinate where a unit step leaves the box, and the
+    # flat offset of that unit step along each axis
+    floods = ((shape.dims, strides), ((1,) * shape.d, [-s for s in strides]))
+    # alive[j]: cell j is a safe move; fenwick[1..n] counts alive cells
+    alive = bytearray(b"\x01") * n
+    fenwick = [j & -j for j in range(n + 1)]
+    size = n
+
+    def kill(j: int) -> None:
+        nonlocal size
+        alive[j] = 0
+        size -= 1
+        j += 1
+        while j <= n:
+            fenwick[j] -= 1
+            j += j & -j
+
+    def kth_alive(k: int) -> int:
+        j, step = 0, 1 << n.bit_length()
+        while step:
+            if j + step <= n and fenwick[j + step] <= k:
+                j += step
+                k -= fenwick[j]
+            step >>= 1
+        return j
+
     one_set: set[Cell] = set()
     moves: list[tuple[int, Cell]] = []
-    while len(moves) < shape.cell_count:
+    while len(moves) < n:
         player = len(moves) % players
         strategy = strategies[player]
         if callable(strategy):
@@ -141,19 +176,39 @@ def play(
                 raise StrategyReturnedOutOfRangeError(player, cell)
             if cell in one_set:
                 raise StrategyReturnedNonZeroCellError(player, cell)
-        elif safe:
-            cell = safe[0] if strategy == "lex" else rng.choice(safe)
+            j = sum((c - 1) * s for c, s in zip(cell, strides))
         else:
-            cell = next(c for c in shape.iter_cells() if c not in one_set)
+            if size:
+                j = kth_alive(0 if strategy == "lex" else rng.choice(range(size)))
+            else:
+                j = next(i for i in range(n) if cells[i] not in one_set)
+            cell = cells[j]
         moves.append((player, cell))
         one_set.add(cell)
-        if cell not in safe:
+        if not alive[j]:
             return Transcript(final_state=_state(shape, players, moves), loser=player,
-                              terminal_cell=cell, forced=not safe)
-        safe = [c for c in safe if c != cell and not comparable(c, cell)]
+                              terminal_cell=cell, forced=not size)
+        # kill the flip and every cell strictly above or below it; the flood
+        # may stop at dead cells because everything beyond them is dead too
+        kill(j)
+        for stop, steps in floods:
+            stack = [j + sum(steps)] if all(c != e for c, e in zip(cell, stop)) else []
+            while stack:
+                i = stack.pop()
+                if alive[i]:
+                    kill(i)
+                    stack.extend(i + s for c, e, s in zip(cells[i], stop, steps) if c != e)
     # full clean board: the player to move cannot move at all
     return Transcript(final_state=_state(shape, players, moves),
                       loser=len(moves) % players, terminal_cell=None, forced=True)
+
+
+def _check_players(players: int) -> None:
+    if players < 2:
+        raise ValueError("the game needs at least two players")
+    if players > GAME_CELL_LIMIT + 1:
+        # a game within the cell budget ends after at most GAME_CELL_LIMIT + 1 moves
+        raise ValueError(f"the game takes at most {GAME_CELL_LIMIT + 1} players")
 
 
 def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]]) -> GameState:

@@ -194,6 +194,12 @@ def test_game_too_large(capsys):
     assert json.loads(err)["error"] == "ShapeTooLarge"
 
 
+def test_game_rejects_more_players_than_moves(capsys):
+    status, out, err = run(capsys, "game", "--w", "2,2", "--players", "1000000000", "--json")
+    assert status == 1 and out == ""
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def test_game_single_strategy_broadcasts(capsys):
     status, out, _ = run(
         capsys, "game", "--w", "2,2", "--players", "3", "--strategy", "lex", "--json"

@@ -126,6 +126,10 @@ def test_play_validates_arguments():
         play(Shape((2, 2)), 2, ["lex", "greedy"])
     with pytest.raises(ValueError):
         play(Shape((2, 2)), 1, ["lex"])
+    # a game within the cell budget has at most GAME_CELL_LIMIT + 1 moves
+    assert play(Shape((2, 2)), GAME_CELL_LIMIT + 1, ["lex"] * (GAME_CELL_LIMIT + 1)).loser == 3
+    with pytest.raises(ValueError):
+        play(Shape((2, 2)), GAME_CELL_LIMIT + 2, ["lex"] * (GAME_CELL_LIMIT + 2))
 
 
 def test_play_is_seed_deterministic():
@@ -164,7 +168,8 @@ def test_play_matches_the_rescanning_reference_on_every_small_shape():
 
 
 def test_play_matches_the_rescanning_reference_on_large_boards():
-    for dims in [(10, 10), (15, 15), (5, 5, 5)]:
+    for dims in [(10, 10), (15, 15), (5, 5, 5),
+                 (1, 40), (2, 30), (1, 1, 25), (3, 1, 8), (40,), (2, 2, 2, 2, 2)]:
         for seed, (m, style) in enumerate([(2, "random"), (3, "mixed"), (5, "lex")]):
             _assert_same_game(Shape(dims), m, _strategies(style, m), seed)
 
@@ -213,6 +218,15 @@ def test_game_cell_budget():
     assert GAME_CELL_LIMIT == 10_000
     t = play(Shape((GAME_CELL_LIMIT,)), 2, ["lex", "lex"])
     assert t.loser == 1 and t.terminal_cell == (2,)
+    # full-budget games: minutes each if a flip costs O(safe cells) instead of O(killed)
+    for dims, style, terminal in [((1, 10_000), "random", None),
+                                  ((2, 5_000), "lex", (2, 2)),
+                                  ((100, 100), "random", (1, 1))]:
+        shape = Shape(dims)
+        t = play(shape, 2, [style, style])
+        assert t.loser == predict_loser(shape, 2) and t.forced
+        assert len(t.final_state.moves) == max_size(shape) + (terminal is not None)
+        assert t.terminal_cell == terminal
     for dims in [(GAME_CELL_LIMIT + 1,), (1000, 1000), (101, 100)]:
         with pytest.raises(ShapeTooLargeError) as info:
             play(Shape(dims), 2, ["lex", "lex"])
