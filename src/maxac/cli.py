@@ -15,7 +15,7 @@ import sys
 
 from .core import Grid, Shape, max_size
 from .counting import count_2d, count_all_le2, extend_by_two, project_last
-from .enumeration import DEFAULT_CELL_LIMIT, count_maximal, enumerate_maximal
+from .enumeration import count_maximal, enumerate_maximal
 from .errors import BoxError, PreconditionViolatedError
 from .game import _check_players, play
 from .normalize import normalize, peel
@@ -31,13 +31,14 @@ def _shape_arg(text: str) -> Shape:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
-def _count_arg(text: str) -> int:
+def _count_arg(text: str, positive: bool = False) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad count {text!r}: not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be non-negative")
+    if value < 0 or (positive and value == 0):
+        least = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be {least}")
     return value
 
 
@@ -62,9 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", parents=[common], help="list all maximal grids")
     p.add_argument("--w", type=_shape_arg, required=True, metavar="W1,W2,...")
-    p.add_argument("--cap", type=int, default=1000, help="max grids to keep (default 1000)")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_CELL_LIMIT,
-                   help=f"cell budget (default {DEFAULT_CELL_LIMIT})")
+    p.add_argument("--cap", type=lambda text: _count_arg(text, positive=True),
+                   default=1000, help="max grids to keep (default 1000)")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the per-shape verification suite")
@@ -149,7 +149,7 @@ def _run(args) -> tuple[object, str, int]:
         return payload, str(value), 0
 
     if args.verb == "enumerate":
-        report = enumerate_maximal(args.w, cap=args.cap, max_cells=args.max_cells)
+        report = enumerate_maximal(args.w, cap=args.cap)
         lines = [f"{report.count} maximal grids over {args.w.dims}"
                  + (" (truncated)" if report.truncated else "")]
         lines += ["  " + _grid_plain(g) for g in report.grids]

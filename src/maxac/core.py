@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, product
+from operator import ne
 from typing import Iterator
 
 from .errors import DimensionMismatchError
@@ -173,17 +174,46 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
     return any(comparable(p, cell) for p in g.ones)
 
 
+def _layout(shape: Shape) -> tuple[list[Cell], list[int], bytearray]:
+    """The box in flat row-major (that is, lexicographic) order: its cells,
+    the stride of each axis, and one alive flag per cell, all set."""
+    cells = list(shape.iter_cells())
+    strides = [math.prod(shape.dims[k + 1:]) for k in range(shape.d)]
+    return cells, strides, bytearray(b"\x01") * len(cells)
+
+
+def _turn_on(cells: list[Cell], strides: list[int], alive: bytearray, j: int) -> list[int]:
+    """Turn on the alive cell ``j`` = x and return the flat indices it kills:
+    x, and a flood over unit steps ``+e_i`` from ``x + (1,...,1)`` and
+    ``-e_i`` from ``x - (1,...,1)`` (bounded by the last and first cells)
+    that stops at dead cells.  A cell is alive while its flip keeps the grid
+    clean; a dead ``y > x`` is dead through a one-cell ``q < y`` (one above
+    ``y`` would lie above the alive x), so all above ``y`` is dead too.  The
+    alive cells above x thus form a down-set that the flood kills in full;
+    likewise below.  Each cell dies once, at O(d) flood steps."""
+    alive[j] = 0
+    killed = [j]
+    for stop, steps in ((cells[-1], strides), (cells[0], [-s for s in strides])):
+        stack = [j + sum(steps)] if all(map(ne, cells[j], stop)) else []
+        while stack:
+            i = stack.pop()
+            if alive[i]:
+                alive[i] = 0
+                killed.append(i)
+                stack += [i + s for c, e, s in zip(cells[i], stop, steps) if c != e]
+    return killed
+
+
 def is_maximal(g: Grid) -> bool:
-    """Avoids the forbidden configuration, and every zero flip would create it."""
-    if contains_forbidden(g):
-        return False
-    one_set = g.one_set
-    for cell in g.shape.iter_cells():
-        if cell in one_set:
-            continue
-        if not flip_creates_containment(g, cell):
+    """Avoids the forbidden configuration, and every zero flip would create
+    it: ``_turn_on`` finds no one-cell dead and leaves no cell alive, O(n d)."""
+    cells, strides, alive = _layout(g.shape)
+    for p in g.ones:
+        j = sum((c - 1) * s for c, s in zip(p, strides))
+        if not alive[j]:
             return False
-    return True
+        _turn_on(cells, strides, alive, j)
+    return not any(alive)
 
 
 def max_size(s: Shape) -> int:

@@ -17,8 +17,8 @@ cell i, and the same reading applies.
 
 The same row form decides whether the input is maximal at all: for d >= 2 a
 grid is maximal exactly when its rows are nonempty contiguous segments that
-satisfy the h- and l-rules (``rowform``), one O(rows * d) sweep instead of a
-pairwise check of every zero cell against every one-cell.
+satisfy the h- and l-rules (``rowform``), one O(rows * d) sweep that needs
+no pass over the zero cells.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def _maximal_row_form(g: Grid) -> IntervalMap:
     """The row form of ``g``, or NotMaximalError if ``g`` is not maximal.
 
     For d >= 2 an empty or gapped row, or a row breaking the h- or l-rule,
-    certifies non-maximality in one O(rows * d) sweep; d = 1 keeps the
-    pairwise check, where the rules do not apply.
+    certifies non-maximality in one O(rows * d) sweep; d = 1, where the
+    rules do not apply, asks ``is_maximal``.
     """
     if g.shape.d == 1:
         if not is_maximal(g):

@@ -33,10 +33,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import Iterator, Sequence
 
-from .core import Cell, Grid, Shape, comparable, contains_forbidden
+from .core import Cell, Grid, Shape, _layout, _turn_on, comparable
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -178,28 +178,26 @@ def brute_force_maximal(shape: Shape) -> tuple[Grid, ...]:
 
 def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
     """Greedy saturation: walk ``order`` (default lexicographic) and turn on
-    every cell whose flip keeps the grid clean.
-
-    ``order`` must visit every cell of the box, or the result could miss
-    addable cells.  Already-maximal grids come back unchanged.
-    """
-    if contains_forbidden(g):
-        raise AlreadyContainsError()
-    if order is None:
-        cells = list(g.shape.iter_cells())
-    else:
-        cells = [tuple(c) for c in order]
-        if sorted(cells) != sorted(g.shape.iter_cells()):
+    every cell whose flip keeps the grid clean; maximal grids come back
+    unchanged.  An ``order`` that is not a permutation of the box's cells
+    raises ValueError, a grid with the forbidden pair AlreadyContainsError."""
+    shape = g.shape
+    if order is not None:
+        order = list(order)
+        if not (all(map(shape.contains_cell, order))
+                and len(order) == len(set(order)) == shape.cell_count):
             raise ValueError("order must be a permutation of the box's cells")
-    ones = list(g.ones)
-    one_set = set(ones)
-    for cell in cells:
-        if cell in one_set:
-            continue
-        if not any(comparable(p, cell) for p in ones):
+    cells, strides, alive = _layout(shape)
+    ones = []
+    # a one-cell of g that is dead when reached is comparable to an earlier one
+    for k, cell in enumerate(chain(g.ones, cells if order is None else order)):
+        j = sum((c - 1) * s for c, s in zip(cell, strides))
+        if alive[j]:
+            _turn_on(cells, strides, alive, j)
             ones.append(cell)
-            one_set.add(cell)
-    return Grid(g.shape, ones)
+        elif k < len(g.ones):
+            raise AlreadyContainsError()
+    return Grid(shape, ones)
 
 
 def random_maximal(shape: Shape, seed: int) -> Grid:

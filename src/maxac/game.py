@@ -6,33 +6,21 @@ moves that keep the board clean, the board grows into a maximal grid after
 exactly ``max_size`` moves, so the player ``max_size mod m`` is stuck and
 loses regardless of strategy.
 
-``play`` keeps one alive flag per cell over flat row-major indices (flat
-order is ascending lexicographic order): a cell is alive while it is a safe
-move.  A flip loses exactly when its cell is already dead, and the mover is
-stuck exactly when no cell is alive.  A safe flip of ``x`` kills ``x`` and
-every cell strictly above or below it, by a flood fill over unit steps
-``+e_i`` from ``x + (1,...,1)`` and ``-e_i`` from ``x - (1,...,1)`` that stops
-at dead cells.  The flood kills exactly the newly comparable cells: a cell
-``y > x`` that is already dead is dead through a one-cell ``q < y`` (a
-one-cell above ``y`` would lie above ``x`` and ``x`` would not be safe), so
-every cell above ``y`` is dead too, and the alive cells above ``x`` form a
-down-set that the flood reaches in full; likewise below.  The alive cells
-are counted in a Fenwick tree, so "lex" and "random" find their cell in
-O(log n).  Each cell dies once per game, at O(d) flood steps and one
-O(log n) Fenwick update, so built-in strategies play a whole game on a box
-of n cells in O(n (d + log n)).  ``safe_moves`` recomputes the safe set from a board by definition and serves
-as the oracle in tests.  A ``Grid`` and ``GameState`` are built only for
-callable strategies, which see the full state, and for the transcript.
+``play`` turns cells on by the flood fill in ``core._turn_on`` (alive = a
+safe move; a flip loses exactly when its cell is dead) and counts the alive
+cells in a Fenwick tree, so built-in strategies find their cell in O(log n)
+and play a game on n cells in O(n (d + log n)).  ``safe_moves`` recomputes
+the safe set by definition, as the oracle in tests.  ``Grid`` and
+``GameState`` are built only for callable strategies and the transcript.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import Cell, Grid, Shape, flip_creates_containment, max_size
+from .core import Cell, Grid, Shape, _layout, _turn_on, flip_creates_containment, max_size
 from .errors import (
     ShapeTooLargeError,
     StrategyReturnedNonZeroCellError,
@@ -133,24 +121,10 @@ def play(
 
     rng = random.Random(seed)
     n = shape.cell_count
-    cells = list(shape.iter_cells())  # flat row-major index -> cell
-    strides = [math.prod(shape.dims[k + 1:]) for k in range(shape.d)]
-    # per direction: the coordinate where a unit step leaves the box, and the
-    # flat offset of that unit step along each axis
-    floods = ((shape.dims, strides), ((1,) * shape.d, [-s for s in strides]))
-    # alive[j]: cell j is a safe move; fenwick[1..n] counts alive cells
-    alive = bytearray(b"\x01") * n
+    cells, strides, alive = _layout(shape)
+    # fenwick[1..n] counts the alive cells
     fenwick = [j & -j for j in range(n + 1)]
     size = n
-
-    def kill(j: int) -> None:
-        nonlocal size
-        alive[j] = 0
-        size -= 1
-        j += 1
-        while j <= n:
-            fenwick[j] -= 1
-            j += j & -j
 
     def kth_alive(k: int) -> int:
         j, step = 0, 1 << n.bit_length()
@@ -188,16 +162,13 @@ def play(
         if not alive[j]:
             return Transcript(final_state=_state(shape, players, moves), loser=player,
                               terminal_cell=cell, forced=not size)
-        # kill the flip and every cell strictly above or below it; the flood
-        # may stop at dead cells because everything beyond them is dead too
-        kill(j)
-        for stop, steps in floods:
-            stack = [j + sum(steps)] if all(c != e for c, e in zip(cell, stop)) else []
-            while stack:
-                i = stack.pop()
-                if alive[i]:
-                    kill(i)
-                    stack.extend(i + s for c, e, s in zip(cells[i], stop, steps) if c != e)
+        killed = _turn_on(cells, strides, alive, j)
+        size -= len(killed)
+        for i in killed:
+            i += 1
+            while i <= n:
+                fenwick[i] -= 1
+                i += i & -i
     # full clean board: the player to move cannot move at all
     return Transcript(final_state=_state(shape, players, moves),
                       loser=len(moves) % players, terminal_cell=None, forced=True)

@@ -235,6 +235,14 @@ def test_usage_errors_exit_2(capsys):
                 main(["verify", "--w", "2,2", flag, bad])
             assert exc.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+    for bad in ("0", "-1", "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--w", "2,2", "--cap", bad])
+        assert exc.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["enumerate", "--w", "2,2", "--max-cells", "30"])  # no work budget override
+    assert exc.value.code == 2
 
 
 def test_bad_json_input(capsys, monkeypatch):

@@ -1,4 +1,7 @@
+import random
+
 import pytest
+import reference_dominance
 
 from maxac import (
     DimensionMismatchError,
@@ -9,6 +12,7 @@ from maxac import (
     flip_creates_containment,
     is_maximal,
     max_size,
+    random_maximal,
     strictly_below,
     weight,
 )
@@ -54,6 +58,31 @@ def test_is_maximal_examples():
     assert not is_maximal(Grid(Shape((2, 2)), [(1, 2), (2, 1)]))
     # already contains the forbidden pair
     assert not is_maximal(Grid(Shape((2, 2)), [(1, 1), (2, 2)]))
+
+
+# thin and size-1 axes put the flood's box edges next to its start cell
+DOMINANCE_BOXES = [(1, 40), (40, 1), (40,), (3, 1, 8), (2,) * 5, (20, 20), (8, 8, 8)]
+
+
+def test_is_maximal_matches_the_pairwise_oracle():
+    for dims in DOMINANCE_BOXES:
+        shape = Shape(dims)
+        cells = list(shape.iter_cells())
+        rng = random.Random(sum(dims))
+        pool = [Grid(shape), Grid(shape, cells)]
+        for seed in range(3):
+            ones = random_maximal(shape, seed).ones
+            zeros = [c for c in cells if c not in ones]
+            pool.append(Grid(shape, ones))
+            # punctured: clean but unsaturated
+            pool.append(Grid(shape, [c for c in ones if c != rng.choice(ones)]))
+            # padded: every cell is dead, but through a forbidden pair
+            if zeros:
+                pool.append(Grid(shape, ones + (rng.choice(zeros),)))
+            for density in (0.05, 0.3):
+                pool.append(Grid(shape, [c for c in cells if rng.random() < density]))
+        for g in pool:
+            assert is_maximal(g) == reference_dominance.is_maximal(g), (dims, g.ones)
 
 
 def test_max_size_examples():

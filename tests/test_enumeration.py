@@ -1,6 +1,8 @@
 import math
+import random
 
 import pytest
+import reference_dominance
 from bitmask_search import search_maximal
 
 from maxac import (
@@ -178,6 +180,31 @@ def test_complete_to_maximal_custom_order():
     assert g.ones == ((1, 2), (2, 1), (2, 2))
     with pytest.raises(ValueError):
         complete_to_maximal(Grid(shape), [(1, 1)])  # not a full permutation
+    # equal to (1, 1) as tuples, but not in-box int cells
+    for bad in [(1, "a"), (True, 1), (1.0, 1)]:
+        with pytest.raises(ValueError):
+            complete_to_maximal(Grid(shape), [bad, (1, 2), (2, 1), (2, 2)])
+
+
+def test_complete_to_maximal_matches_the_pairwise_oracle():
+    for dims in [(1, 40), (40, 1), (40,), (3, 1, 8), (2,) * 5, (20, 20), (8, 8, 8)]:
+        shape = Shape(dims)
+        cells = list(shape.iter_cells())
+        rng = random.Random(sum(dims))
+        for seed in range(3):
+            order = cells[:]
+            rng.shuffle(order)
+            ones = random_maximal(shape, seed).ones
+            # a clean seed grid: a nonempty part of a maximal grid
+            seeded = Grid(shape, rng.sample(ones, max(1, len(ones) // 4)))
+            for g, o in [(Grid(shape), order), (seeded, order), (seeded, None)]:
+                assert complete_to_maximal(g, o) == reference_dominance.complete_to_maximal(g, o)
+            zeros = [c for c in cells if c not in ones]
+            if zeros:
+                dirty = Grid(shape, ones + (rng.choice(zeros),))
+                for impl in (complete_to_maximal, reference_dominance.complete_to_maximal):
+                    with pytest.raises(AlreadyContainsError):
+                        impl(dirty, order)
 
 
 def test_completion_always_yields_maximal_grids():
