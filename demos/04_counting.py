@@ -1,6 +1,6 @@
 """Counting maximal grids.
 
-Three exact results, each cross-checked against exhaustive enumeration:
+Three exact results, each cross-checked against ``count_maximal``:
 
 * two dimensions: the count over a w1 x w2 box is C(w1 + w2 - 2, w1 - 1)
   (a maximal grid is a monotone staircase; choosing where it bends is a
@@ -9,7 +9,10 @@ Three exact results, each cross-checked against exhaustive enumeration:
   [w, 2] correspond one-to-one with maximal grids over w;
 * hence when every dimension is 1 or 2, the count is simply min(w_i).
 
-No closed form is known beyond these; enumeration is the general tool.
+Beyond these, ``count_maximal`` counts any box with a transfer DP over the
+rows' left ends.  The count is the number of antichains of the product of
+chains [w_1 - 1] x ... x [w_d - 1], so for 3^d it is the Dedekind number:
+the antichains of the Boolean lattice on d elements.
 """
 
 import itertools
@@ -24,7 +27,7 @@ from maxac import (
     project_last,
 )
 
-print("Two-dimensional counts (binomial vs exhaustive enumeration):")
+print("Two-dimensional counts (binomial vs the transfer DP):")
 print("    w2:      1    2    3    4    5")
 for w1 in range(1, 6):
     row = []
@@ -56,6 +59,16 @@ for d in range(1, 5):
     print(f"    d={d}: verified for all {2**d} boxes over {{1,2}}^{d}")
 print()
 
-print("Beyond the closed forms, enumeration is the oracle:")
+print("Beyond the closed forms, the transfer DP counts, checked by enumeration:")
 for dims in [(3, 3, 2), (4, 3), (2, 3, 4), (5, 5)]:
-    print(f"    {str(dims):10} -> {count_maximal(Shape(dims))} maximal grids")
+    shape = Shape(dims)
+    assert count_maximal(shape) == enumerate_maximal(shape, cap=1).count
+    print(f"    {str(dims):10} -> {count_maximal(shape)} maximal grids")
+print()
+
+print("Cubes of side 3 give the Dedekind numbers (OEIS A000372):")
+for d, dedekind in enumerate([3, 6, 20, 168, 7581], start=1):
+    shape = Shape((3,) * d)
+    count = count_maximal(shape, max_cells=shape.cell_count)
+    assert count == dedekind
+    print(f"    d={d}: 3^{d} -> {count} maximal grids")

@@ -2,11 +2,12 @@
 
 Each check ties one claim to the exhaustive enumeration oracle: the uniform
 size law, the equivalence of maximality with the interval characterization,
-the closed-form counts and the append-a-layer bijection, the normalize/peel
-recurrences, and the game's loser law.  The checks that read the shape's
-maximal grids take them as an argument, so ``verify_shape`` (the CLI's
-``verify`` verb) enumerates the shape once and the acceptance suite runs the
-same checks over its sweeps.
+the transfer-DP and closed-form counts, the append-a-layer bijection, the
+normalize/peel recurrences, and the game's loser law.  The checks that read
+the shape's maximal grids take them as an argument, so ``verify_shape`` (the
+CLI's ``verify`` verb) builds the shape's grids once (``check_counting``
+only counts them) and the acceptance suite runs the same checks over its
+sweeps.
 """
 
 from __future__ import annotations
@@ -126,8 +127,14 @@ def check_equivalence(
 
 
 def check_counting(shape: Shape) -> CheckResult:
-    """Enumerated count against whichever closed forms apply."""
-    total = count_maximal(shape)
+    """Enumerated count against the transfer-DP count and whichever closed
+    forms apply."""
+    total = enumerate_maximal(shape, cap=1).count
+    counted = count_maximal(shape)
+    if counted != total:
+        return CheckResult(
+            "counting", False, f"transfer DP gives {counted}, enumeration {total}"
+        )
     notes = [f"enumerated {total}"]
     if shape.d == 2:
         formula = count_2d(*shape.dims)

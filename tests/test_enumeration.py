@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 import reference_dominance
@@ -21,6 +22,7 @@ from maxac import (
     random_maximal,
     weight,
 )
+from maxac.enumeration import _transfer_count
 
 # frozen from the definitional subset-filter oracle
 TWO_BY_TWO = [
@@ -67,6 +69,20 @@ def test_enumerate_rejects_large_shapes():
 def test_enumerate_rejects_bad_cap():
     with pytest.raises(ValueError):
         enumerate_maximal(Shape((2, 2)), cap=0)
+
+
+def test_cap_and_budget_must_be_positive_integers():
+    shape = Shape((2, 2))
+    for bad in [True, False, 0, -3, 1.5, 2.0, "2"]:
+        with pytest.raises(ValueError, match="^cap must be a positive integer$"):
+            enumerate_maximal(shape, cap=bad)
+    for bad in [True, False, 0, -1, 25.5, 25.0, None, "25"]:
+        with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
+            enumerate_maximal(shape, max_cells=bad)
+        with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
+            count_maximal(shape, max_cells=bad)
+    assert enumerate_maximal(shape, cap=1, max_cells=4).count == 2
+    assert count_maximal(shape, max_cells=4) == 2
 
 
 def test_count_maximal_examples():
@@ -127,11 +143,48 @@ def test_count_3d_is_macmahons_box_formula():
     # interior rows form a (w1-1) x (w2-1) grid, and l - 1 is a plane
     # partition in it with parts below w3
     assert plane_partitions(2, 2, 2) == 20 and plane_partitions(3, 3, 2) == 175
-    for dims in [(a, b, c) for a in range(1, 6) for b in range(1, 6) for c in range(1, 6)]:
+    for dims in [(a, b, c) for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]:
         shape = Shape(dims)
         assert count_maximal(shape, max_cells=shape.cell_count) == plane_partitions(
             *(w - 1 for w in dims)
         ), dims
+
+
+def test_count_of_cubes_of_side_three_is_dedekind():
+    # the count is the number of antichains of [2]^d, the Boolean lattice of
+    # a d-set, i.e. the Dedekind number M(d) (OEIS A000372)
+    for d, dedekind in enumerate([3, 6, 20, 168, 7581], start=1):
+        shape = Shape((3,) * d)
+        assert count_maximal(shape, max_cells=shape.cell_count) == dedekind, d
+
+
+# the 28 shapes of the benchmark's search ladder, all above the default budget
+LADDER = [
+    (10, 5), (3, 4, 4), (4, 11), (12, 4), (6, 8), (4, 3, 4), (7, 7), (4, 4, 3),
+    (5, 2, 5), (5, 9), (2, 4, 6), (5, 5, 2), (8, 6), (2, 6, 4), (9, 2, 3), (9, 3, 2),
+    (3, 3, 3, 3), (4, 6, 2), (6, 4, 2), (2, 8, 3), (3, 3, 5), (3, 5, 3), (3, 8, 2),
+    (6, 7), (3, 12), (6, 6), (4, 9), (3, 3, 4),
+]
+
+
+def test_count_matches_the_odometer_above_the_budget():
+    for dims in LADDER:
+        shape = Shape(dims)
+        budget = shape.cell_count
+        assert budget > 25
+        assert count_maximal(shape, max_cells=budget) == enumerate_maximal(
+            shape, cap=1, max_cells=budget
+        ).count, dims
+
+
+def test_every_axis_order_runs_to_the_same_count():
+    # count_maximal picks one axis order; the DP itself runs in any order,
+    # each with its own window and value range
+    shapes = [s.dims for s in iter_shapes(25, 4) if s.d >= 2] + [(7, 4, 5), (3, 3, 4, 2)]
+    for dims in shapes:
+        expected = count_maximal(Shape(dims), max_cells=math.prod(dims))
+        for order in set(permutations(dims)):
+            assert _transfer_count(order) == expected, order
 
 
 def test_cap_keeps_the_first_grids_above_the_budget():
