@@ -60,6 +60,8 @@ from .rowform import (
     x_set,
 )
 from .verification import (
+    VERIFY_SAMPLE_LIMIT,
+    VERIFY_TRIAL_LIMIT,
     CheckResult,
     iter_shapes,
     sample_non_maximal,
@@ -121,6 +123,8 @@ __all__ = [
     "from_intervals",
     "to_intervals",
     "x_set",
+    "VERIFY_SAMPLE_LIMIT",
+    "VERIFY_TRIAL_LIMIT",
     "CheckResult",
     "iter_shapes",
     "sample_non_maximal",

@@ -20,7 +20,7 @@ from .errors import BoxError, PreconditionViolatedError
 from .game import _check_players, play
 from .normalize import normalize, peel
 from .rowform import IntervalMap, to_intervals
-from .verification import verify_shape
+from .verification import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, verify_shape
 
 
 def _shape_arg(text: str) -> Shape:
@@ -31,7 +31,7 @@ def _shape_arg(text: str) -> Shape:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
-def _count_arg(text: str, positive: bool = False) -> int:
+def _count_arg(text: str, positive: bool = False, most: int | None = None) -> int:
     try:
         value = int(text)
     except ValueError:
@@ -39,6 +39,8 @@ def _count_arg(text: str, positive: bool = False) -> int:
     if value < 0 or (positive and value == 0):
         least = "positive" if positive else "non-negative"
         raise argparse.ArgumentTypeError(f"bad count {text!r}: must be {least}")
+    if most is not None and value > most:
+        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be at most {most}")
     return value
 
 
@@ -69,10 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common],
                        help="run the per-shape verification suite")
     p.add_argument("--w", type=_shape_arg, required=True, metavar="W1,W2,...")
-    p.add_argument("--samples", type=_count_arg, default=1000,
-                   help="non-maximal grids to sample (default 1000)")
-    p.add_argument("--trials", type=_count_arg, default=100,
-                   help="seeded games per player count (default 100)")
+    p.add_argument("--samples", type=lambda text: _count_arg(text, most=VERIFY_SAMPLE_LIMIT),
+                   default=1000, help="non-maximal grids to sample "
+                   f"(default 1000, at most {VERIFY_SAMPLE_LIMIT})")
+    p.add_argument("--trials", type=lambda text: _count_arg(text, most=VERIFY_TRIAL_LIMIT),
+                   default=100, help="seeded games per player count "
+                   f"(default 100, at most {VERIFY_TRIAL_LIMIT})")
     p.add_argument("--seed", type=int, default=0)
 
     for verb, blurb in (

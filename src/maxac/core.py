@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, product
 from operator import ne
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import DimensionMismatchError
 
@@ -174,15 +174,24 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
     return any(comparable(p, cell) for p in g.ones)
 
 
-def _layout(shape: Shape) -> tuple[list[Cell], list[int], bytearray]:
+# keyed by dims, so the thousands of is_maximal calls of one verify run share
+# one box; the cells and strides are tuples, and no caller mutates them
+@lru_cache(maxsize=32)
+def _box(dims: tuple[int, ...]) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
+    cells = tuple(product(*(range(1, w + 1) for w in dims)))
+    strides = tuple(math.prod(dims[k + 1:]) for k in range(len(dims)))
+    return cells, strides
+
+
+def _layout(shape: Shape) -> tuple[tuple[Cell, ...], tuple[int, ...], bytearray]:
     """The box in flat row-major (that is, lexicographic) order: its cells,
-    the stride of each axis, and one alive flag per cell, all set."""
-    cells = list(shape.iter_cells())
-    strides = [math.prod(shape.dims[k + 1:]) for k in range(shape.d)]
+    the stride of each axis, and a fresh alive flag per cell, all set."""
+    cells, strides = _box(shape.dims)
     return cells, strides, bytearray(b"\x01") * len(cells)
 
 
-def _turn_on(cells: list[Cell], strides: list[int], alive: bytearray, j: int) -> list[int]:
+def _turn_on(cells: Sequence[Cell], strides: Sequence[int], alive: bytearray,
+             j: int) -> list[int]:
     """Turn on the alive cell ``j`` = x and return the flat indices it kills:
     x, and a flood over unit steps ``+e_i`` from ``x + (1,...,1)`` and
     ``-e_i`` from ``x - (1,...,1)`` (bounded by the last and first cells)

@@ -22,14 +22,30 @@ normalization, and on a maximal map the work is small:
 * h is order-reversing, so the top-touching rows form a down-set.  The
   lexicographically first top-touching row strictly above x is then
   x + (1,...,1) if any is, and the first one at or above x other than x is
-  x + e_k for the largest such k; each search step costs O(d), not a walk of
-  the up-set.  On a map breaking the characterization neither holds, and the
+  x + e_k for the largest such k.  The pair search from a pending row is
+  two walks: stage 1 follows the diagonal while l = w_d, and stage 2 climbs
+  through top-touching rows x + e_k, largest k first, until none is left.
+  On a map breaking the characterization neither first holds, and the
   search could leave the box or produce an interval with l > h.
+* The walk resumes instead of restarting.  A convert of (x, x') changes only
+  h(x) and l(x').  Stage 2 reads only h, and the top-touching set lost only
+  x, so a fresh walk would climb the same path up to x's parent and there
+  skip x: ``_walk`` pops x and scans the parent's axes again.  Stage 1
+  reads only l, so it changes only when x' lies on the diagonal before its
+  end s; as x is at or above s, that happens exactly when x = s and s is not
+  the pending row, and then the diagonal now ends at x' = s - (1,...,1),
+  where stage 2 starts afresh.  Once the pending row itself is converted,
+  the walk starts anew from the next pending row still in the set.  Every
+  row the climb enters is converted before it is left, so a whole
+  normalization costs O(d) per diagonal step of each pending row plus
+  O(d^2) per convert step, instead of a walk from the pending row on every
+  step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from .core import Shape
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
@@ -61,25 +77,39 @@ def _require_maximal(m: IntervalMap, verb: str) -> None:
         raise NotMaximalError(str(report))
 
 
-def _pair_from(intervals, dims: tuple[int, ...], top: int, x: RowId) -> tuple[RowId, RowId]:
-    """The convert pair reached from obstruction row ``x`` of a maximal map.
+def _walk(intervals: dict, dims: tuple[int, ...], top: int,
+          pending: Iterable[RowId]) -> Iterator[tuple[RowId, RowId]]:
+    """Yield the convert pairs of a maximal map, draining ``pending`` (its
+    obstruction rows, ascending) in order.
 
-    Stage 1 steps to the first top-touching descendant while x leaves no
-    slack below the top; stage 2 re-anchors to the first rival descendant of
-    x' while there is one.  Both firsts are found in O(d) because the
-    top-touching rows form a down-set (see the module docstring).
+    Each pair is applied to ``intervals`` when the walk is resumed after it,
+    so the first pair alone leaves ``intervals`` untouched.  The climb is a
+    stack of rows; see the module docstring for why resuming it gives the
+    pairs of a fresh search.
     """
-    while intervals[x][0] == top:
-        x = tuple(c + 1 for c in x)
-    while True:
-        for k in reversed(range(len(x))):
-            if x[k] < dims[k]:
-                z = x[:k] + (x[k] + 1,) + x[k + 1:]
-                if intervals[z][1] == top:
-                    x = z
-                    break
-        else:
-            return x, tuple(c - 1 for c in x)
+    axes = range(len(dims) - 2, -1, -1)  # the row's axes, largest first
+    for start in pending:
+        if intervals[start][1] != top:
+            continue  # drained by an earlier step
+        s = start
+        while intervals[s][0] == top:
+            s = tuple(c + 1 for c in s)
+        path = [s]
+        while path:
+            x = path[-1]
+            for k in axes:
+                if x[k] < dims[k]:
+                    z = x[:k] + (x[k] + 1,) + x[k + 1:]
+                    if intervals[z][1] == top:
+                        path.append(z)
+                        break
+            else:
+                x_prime = tuple(c - 1 for c in x)
+                yield x, x_prime
+                _convert(intervals, top, x, x_prime)
+                path.pop()
+                if not path and x != start:
+                    path.append(x_prime)
 
 
 def _convert(intervals: dict, top: int, x: RowId, x_prime: RowId) -> None:
@@ -108,7 +138,7 @@ def find_pair(m: IntervalMap) -> tuple[RowId, RowId]:
     if top < 2:
         # every interval is (1, 1); no weight can move anywhere
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    return _pair_from(m.intervals, m.shape.dims, top, min(obstructed))
+    return next(_walk(m.intervals, m.shape.dims, top, [min(obstructed)]))
 
 
 def convert_step(m: IntervalMap) -> IntervalMap:
@@ -139,17 +169,9 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     if top < 2:
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
     intervals = dict(m.intervals)
-    dims = m.shape.dims
-    pairs: list[tuple[RowId, RowId]] = []
-    # each step starts at the smallest row still in the set; drained rows
-    # are skipped rather than deleted
-    for start in pending:
-        while intervals[start][1] == top:
-            x, x_prime = _pair_from(intervals, dims, top, start)
-            _convert(intervals, top, x, x_prime)
-            pairs.append((x, x_prime))
+    pairs = tuple(_walk(intervals, m.shape.dims, top, pending))
     return NormalizeReport(
-        result=IntervalMap(m.shape, intervals), steps=len(pairs), pairs=tuple(pairs)
+        result=IntervalMap(m.shape, intervals), steps=len(pairs), pairs=pairs
     )
 
 

@@ -32,6 +32,12 @@ from .normalize import convert_step, find_pair, normalize, peel
 from .rowform import IntervalMap, check_characterization, to_intervals, x_set
 
 
+# per-run bounds of verify_shape (and so of `maxac verify`): the sampled
+# non-maximal grids are all held at once, and every trial plays three games
+VERIFY_SAMPLE_LIMIT = 10_000
+VERIFY_TRIAL_LIMIT = 10_000
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -301,7 +307,12 @@ def verify_shape(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run the full per-shape suite; all-passed means the shape reproduces
-    every desk-scale claim."""
+    every desk-scale claim.  More than ``VERIFY_SAMPLE_LIMIT`` samples or
+    ``VERIFY_TRIAL_LIMIT`` trials raise ValueError before any work."""
+    if samples > VERIFY_SAMPLE_LIMIT:
+        raise ValueError(f"samples must be at most {VERIFY_SAMPLE_LIMIT}, got {samples}")
+    if trials > VERIFY_TRIAL_LIMIT:
+        raise ValueError(f"trials must be at most {VERIFY_TRIAL_LIMIT}, got {trials}")
     grids = enumerate_maximal(shape).grids
     return [
         check_size_law(shape, grids),

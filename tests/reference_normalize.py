@@ -4,9 +4,14 @@
 pairwise, and ``normalize`` recomputes the obstruction set, searches each
 pair through full descendant lists and rebuilds a validated ``IntervalMap``
 on every convert step.  It shares none of the prefix/suffix sweep in
-``maxac.rowform`` or the incremental pass in ``maxac.normalize``, and the
-tests require both to give identical reports.  ``seeded_maximal_map`` builds
-their inputs beyond the enumeration budget.
+``maxac.rowform`` or the resumed pair walk in ``maxac.normalize``, and the
+tests require both to give identical reports.
+
+``normalize_restarting`` is the incremental pass that searches every pair
+afresh from the smallest pending row, as ``maxac.normalize`` did before its
+walk resumed; it is fast enough to check maps far beyond the reach of the
+definitional ``normalize``.  ``seeded_maximal_map`` builds their inputs
+beyond the enumeration budget.
 """
 
 from __future__ import annotations
@@ -21,10 +26,12 @@ from maxac import (
     EmptyXSetError,
     IntervalMap,
     NormalizeReport,
+    NotMaximalError,
     Shape,
     x_set,
 )
 from maxac.rowform import RowId
+from maxac.rowform import check_characterization as sweep_characterization
 
 
 def ancestor_rows(row: RowId) -> Iterator[RowId]:
@@ -115,6 +122,57 @@ def normalize(m: IntervalMap) -> NormalizeReport:
         current = _apply_pair(current, x, x_prime)
         pairs.append((x, x_prime))
     return NormalizeReport(result=current, steps=len(pairs), pairs=tuple(pairs))
+
+
+def _pair_from(intervals, dims: tuple[int, ...], top: int, x: RowId) -> tuple[RowId, RowId]:
+    """The convert pair reached from obstruction row ``x`` of a maximal map.
+
+    Stage 1 steps to the first top-touching descendant while x leaves no
+    slack below the top; stage 2 re-anchors to the first rival descendant of
+    x' while there is one.  Both firsts are found in O(d) because the
+    top-touching rows form a down-set.
+    """
+    while intervals[x][0] == top:
+        x = tuple(c + 1 for c in x)
+    while True:
+        for k in reversed(range(len(x))):
+            if x[k] < dims[k]:
+                z = x[:k] + (x[k] + 1,) + x[k + 1:]
+                if intervals[z][1] == top:
+                    x = z
+                    break
+        else:
+            return x, tuple(c - 1 for c in x)
+
+
+def normalize_restarting(m: IntervalMap) -> NormalizeReport:
+    """One pass over the obstruction set in ascending order, each convert
+    pair searched from the smallest row still in the set."""
+    if m.shape.d < 2:
+        raise ValueError("normalize applies to d >= 2 only")
+    report = sweep_characterization(m)
+    if not report:
+        raise NotMaximalError(str(report))
+    pending = sorted(x_set(m))
+    if not pending:
+        return NormalizeReport(result=m, steps=0, pairs=())
+    top = m.top
+    if top < 2:
+        raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
+    intervals = dict(m.intervals)
+    dims = m.shape.dims
+    pairs: list[tuple[RowId, RowId]] = []
+    # each step starts at the smallest row still in the set; drained rows
+    # are skipped rather than deleted
+    for start in pending:
+        while intervals[start][1] == top:
+            x, x_prime = _pair_from(intervals, dims, top, start)
+            intervals[x] = (intervals[x][0], top - 1)
+            intervals[x_prime] = (top - 1, intervals[x_prime][1])
+            pairs.append((x, x_prime))
+    return NormalizeReport(
+        result=IntervalMap(m.shape, intervals), steps=len(pairs), pairs=tuple(pairs)
+    )
 
 
 def seeded_maximal_map(dims, rng: random.Random) -> IntervalMap:

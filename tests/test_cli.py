@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxac import check_characterization
-from maxac.cli import main
+from maxac import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, check_characterization
+from maxac.cli import build_parser, main
 
 GRID_33 = {"w": [3, 3], "ones": [[1, 3], [2, 3], [3, 1], [3, 2], [3, 3]]}
 GRID_22 = {"w": [2, 2], "ones": [[1, 1], [1, 2], [2, 1]]}
@@ -235,6 +235,14 @@ def test_usage_errors_exit_2(capsys):
                 main(["verify", "--w", "2,2", flag, bad])
             assert exc.value.code == 2
     assert "must be non-negative" in capsys.readouterr().err
+    # only parsed: a count above the limit must stop before any work
+    for flag, limit in (("--samples", VERIFY_SAMPLE_LIMIT), ("--trials", VERIFY_TRIAL_LIMIT)):
+        argv = ["verify", "--w", "2,2", flag]
+        assert vars(build_parser().parse_args(argv + [str(limit)]))[flag[2:]] == limit
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [str(limit + 1)])
+        assert exc.value.code == 2
+        assert f"must be at most {limit}" in capsys.readouterr().err
     for bad in ("0", "-1", "x"):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--w", "2,2", "--cap", bad])

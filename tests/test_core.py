@@ -16,6 +16,7 @@ from maxac import (
     strictly_below,
     weight,
 )
+from maxac.core import _layout
 
 
 def test_strictly_below_examples():
@@ -83,6 +84,15 @@ def test_is_maximal_matches_the_pairwise_oracle():
                 pool.append(Grid(shape, [c for c in cells if rng.random() < density]))
         for g in pool:
             assert is_maximal(g) == reference_dominance.is_maximal(g), (dims, g.ones)
+
+
+def test_layout_is_shared_per_box_with_fresh_flags():
+    cells, strides, alive = _layout(Shape((3, 4)))
+    again, strides_again, fresh = _layout(Shape((3, 4)))
+    assert again is cells and strides_again is strides == (4, 1)
+    assert cells == tuple(Shape((3, 4)).iter_cells())
+    alive[0] = 0
+    assert fresh is not alive and fresh == bytearray(b"\x01") * 12
 
 
 def test_max_size_examples():

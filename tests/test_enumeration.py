@@ -158,6 +158,18 @@ def test_count_of_cubes_of_side_three_is_dedekind():
         assert count_maximal(shape, max_cells=shape.cell_count) == dedekind, d
 
 
+@pytest.mark.slow
+def test_count_of_the_six_cube_of_side_three_is_dedekind():
+    shape = Shape((3,) * 6)
+    assert count_maximal(shape, max_cells=shape.cell_count) == 7_828_354
+
+
+@pytest.mark.slow
+def test_count_of_the_cube_of_side_eight_is_macmahons_box_formula():
+    shape = Shape((8, 8, 8))
+    assert count_maximal(shape, max_cells=shape.cell_count) == plane_partitions(7, 7, 7)
+
+
 # the 28 shapes of the benchmark's search ladder, all above the default budget
 LADDER = [
     (10, 5), (3, 4, 4), (4, 11), (12, 4), (6, 8), (4, 3, 4), (7, 7), (4, 4, 3),

@@ -193,14 +193,49 @@ def test_normalize_matches_reference_on_every_small_maximal_grid():
     assert (shapes, grids, steps) == (714, 1447, 4055)
 
 
+def test_find_pair_and_convert_step_resume_where_normalize_does():
+    # find_pair is normalize's first pair, and normalizing the converted map
+    # gives the rest: the walk resumed after a convert is the fresh walk
+    maps = 0
+    for shape in iter_shapes(25, 4):
+        if shape.d < 2:
+            continue
+        for g in enumerate_maximal(shape).grids:
+            m = to_intervals(g)
+            while m.top > 1:
+                report = normalize(m)
+                if report.pairs:
+                    maps += 1
+                    assert find_pair(m) == report.pairs[0], g.ones
+                    assert normalize(convert_step(m)).pairs == report.pairs[1:], g.ones
+                m = peel(report.result)
+    assert maps == 1944
+
+
+def _large_map_id(v):
+    return "x".join(map(str, v)) if isinstance(v, tuple) else f"seed{v}"
+
+
 @pytest.mark.parametrize(
     "dims, seed",
-    [((30, 30), 1), ((12, 12, 12), 2), ((6, 6, 6, 6), 3), ((3, 3, 3, 3, 3), 4)],
-    ids=lambda v: "x".join(map(str, v)) if isinstance(v, tuple) else f"seed{v}",
+    [((30, 30), 1), ((12, 12, 12), 2), ((6, 6, 6, 6), 3), ((3, 3, 3, 3, 3), 4),
+     ((50, 40), 5), ((9, 7, 5), 6), ((4, 5, 6, 3), 7), ((2, 9, 2, 9), 8)],
+    ids=_large_map_id,
 )
 def test_normalize_matches_reference_on_large_maps(dims, seed):
     m = ref.seeded_maximal_map(dims, random.Random(seed))
     assert ref.check_characterization(m)
     reports = _chain(normalize, m)
+    assert reports == _chain(ref.normalize_restarting, m)
     assert reports == _chain(ref.normalize, m)
     assert len(reports) == dims[-1] - 1 and sum(r.steps for r in reports) > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dims, seed", [((100, 100), 9), ((20, 20, 20), 10)], ids=_large_map_id)
+def test_normalize_matches_the_restarting_walk_on_huge_maps(dims, seed):
+    m = ref.seeded_maximal_map(dims, random.Random(seed))
+    assert ref.check_characterization(m)
+    reports = _chain(normalize, m)
+    assert reports == _chain(ref.normalize_restarting, m)
+    assert sum(r.steps for r in reports) > 5000

@@ -1,4 +1,14 @@
-from maxac import Shape, enumerate_maximal, is_maximal, sample_non_maximal
+import pytest
+
+from maxac import (
+    VERIFY_SAMPLE_LIMIT,
+    VERIFY_TRIAL_LIMIT,
+    Shape,
+    enumerate_maximal,
+    is_maximal,
+    sample_non_maximal,
+    verify_shape,
+)
 from maxac import verification
 
 
@@ -27,3 +37,14 @@ def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
     result = verification.check_counting(shape)
     assert not result.passed
     assert result.detail == "transfer DP gives 7, enumeration 6"
+
+
+def test_verify_shape_refuses_work_above_its_limits(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started above the limit")
+
+    monkeypatch.setattr(verification, "enumerate_maximal", no_work)
+    with pytest.raises(ValueError, match=f"samples must be at most {VERIFY_SAMPLE_LIMIT}"):
+        verify_shape(Shape((2, 2)), samples=VERIFY_SAMPLE_LIMIT + 1)
+    with pytest.raises(ValueError, match=f"trials must be at most {VERIFY_TRIAL_LIMIT}"):
+        verify_shape(Shape((2, 2)), trials=VERIFY_TRIAL_LIMIT + 1)
