@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
-from .core import Grid, Shape, max_size
-from .counting import count_2d, count_all_le2, extend_by_two, project_last
-from .enumeration import count_maximal, enumerate_maximal
+from .core import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, max_size
 from .errors import BoxError, PreconditionViolatedError
-from .game import _check_players, play
-from .normalize import normalize, peel
-from .rowform import IntervalMap, to_intervals
-from .verification import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, verify_shape
+
+# Each verb reaches its callees as attributes of this copy of the package,
+# whose lazy exports import the defining module on first use: a cold start
+# loads only what the verb runs (``size`` needs no more than core and
+# errors).  An import statement inside ``_run`` would resolve through
+# ``sys.modules``, which may by then hold a newer copy of the package.
+_package = sys.modules[__package__]
 
 
 def _shape_arg(text: str) -> Shape:
@@ -106,19 +108,22 @@ def _read_json(args) -> dict:
             text = fh.read()
     else:
         text = sys.stdin.read()
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("input JSON is nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("input JSON must be an object")
     return obj
 
 
-def _read_interval_map(args) -> IntervalMap:
+def _read_interval_map(args):
     """Accept either a grid or an interval map; ``normalize`` and ``peel``
     check that it is maximal."""
     obj = _read_json(args)
     if "rows" in obj:
-        return IntervalMap.from_json_obj(obj)
-    return to_intervals(Grid.from_json_obj(obj))
+        return _package.IntervalMap.from_json_obj(obj)
+    return _package.to_intervals(Grid.from_json_obj(obj))
 
 
 def _grid_plain(g: Grid) -> str:
@@ -126,10 +131,26 @@ def _grid_plain(g: Grid) -> str:
     return f"w={','.join(map(str, g.shape.dims))} ones: {ones}"
 
 
-def _rows_plain(m: IntervalMap) -> list[str]:
+def _rows_plain(m) -> list[str]:
     return [
         f"  row {row}: [{l}, {h}]" for row, (l, h) in sorted(m.intervals.items())
     ]
+
+
+def _printable_count_2d(w1: int, w2: int) -> int:
+    """``count_2d``, refused when its decimal form would pass the
+    interpreter's digit limit for printing an integer
+    (``sys.get_int_max_str_digits``; 0, or no such function, means no limit).
+    A box whose count surely passes it is refused before any work."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    k = min(w1, w2) - 1
+    # C(n, k) >= (n / k)^k, and the margin of one digit dwarfs the float error
+    if not limit or k == 0 or k * math.log10((w1 + w2 - 2) / k) <= limit + 1:
+        value = _package.count_2d(w1, w2)
+        if not limit or value < 10**limit:
+            return value
+    raise ValueError(f"the count for shape {(w1, w2)} has more than {limit} digits, "
+                     "the limit for printing an integer (sys.get_int_max_str_digits)")
 
 
 def _run(args) -> tuple[object, str, int]:
@@ -140,11 +161,11 @@ def _run(args) -> tuple[object, str, int]:
 
     if args.verb == "count":
         if args.method == "enumerate":
-            value = count_maximal(args.w)
+            value = _package.count_maximal(args.w)
         elif args.w.d == 2:
-            value = count_2d(*args.w.dims)
+            value = _printable_count_2d(*args.w.dims)
         elif max(args.w.dims) <= 2:
-            value = count_all_le2(args.w)
+            value = _package.count_all_le2(args.w)
         else:
             raise PreconditionViolatedError(
                 f"no closed form applies to shape {args.w.dims}; use --method enumerate"
@@ -153,15 +174,15 @@ def _run(args) -> tuple[object, str, int]:
         return payload, str(value), 0
 
     if args.verb == "enumerate":
-        report = enumerate_maximal(args.w, cap=args.cap)
+        report = _package.enumerate_maximal(args.w, cap=args.cap)
         lines = [f"{report.count} maximal grids over {args.w.dims}"
                  + (" (truncated)" if report.truncated else "")]
         lines += ["  " + _grid_plain(g) for g in report.grids]
         return report.to_json_obj(), "\n".join(lines), 0
 
     if args.verb == "verify":
-        results = verify_shape(args.w, samples=args.samples,
-                               trials=args.trials, seed=args.seed)
+        results = _package.verify_shape(args.w, samples=args.samples,
+                                        trials=args.trials, seed=args.seed)
         passed = all(r.passed for r in results)
         payload = {
             "w": list(args.w.dims),
@@ -179,31 +200,31 @@ def _run(args) -> tuple[object, str, int]:
         return payload, "\n".join(lines), 0 if passed else 1
 
     if args.verb == "normalize":
-        report = normalize(_read_interval_map(args))
+        report = _package.normalize(_read_interval_map(args))
         lines = [f"steps: {report.steps}"]
         lines += [f"  lowered {x}, raised {xp}" for x, xp in report.pairs]
         lines += ["result:"] + _rows_plain(report.result)
         return report.to_json_obj(), "\n".join(lines), 0
 
     if args.verb == "peel":
-        peeled = peel(_read_interval_map(args))
+        peeled = _package.peel(_read_interval_map(args))
         lines = [f"peeled to shape {peeled.shape.dims}"] + _rows_plain(peeled)
         return peeled.to_json_obj(), "\n".join(lines), 0
 
     if args.verb == "extend":
-        result = extend_by_two(Grid.from_json_obj(_read_json(args)))
+        result = _package.extend_by_two(Grid.from_json_obj(_read_json(args)))
         return result.to_json_obj(), _grid_plain(result), 0
 
     if args.verb == "project":
-        result = project_last(Grid.from_json_obj(_read_json(args)))
+        result = _package.project_last(Grid.from_json_obj(_read_json(args)))
         return result.to_json_obj(), _grid_plain(result), 0
 
     if args.verb == "game":
         names = args.strategy.split(",")
-        _check_players(args.players)  # before the strategy list is built
+        _package.game._check_players(args.players)  # before the strategy list is built
         if len(names) == 1:
             names = names * args.players
-        transcript = play(args.w, args.players, names, seed=args.seed)
+        transcript = _package.play(args.w, args.players, names, seed=args.seed)
         lines = [
             f"move {i}: player {p} -> {c}"
             for i, (p, c) in enumerate(transcript.final_state.moves)

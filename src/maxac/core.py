@@ -26,6 +26,13 @@ Cell = tuple[int, ...]
 # rejected outright; everything downstream may then use exact arithmetic
 _MAX_CELLS = 2**64 - 1
 
+# per-run bounds of verification.verify_shape (and so of `maxac verify`): the
+# sampled non-maximal grids are all held at once, and every trial plays three
+# games.  They live here so the CLI parser reads them without importing
+# verification.
+VERIFY_SAMPLE_LIMIT = 10_000
+VERIFY_TRIAL_LIMIT = 10_000
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)

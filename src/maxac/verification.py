@@ -17,7 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import Grid, Shape, is_maximal, max_size, weight
+from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, is_maximal,
+                   max_size, weight)
 from .counting import count_2d, count_all_le2, extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -30,12 +31,6 @@ from .errors import EmptyRowError, NonContiguousRowError
 from .game import play, predict_loser
 from .normalize import convert_step, find_pair, normalize, peel
 from .rowform import IntervalMap, check_characterization, to_intervals, x_set
-
-
-# per-run bounds of verify_shape (and so of `maxac verify`): the sampled
-# non-maximal grids are all held at once, and every trial plays three games
-VERIFY_SAMPLE_LIMIT = 10_000
-VERIFY_TRIAL_LIMIT = 10_000
 
 
 @dataclass(frozen=True)

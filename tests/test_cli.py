@@ -1,8 +1,13 @@
 import copy
 import io
 import json
+import math
+import os
+import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +165,97 @@ def test_normalize_runs_the_characterization_sweep_once(capsys, monkeypatch):
     status, _, _ = run(capsys, "normalize", "--json")
     assert status == 0
     assert len(calls) == 1
+
+
+DEEP_JSON = '{"w":' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("verb", ["normalize", "peel", "extend", "project"])
+@pytest.mark.parametrize("source", ["stdin", "input"])
+def test_deeply_nested_json_exits_1(capsys, monkeypatch, tmp_path, verb, source):
+    if source == "stdin":
+        monkeypatch.setattr("sys.stdin", io.StringIO(DEEP_JSON))
+        argv = [verb, "--json"]
+    else:
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        argv = [verb, "--input", str(path), "--json"]
+    status, out, err = run(capsys, *argv)
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1
+    assert json.loads(err) == {"error": "ValueError", "detail": "input JSON is nested too deeply"}
+
+
+def _formula(capsys, w):
+    return run(capsys, "count", "--w", f"{w},{w}", "--method", "formula", "--json")
+
+
+def test_count_formula_refuses_only_counts_too_long_to_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    # the smallest w whose count on (w + 1, w + 1), C(2w, w), has more than
+    # `limit` digits; the count on (w, w) is C(2w - 2, w - 1)
+    lo, hi = 1, 4 * limit
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if math.comb(2 * mid, mid) >= 10**limit else (mid + 1, hi)
+    w = lo
+
+    status, out, err = _formula(capsys, w)
+    assert status == 0 and err == ""
+    assert json.loads(out)["count"] == math.comb(2 * w - 2, w - 1)
+
+    for big in (w + 1, 2_000_000):
+        start = time.perf_counter()
+        status, out, err = _formula(capsys, big)
+        assert time.perf_counter() - start < 5
+        assert status == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert f"more than {limit} digits" in error["detail"]
+        assert "sys.get_int_max_str_digits" in error["detail"]
+
+    sys.set_int_max_str_digits(0)  # no limit: the count is printed, as before
+    try:
+        status, out, err = _formula(capsys, w + 1)
+        assert status == 0 and err == ""
+        assert json.loads(out)["count"] == math.comb(2 * w, w)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+EVERY_MODULE = {"core", "counting", "enumeration", "errors", "game", "normalize",
+                "rowform", "verification"}
+
+
+@pytest.mark.parametrize("argv, stdin, modules", [
+    (["size", "--w", "3,3"], None, set()),
+    (["count", "--w", "3,3"], None, {"enumeration"}),
+    (["count", "--w", "3,3", "--method", "formula"], None, {"counting", "rowform"}),
+    (["count", "--w", "2,2,2", "--method", "formula"], None, {"counting", "rowform"}),
+    (["enumerate", "--w", "2,2"], None, {"enumeration"}),
+    (["game", "--w", "2,2"], None, {"game"}),
+    (["normalize"], GRID_33, {"normalize", "rowform"}),
+    (["peel"], MAP_33_NORMALIZED, {"normalize", "rowform"}),
+    (["extend"], GRID_22, {"counting", "rowform"}),
+    (["project"], {"w": [2, 2, 2], "ones": [[1, 1, 1], [1, 1, 2], [1, 2, 1], [1, 2, 2],
+                                            [2, 1, 1], [2, 1, 2], [2, 2, 1]]},
+     {"counting", "rowform"}),
+    (["verify", "--w", "2,2", "--samples", "5", "--trials", "1"], None, EVERY_MODULE),
+])
+def test_each_verb_loads_only_the_modules_it_runs(argv, stdin, modules):
+    proc = subprocess.run(
+        [sys.executable, "-v", "-m", "maxac.cli", *argv, "--json"],
+        input=None if stdin is None else json.dumps(stdin), capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert proc.returncode == 0, proc.stderr[-500:]
+    json.loads(proc.stdout)
+    # -v writes one "import 'name' # loader" line per module it loads
+    loaded = {line.split("'")[1] for line in proc.stderr.splitlines()
+              if line.startswith("import '")}
+    assert {m for m in loaded if m.startswith("maxac.")} == {
+        f"maxac.{m}" for m in modules | {"core", "errors"}}
 
 
 def test_extend_and_project_round_trip(capsys, tmp_path):
