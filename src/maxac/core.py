@@ -12,6 +12,7 @@ same weight ``max_size``.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
@@ -38,6 +39,23 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# error details quote an offending value through this, so a huge malformed
+# input gives a short one-line message instead of a copy of itself
+_brief = reprlib.Repr()
+_brief.maxlevel, _brief.maxtuple, _brief.maxlist, _brief.maxdict = 3, 8, 8, 4
+_brief.maxstring = _brief.maxlong = _brief.maxother = 40
+
+
+def _trusted(cls, **attrs):
+    """An instance of the frozen dataclass ``cls`` with ``attrs`` set as
+    given, without running ``__post_init__``.  Only for values the library
+    built valid by construction; every caller is pinned by a test that
+    compares its output with the public, fully checking constructor."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    return obj
+
+
 @dataclass(frozen=True)
 class Shape:
     """Box dimensions w = (w_1, ..., w_d); coordinate i ranges over [1, w_i]."""
@@ -51,7 +69,8 @@ class Shape:
             raise ValueError("a shape needs at least one dimension")
         for w in dims:
             if not _is_int(w) or w < 1:
-                raise ValueError(f"dimensions must be positive integers, got {w!r}")
+                raise ValueError(
+                    f"dimensions must be positive integers, got {_brief.repr(w)}")
         if math.prod(dims) > _MAX_CELLS:
             raise OverflowError("total cell count exceeds the 64-bit range")
 
@@ -83,14 +102,16 @@ class Shape:
 class Grid:
     """Binary grid over a box, stored as the sorted tuple of its one-cells.
 
-    Construction rejects a cell of the wrong length (DimensionMismatchError),
-    a coordinate that is not an ``int`` or is a ``bool``, a cell outside the
-    box, and a duplicate cell (ValueError).  It names the first cell, in
-    sorted order, of the wrong length, with a bad coordinate or outside the
-    box; only when there is none does it name the first duplicate.  The
-    check is one column-wise pass over the sorted cells; only an input it
-    rejects, or one with ``int`` subclasses such as ``IntEnum``, is walked
-    cell by cell.
+    The public constructor rejects a cell of the wrong length
+    (DimensionMismatchError), a coordinate that is not an ``int`` or is a
+    ``bool``, a cell outside the box, and a duplicate cell (ValueError).  It
+    names the first cell, in sorted order, of the wrong length, with a bad
+    coordinate or outside the box; only when there is none does it name the
+    first duplicate.  The check is one column-wise pass over the sorted
+    cells; only an input it rejects, or one with ``int`` subclasses such as
+    ``IntEnum``, is walked cell by cell.  The grids the library builds itself
+    (the leaves of ``enumerate_maximal``) are sorted, in-box, distinct
+    ``int`` tuples by construction, and skip the check.
     """
 
     shape: Shape

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, product
 from typing import Iterator, Sequence
 
-from .core import Cell, Grid, Shape, _is_int, _layout, _turn_on, comparable
+from .core import Cell, Grid, Shape, _is_int, _layout, _trusted, _turn_on, comparable
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -171,9 +171,11 @@ def enumerate_maximal(
         for l in islice(leaves, cap)
     ]
     count = len(kept) + sum(1 for _ in leaves)
+    # each leaf is a sorted tuple of distinct in-box int cells already: the
+    # rows come in order and a row's cells ascend
     return EnumerationReport(
         shape=shape,
-        grids=tuple(Grid(shape, ones) for ones in kept),
+        grids=tuple(_trusted(Grid, shape=shape, ones=ones) for ones in kept),
         count=count,
         truncated=count > len(kept),
     )

@@ -9,11 +9,17 @@ exactly the number of ancestor-free rows.  Iterating the two moves down to
 w_d = 1 telescopes any maximal grid's weight to the closed form.
 
 ``normalize``, ``find_pair``, ``convert_step`` and ``peel`` are defined on
-maximal maps only: each checks the characterization on entry (one O(rows * d)
-sweep) and raises NotMaximalError.  Unguarded, ``peel`` would drop the wrong
-weight on a map that breaks the h-rule but has an empty obstruction set.
-Convert steps preserve the characterization, so one check covers a whole
-normalization, and on a maximal map the work is small:
+maximal maps only, and raise NotMaximalError on any other.  Unguarded,
+``peel`` would drop the wrong weight on a map that breaks the h-rule but has
+an empty obstruction set.  A map carries the verdict when
+``check_characterization`` passed on it, or when ``normalize``,
+``convert_step`` or ``peel`` derived it from such a map: convert steps and
+peel preserve the characterization, so their results are born maximal (and
+valid, so they skip the constructor's check).  On any other map, including
+one built by the public constructor or by ``dataclasses.replace``, each of
+the four checks the characterization on entry (one O(rows * d) sweep); a
+failing check leaves no verdict.  A whole normalize/peel chain from a
+checked map thus sweeps once, and on a maximal map the work is small:
 
 * A convert step lowers only h(x), so it removes exactly x from the
   obstruction set and adds nothing.  ``normalize`` therefore computes the set
@@ -49,7 +55,7 @@ from typing import Iterable, Iterator
 
 from .core import Shape
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
-from .rowform import IntervalMap, RowId, check_characterization, x_set
+from .rowform import IntervalMap, RowId, _trusted_map, check_characterization, x_set
 
 
 @dataclass(frozen=True)
@@ -69,12 +75,14 @@ class NormalizeReport:
 
 
 def _require_maximal(m: IntervalMap, verb: str) -> None:
-    """Entry check of the convert machinery: d >= 2 and the characterization."""
+    """Entry check of the convert machinery: d >= 2 and the characterization,
+    swept only on a map that does not carry the verdict."""
     if m.shape.d < 2:
         raise ValueError(f"{verb} applies to d >= 2 only")
-    report = check_characterization(m)
-    if not report:
-        raise NotMaximalError(str(report))
+    if not m._maximal:
+        report = check_characterization(m)
+        if not report:
+            raise NotMaximalError(str(report))
 
 
 def _walk(intervals: dict, dims: tuple[int, ...], top: int,
@@ -150,7 +158,7 @@ def convert_step(m: IntervalMap) -> IntervalMap:
     x, x_prime = find_pair(m)
     fixed = dict(m.intervals)
     _convert(fixed, m.top, x, x_prime)
-    return IntervalMap(m.shape, fixed)
+    return _trusted_map(m.shape, fixed, maximal=True)
 
 
 def normalize(m: IntervalMap) -> NormalizeReport:
@@ -171,7 +179,9 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     intervals = dict(m.intervals)
     pairs = tuple(_walk(intervals, m.shape.dims, top, pending))
     return NormalizeReport(
-        result=IntervalMap(m.shape, intervals), steps=len(pairs), pairs=pairs
+        result=_trusted_map(m.shape, intervals, maximal=True),
+        steps=len(pairs),
+        pairs=pairs,
     )
 
 
@@ -196,4 +206,4 @@ def peel(m: IntervalMap) -> IntervalMap:
         row: (l, h - 1) if 1 in row else (l, h)
         for row, (l, h) in m.intervals.items()
     }
-    return IntervalMap(new_shape, fixed)
+    return _trusted_map(new_shape, fixed, maximal=True)

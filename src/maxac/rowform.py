@@ -16,19 +16,21 @@ covered directly by ``contains_forbidden``.
 ancestors of x are exactly the rows at or below x - (1,...,1), so the h-rule
 reads a closed prefix minimum of l there, and symmetrically the l-rule reads
 a closed suffix maximum of h at x + (1,...,1).  Both are separable running
-folds over flat strided row indices, one axis at a time.
+folds over flat strided row indices, one axis at a time.  A passing check
+leaves its verdict on the map (``_maximal``, not a dataclass field), which
+``normalize`` reads instead of sweeping the same map again.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, product
 from types import MappingProxyType
-from typing import Mapping
 
-from .core import Grid, Shape, _is_int
+from .core import Grid, Shape, _brief, _is_int, _trusted
 from .errors import EmptyRowError, NonContiguousRowError
 
 RowId = tuple[int, ...]
@@ -40,17 +42,32 @@ class IntervalMap:
 
     Emptiness is not representable: 1 <= l <= h <= w_d must hold per row,
     with ``int`` row ids and bounds (bools, floats and strings are rejected,
-    not converted).
+    not converted).  The public constructor checks all of this and raises
+    ValueError naming the offending row.  The maps the library builds itself
+    (``to_intervals``, and ``normalize``, ``convert_step`` and ``peel`` from a
+    maximal map) are valid by construction and skip the check.
     """
 
     shape: Shape
     intervals: Mapping[RowId, tuple[int, int]]
+    # the maximality verdict, not a field: True only on a map that passed
+    # check_characterization or was derived from one by normalize or peel
+    _maximal = False
 
     def __post_init__(self):
-        fixed = {tuple(row): (l, h) for row, (l, h) in self.intervals.items()}
+        if not isinstance(self.intervals, Mapping):
+            raise ValueError("intervals must be a mapping from row ids to (l, h) pairs")
+        fixed = {}
+        for row, pair in self.intervals.items():
+            if not isinstance(row, tuple):
+                raise ValueError(f"row id {_brief.repr(row)} must be a tuple of integers")
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"row {_brief.repr(row)}: interval {_brief.repr(pair)} "
+                                 "must be an (l, h) pair")
+            fixed[tuple(row)] = tuple(pair)
         if not set(map(type, chain.from_iterable(fixed))) <= {int}:
             bad = next(row for row in fixed if any(type(x) is not int for x in row))
-            raise ValueError(f"row id {bad!r} must have integer coordinates")
+            raise ValueError(f"row id {_brief.repr(bad)} must have integer coordinates")
         top = self.shape.dims[-1]
         seen = 0
         for row in self.shape.iter_rows():
@@ -58,7 +75,8 @@ class IntervalMap:
                 raise ValueError(f"missing interval for row {row}")
             l, h = fixed[row]
             if type(l) is not int or type(h) is not int:
-                raise ValueError(f"row {row}: bounds ({l!r}, {h!r}) must be integers")
+                raise ValueError(f"row {row}: bounds ({_brief.repr(l)}, {_brief.repr(h)}) "
+                                 "must be integers")
             if not 1 <= l <= h <= top:
                 raise ValueError(f"row {row}: interval ({l}, {h}) violates 1 <= l <= h <= {top}")
             seen += 1
@@ -92,7 +110,8 @@ class IntervalMap:
                 raise ValueError('each row entry needs "x", "l" and "h"')
             x = entry["x"]
             if not isinstance(x, list) or not all(_is_int(v) for v in x):
-                raise ValueError(f'row id "x" must be an array of integers, got {x!r}')
+                raise ValueError(
+                    f'row id "x" must be an array of integers, got {_brief.repr(x)}')
             intervals[tuple(x)] = (entry["l"], entry["h"])
         if len(intervals) != len(obj["rows"]):
             raise ValueError("duplicate row in interval-map JSON")
@@ -104,6 +123,9 @@ def to_intervals(g: Grid) -> IntervalMap:
 
     Raises EmptyRowError or NonContiguousRowError for the lexicographically
     first offending row; either condition certifies that ``g`` is not maximal.
+    The rows come from ``iter_rows`` and the bounds from a checked grid, so
+    the map skips its constructor's check, unless a bound is an ``int``
+    subclass (which ``Grid`` admits and ``IntervalMap`` does not).
     """
     by_row: dict[RowId, list[int]] = {}
     for cell in g.ones:
@@ -117,7 +139,18 @@ def to_intervals(g: Grid) -> IntervalMap:
         if hi - lo + 1 != len(ys):
             raise NonContiguousRowError(row)
         intervals[row] = (lo, hi)
-    return IntervalMap(g.shape, intervals)
+    if not set(map(type, chain.from_iterable(intervals.values()))) <= {int}:
+        return IntervalMap(g.shape, intervals)
+    return _trusted_map(g.shape, intervals)
+
+
+def _trusted_map(shape: Shape, intervals: dict, maximal: bool = False) -> IntervalMap:
+    """An IntervalMap over ``intervals``, a fresh dict that nothing else
+    holds, without the constructor's check: only for maps valid by
+    construction.  ``maximal`` gives it the verdict, for maps derived from a
+    maximal map by steps that preserve the characterization."""
+    return _trusted(IntervalMap, shape=shape, intervals=MappingProxyType(intervals),
+                    _maximal=maximal)
 
 
 def from_intervals(m: IntervalMap) -> Grid:
@@ -201,7 +234,8 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
     A grid with nonempty contiguous rows is maximal exactly when both rules
     hold everywhere.  The h-rule is scanned over all rows in ascending order
     first, then the l-rule, so a failure report names the lexicographically
-    first row violating the earliest rule.
+    first row violating the earliest rule.  A pass is recorded on ``m``
+    (``_maximal``); the sweep runs on every call all the same.
     """
     if m.shape.d < 2:
         raise ValueError("the characterization applies to d >= 2 only; "
@@ -232,6 +266,7 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
     if ls != want_l:
         k = next(k for k in range(n) if ls[k] != want_l[k])
         return CharacterizationReport(False, rows[k], "l", want_l[k], ls[k])
+    object.__setattr__(m, "_maximal", True)
     return _HOLDS
 
 

@@ -186,6 +186,16 @@ def test_deeply_nested_json_exits_1(capsys, monkeypatch, tmp_path, verb, source)
     assert json.loads(err) == {"error": "ValueError", "detail": "input JSON is nested too deeply"}
 
 
+def test_huge_malformed_input_gives_a_short_error(capsys, monkeypatch):
+    huge = json.dumps({"w": [[1] * 100_000], "ones": []})
+    assert len(huge) > 300_000
+    monkeypatch.setattr("sys.stdin", io.StringIO(huge))
+    status, out, err = run(capsys, "extend", "--json")
+    assert status == 1 and out == ""
+    assert err.count("\n") == 1 and len(err) < 1024
+    assert json.loads(err)["error"] == "ValueError"
+
+
 def _formula(capsys, w):
     return run(capsys, "count", "--w", f"{w},{w}", "--method", "formula", "--json")
 

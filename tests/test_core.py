@@ -147,6 +147,16 @@ def test_shape_validation():
     assert s.dims == (3, 2) and s.d == 2 and s.cell_count == 6
 
 
+def test_shape_errors_quote_a_short_repr_of_the_value():
+    for bad, text in [(0, "0"), (-1, "-1"), (1.5, "1.5"), ("a", "'a'"), ([1], "[1]")]:
+        with pytest.raises(ValueError) as err:
+            Shape((2, bad))
+        assert str(err.value) == f"dimensions must be positive integers, got {text}"
+    with pytest.raises(ValueError) as err:
+        Shape(([1] * 100_000,))
+    assert len(str(err.value)) < 200
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         Grid(Shape((2, 2)), [(3, 1)])

@@ -164,6 +164,7 @@ PEELBAD33 = IntervalMap(Shape((3, 3)), {(1,): (1, 3), (2,): (1, 2), (3,): (1, 2)
 @pytest.mark.parametrize("op", [normalize, find_pair, convert_step, peel])
 def test_convert_machinery_rejects_non_maximal_maps(op, m):
     assert not check_characterization(m)
+    assert not m._maximal  # a failing check leaves no verdict
     with pytest.raises(NotMaximalError) as err:
         op(m)
     assert str(err.value) == str(check_characterization(m))

@@ -96,6 +96,34 @@ def test_interval_map_rejects_non_integer_row_ids():
                                        (2, 1): (1, 2), (2, 2): (1, 1)})
 
 
+def test_interval_map_rejects_malformed_entries_with_value_error():
+    shape = Shape((2, 2))
+    for intervals, message in [
+        ({(1,): 5, (2,): (1, 2)}, r"row \(1,\): interval 5 must be an \(l, h\) pair"),
+        ({(1,): (1, 2, 3), (2,): (1, 2)}, r"row \(1,\): interval \(1, 2, 3\)"),
+        ({1: (1, 2), (2,): (1, 2)}, "row id 1 must be a tuple of integers"),
+        ({frozenset({1}): (1, 2), (2,): (1, 2)}, "row id frozenset"),
+        ({(1,): {1, 2}, (2,): (1, 2)}, r"row \(1,\): interval \{1, 2\}"),
+        ([((1,), (1, 2)), ((2,), (1, 1))], "must be a mapping"),
+        (None, "must be a mapping"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            IntervalMap(shape, intervals)
+
+
+def test_interval_map_errors_quote_a_short_repr_of_the_value():
+    with pytest.raises(ValueError) as err:
+        IntervalMap(Shape((2, 2)), {(1.0,) * 100_000: (1, 2), (2,): (1, 1)})
+    assert str(err.value).startswith("row id (1.0, 1.0,") and len(str(err.value)) < 200
+    rows = [{"x": [1.5] * 100_000, "l": 1, "h": 2}, {"x": [2], "l": 1, "h": 1}]
+    with pytest.raises(ValueError) as err:
+        IntervalMap.from_json_obj({"w": [2, 2], "rows": rows})
+    assert len(str(err.value)) < 200
+    with pytest.raises(ValueError) as err:  # a short value reads in full
+        IntervalMap.from_json_obj({"w": [2, 2], "rows": [dict(rows[0], x=[1.5])]})
+    assert str(err.value) == 'row id "x" must be an array of integers, got [1.5]'
+
+
 def test_ancestor_descendant_rows():
     s = Shape((3, 3, 4))
     assert sorted(ancestor_rows((2, 3))) == [(1, 1), (1, 2)]
