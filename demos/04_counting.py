@@ -1,13 +1,16 @@
 """Counting maximal grids.
 
-Three exact results, each cross-checked against ``count_maximal``:
+One reduction gives every closed-form count (``count_closed_form``), each
+cross-checked here against the transfer DP ``count_maximal``:
 
-* two dimensions: the count over a w1 x w2 box is C(w1 + w2 - 2, w1 - 1)
-  (a maximal grid is a monotone staircase; choosing where it bends is a
-  lattice-path choice);
+* a size-1 axis (d >= 2) leaves a single maximal grid;
 * appending a dimension of size 2 changes nothing: maximal grids over
-  [w, 2] correspond one-to-one with maximal grids over w;
-* hence when every dimension is 1 or 2, the count is simply min(w_i).
+  [w, 2] correspond one-to-one with maximal grids over w, so size-2 axes
+  drop out (and when every dimension is 1 or 2, the count is min(w_i));
+* what is left is w for one axis, the binomial C(w1 + w2 - 2, w1 - 1) for
+  two (a maximal grid is a monotone staircase; choosing where it bends is a
+  lattice-path choice), and MacMahon's box formula for plane partitions in
+  a (w1 - 1) x (w2 - 1) x (w3 - 1) box for three.
 
 Beyond these, ``count_maximal`` counts any box with a transfer DP over the
 rows' left ends.  The count is the number of antichains of the product of
@@ -18,9 +21,9 @@ the antichains of the Boolean lattice on d elements.
 import itertools
 
 from maxac import (
+    PreconditionViolatedError,
     Shape,
-    count_2d,
-    count_all_le2,
+    count_closed_form,
     count_maximal,
     enumerate_maximal,
     extend_by_two,
@@ -32,11 +35,20 @@ print("    w2:      1    2    3    4    5")
 for w1 in range(1, 6):
     row = []
     for w2 in range(1, 6):
-        formula = count_2d(w1, w2)
-        assert formula == count_maximal(Shape((w1, w2)))
+        shape = Shape((w1, w2))
+        formula = count_closed_form(shape)
+        assert formula == count_maximal(shape)
         row.append(f"{formula:4}")
     print(f"    w1={w1}  " + " ".join(row))
 print("    (symmetric, Pascal-like: each entry is the sum of its neighbors)")
+print()
+
+print("Cubes (MacMahon's box formula vs the transfer DP):")
+for w in range(1, 7):
+    shape = Shape((w,) * 3)
+    count = count_closed_form(shape)
+    assert count == count_maximal(shape, max_cells=shape.cell_count)
+    print(f"    {w} x {w} x {w} -> {count} maximal grids")
 print()
 
 print("The append-a-layer bijection on the 2 x 2 box:")
@@ -49,24 +61,32 @@ for g in base:
     print(f"      -> back to {back.ones}   (round trip: {back == g})")
 print("Counts agree:", count_maximal(Shape((2, 2))),
       "==", count_maximal(Shape((2, 2, 2))))
+print("So size-2 axes drop out anywhere:",
+      count_closed_form(Shape((2, 5, 2, 4, 6))), "==",
+      count_closed_form(Shape((5, 4, 6))))
 print()
 
 print("All-small boxes: count = min(w_i)")
 for d in range(1, 5):
     for dims in itertools.product((1, 2), repeat=d):
         shape = Shape(dims)
-        assert count_all_le2(shape) == count_maximal(shape)
+        assert count_closed_form(shape) == count_maximal(shape) == min(dims)
     print(f"    d={d}: verified for all {2**d} boxes over {{1,2}}^{d}")
 print()
 
-print("Beyond the closed forms, the transfer DP counts, checked by enumeration:")
+print("The transfer DP, checked by enumeration:")
 for dims in [(3, 3, 2), (4, 3), (2, 3, 4), (5, 5)]:
     shape = Shape(dims)
     assert count_maximal(shape) == enumerate_maximal(shape, cap=1).count
     print(f"    {str(dims):10} -> {count_maximal(shape)} maximal grids")
 print()
 
-print("Cubes of side 3 give the Dedekind numbers (OEIS A000372):")
+try:
+    count_closed_form(Shape((3, 3, 3, 3)))
+except PreconditionViolatedError as exc:
+    print(f"count_closed_form refuses: {exc}.")
+print("The transfer DP counts such boxes.  Cubes of side 3 give the Dedekind")
+print("numbers (OEIS A000372):")
 for d, dedekind in enumerate([3, 6, 20, 168, 7581], start=1):
     shape = Shape((3,) * d)
     count = count_maximal(shape, max_cells=shape.cell_count)

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .core import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, max_size
-from .errors import BoxError, PreconditionViolatedError
+from .errors import BoxError
 
 # Each verb reaches its callees as attributes of this copy of the package,
 # whose lazy exports import the defining module on first use: a cold start
@@ -137,22 +136,6 @@ def _rows_plain(m) -> list[str]:
     ]
 
 
-def _printable_count_2d(w1: int, w2: int) -> int:
-    """``count_2d``, refused when its decimal form would pass the
-    interpreter's digit limit for printing an integer
-    (``sys.get_int_max_str_digits``; 0, or no such function, means no limit).
-    A box whose count surely passes it is refused before any work."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    k = min(w1, w2) - 1
-    # C(n, k) >= (n / k)^k, and the margin of one digit dwarfs the float error
-    if not limit or k == 0 or k * math.log10((w1 + w2 - 2) / k) <= limit + 1:
-        value = _package.count_2d(w1, w2)
-        if not limit or value < 10**limit:
-            return value
-    raise ValueError(f"the count for shape {(w1, w2)} has more than {limit} digits, "
-                     "the limit for printing an integer (sys.get_int_max_str_digits)")
-
-
 def _run(args) -> tuple[object, str, int]:
     """Dispatch one parsed command; returns (json payload, plain text, exit)."""
     if args.verb == "size":
@@ -160,16 +143,9 @@ def _run(args) -> tuple[object, str, int]:
         return {"w": list(args.w.dims), "size": value}, str(value), 0
 
     if args.verb == "count":
-        if args.method == "enumerate":
-            value = _package.count_maximal(args.w)
-        elif args.w.d == 2:
-            value = _printable_count_2d(*args.w.dims)
-        elif max(args.w.dims) <= 2:
-            value = _package.count_all_le2(args.w)
-        else:
-            raise PreconditionViolatedError(
-                f"no closed form applies to shape {args.w.dims}; use --method enumerate"
-            )
+        count = (_package.count_maximal if args.method == "enumerate"
+                 else _package.count_closed_form)
+        value = count(args.w)
         payload = {"w": list(args.w.dims), "method": args.method, "count": value}
         return payload, str(value), 0
 

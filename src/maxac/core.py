@@ -134,13 +134,14 @@ class Grid:
         for c in cells:
             if len(c) != self.shape.d:
                 raise DimensionMismatchError(
-                    f"cell {c} has {len(c)} coordinates, shape has {self.shape.d}"
+                    f"cell {_brief.repr(c)} has {len(c)} coordinates, shape has {self.shape.d}"
                 )
             if not self.shape.contains_cell(c):
-                raise ValueError(f"cell {c} lies outside the box {self.shape.dims}")
+                raise ValueError(f"cell {_brief.repr(c)} lies outside the box "
+                                 f"{_brief.repr(self.shape.dims)}")
         for a, b in zip(cells, cells[1:]):
             if a == b:
-                raise ValueError(f"duplicate cell {a}")
+                raise ValueError(f"duplicate cell {_brief.repr(a)}")
 
     @cached_property
     def one_set(self) -> frozenset[Cell]:

@@ -42,10 +42,10 @@ The count is the number of antichains of the product of chains
 ``[w_1 - 1] x ... x [w_d - 1]``: order-reversing maps ``P -> [1, k]``
 correspond to order ideals of ``P x [k - 1]`` (Stanley, *Enumerative
 Combinatorics* vol. 1, ch. 3), and order ideals to antichains.  That gives
-the binomial ``C(w_1 + w_2 - 2, w_1 - 1)`` for d = 2, MacMahon's box
-formula for plane partitions for d = 3, ``min(w)`` for boxes over {1, 2},
-and for ``3^d`` the Dedekind number M(d) (OEIS A000372: 3, 6, 20, 168,
-7581, 7828354); the tests use all four as oracles.
+``counting.count_closed_form`` (``w``, the binomial or MacMahon's box formula
+once size-1 and size-2 axes are reduced away) up to three axes above 2, and
+for ``3^d`` the Dedekind number M(d) (OEIS A000372: 3, 6, 20, 168, 7581,
+7828354); the tests use both as oracles.
 
 Two oracles share no machinery with the search: ``brute_force_maximal``
 filters every subset of the box as a bitmask against per-cell masks of the

@@ -19,7 +19,7 @@ from typing import Iterator, Sequence
 
 from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, is_maximal,
                    max_size, weight)
-from .counting import count_2d, count_all_le2, extend_by_two, project_last
+from .counting import count_closed_form, extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
     DEFAULT_CELL_LIMIT,
@@ -27,7 +27,7 @@ from .enumeration import (
     count_maximal,
     enumerate_maximal,
 )
-from .errors import EmptyRowError, NonContiguousRowError
+from .errors import EmptyRowError, NonContiguousRowError, PreconditionViolatedError
 from .game import play, predict_loser
 from .normalize import convert_step, find_pair, normalize, peel
 from .rowform import IntervalMap, check_characterization, to_intervals, x_set
@@ -128,28 +128,26 @@ def check_equivalence(
 
 
 def check_counting(shape: Shape) -> CheckResult:
-    """Enumerated count against the transfer-DP count and whichever closed
-    forms apply."""
+    """Enumerated count against the transfer-DP count and, where one
+    applies, the closed form."""
     total = enumerate_maximal(shape, cap=1).count
     counted = count_maximal(shape)
     if counted != total:
         return CheckResult(
             "counting", False, f"transfer DP gives {counted}, enumeration {total}"
         )
+    try:
+        formula = count_closed_form(shape)
+    except PreconditionViolatedError:  # more than three axes exceed 2
+        formula = total
+    if formula != total:
+        return CheckResult(
+            "counting", False, f"closed form gives {formula}, enumeration {total}"
+        )
     notes = [f"enumerated {total}"]
     if shape.d == 2:
-        formula = count_2d(*shape.dims)
-        if formula != total:
-            return CheckResult(
-                "counting", False, f"binomial form gives {formula}, enumeration {total}"
-            )
         notes.append(f"binomial form agrees ({formula})")
     if max(shape.dims) <= 2:
-        formula = count_all_le2(shape)
-        if formula != total:
-            return CheckResult(
-                "counting", False, f"min-dimension form gives {formula}, enumeration {total}"
-            )
         notes.append(f"min-dimension form agrees ({formula})")
     return CheckResult("counting", True, "; ".join(notes))
 

@@ -12,7 +12,7 @@ types with the same messages.
 from __future__ import annotations
 
 from maxac import DimensionMismatchError, Shape
-from maxac.core import Cell
+from maxac.core import Cell, _brief
 
 
 def _in_box(cell: Cell, dims: tuple[int, ...]) -> bool:
@@ -28,11 +28,12 @@ def validate(shape: Shape, ones) -> tuple[Cell, ...]:
     for c in cells:
         if len(c) != shape.d:
             raise DimensionMismatchError(
-                f"cell {c} has {len(c)} coordinates, shape has {shape.d}"
+                f"cell {_brief.repr(c)} has {len(c)} coordinates, shape has {shape.d}"
             )
         if not _in_box(c, shape.dims):
-            raise ValueError(f"cell {c} lies outside the box {shape.dims}")
+            raise ValueError(f"cell {_brief.repr(c)} lies outside the box "
+                             f"{_brief.repr(shape.dims)}")
     for a, b in zip(cells, cells[1:]):
         if a == b:
-            raise ValueError(f"duplicate cell {a}")
+            raise ValueError(f"duplicate cell {_brief.repr(a)}")
     return cells

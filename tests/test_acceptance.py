@@ -13,7 +13,7 @@ import math
 
 from maxac import (
     Shape,
-    count_2d,
+    count_closed_form,
     count_maximal,
     enumerate_maximal,
     iter_shapes,
@@ -100,7 +100,7 @@ def test_criterion_3_counting_2d():
     for w1 in range(1, 6):
         for w2 in range(1, 6):
             _run(check_counting, Shape((w1, w2)))
-            assert count_2d(w1, w2) == math.comb(w1 + w2 - 2, w1 - 1)
+            assert count_closed_form(Shape((w1, w2))) == math.comb(w1 + w2 - 2, w1 - 1)
     assert count_maximal(Shape((2, 2))) == 2
     assert count_maximal(Shape((5, 5))) == 70
     _report(3, "counting-2d", True, "all w1, w2 in [1, 5]")
@@ -121,10 +121,10 @@ def test_criterion_5_all_le2_corollary():
         for dims in itertools.product((1, 2), repeat=d):
             shape = Shape(dims)
             _run(check_counting, shape)
-            assert count_maximal(shape) == min(dims)
+            assert count_maximal(shape) == count_closed_form(shape) == min(dims)
             boxes += 1
     for n in range(1, 7):
-        assert count_maximal(Shape((n,))) == n
+        assert count_maximal(Shape((n,))) == count_closed_form(Shape((n,))) == n
     _report(5, "all-le2-corollary", True, f"{boxes} boxes plus d=1 lines")
 
 

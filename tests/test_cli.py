@@ -61,7 +61,12 @@ def test_count_formula(capsys):
     assert status == 0
     assert json.loads(out)["count"] == 2
 
-    status, out, err = run(capsys, "count", "--w", "3,3,3", "--method", "formula", "--json")
+    for w, count in [("3,3,3", 20), ("7", 7), ("1,3,3", 1), ("2,2,3", 3)]:
+        status, out, _ = run(capsys, "count", "--w", w, "--method", "formula", "--json")
+        assert status == 0
+        assert json.loads(out)["count"] == count
+
+    status, out, err = run(capsys, "count", "--w", "3,3,3,3", "--method", "formula", "--json")
     assert status == 1 and out == ""
     assert json.loads(err)["error"] == "PreconditionViolated"
 
@@ -187,17 +192,20 @@ def test_deeply_nested_json_exits_1(capsys, monkeypatch, tmp_path, verb, source)
 
 
 def test_huge_malformed_input_gives_a_short_error(capsys, monkeypatch):
-    huge = json.dumps({"w": [[1] * 100_000], "ones": []})
-    assert len(huge) > 300_000
-    monkeypatch.setattr("sys.stdin", io.StringIO(huge))
-    status, out, err = run(capsys, "extend", "--json")
-    assert status == 1 and out == ""
-    assert err.count("\n") == 1 and len(err) < 1024
-    assert json.loads(err)["error"] == "ValueError"
+    for obj, code in [({"w": [[1] * 100_000], "ones": []}, "ValueError"),
+                      ({"w": [2, 2], "ones": [[1] * 50_000]}, "DimensionMismatch")]:
+        huge = json.dumps(obj)
+        assert len(huge) > 150_000
+        monkeypatch.setattr("sys.stdin", io.StringIO(huge))
+        status, out, err = run(capsys, "extend", "--json")
+        assert status == 1 and out == ""
+        assert err.count("\n") == 1 and len(err) < 1024
+        assert json.loads(err)["error"] == code
 
 
-def _formula(capsys, w):
-    return run(capsys, "count", "--w", f"{w},{w}", "--method", "formula", "--json")
+def _formula(capsys, w, d=2):
+    return run(capsys, "count", "--w", ",".join([str(w)] * d), "--method", "formula",
+               "--json")
 
 
 def test_count_formula_refuses_only_counts_too_long_to_print(capsys):
@@ -230,6 +238,50 @@ def test_count_formula_refuses_only_counts_too_long_to_print(capsys):
         status, out, err = _formula(capsys, w + 1)
         assert status == 0 and err == ""
         assert json.loads(out)["count"] == math.comb(2 * w, w)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _plane_partitions(n: int) -> int:
+    """MacMahon's box formula for an n x n x n box."""
+    pairs = [i + j for i in range(1, n + 1) for j in range(1, n + 1)]
+    return math.prod(s + n - 1 for s in pairs) // math.prod(s - 1 for s in pairs)
+
+
+def test_count_formula_refuses_only_cube_counts_too_long_to_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    # the smallest w whose count on the cube of side w + 1 has more than
+    # `limit` digits; the count on the cube of side w is plane partitions in
+    # a (w - 1)^3 box
+    lo, hi = 1, 2
+    while _plane_partitions(hi) < 10**limit:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _plane_partitions(mid) >= 10**limit else (mid + 1, hi)
+    w = lo
+
+    status, out, err = _formula(capsys, w, d=3)
+    assert status == 0 and err == ""
+    assert json.loads(out)["count"] == _plane_partitions(w - 1)
+
+    for big in (w + 1, 1_000_000):
+        start = time.perf_counter()
+        status, out, err = _formula(capsys, big, d=3)
+        assert time.perf_counter() - start < 5
+        assert status == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ValueError"
+        assert error["detail"] == (
+            f"the count for shape {(big,) * 3} has more than {limit} digits, "
+            "the limit for printing an integer (sys.get_int_max_str_digits)")
+
+    sys.set_int_max_str_digits(0)  # no limit: the count is printed
+    try:
+        status, out, err = _formula(capsys, w + 1, d=3)
+        assert status == 0 and err == ""
+        assert json.loads(out)["count"] == _plane_partitions(w)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -158,12 +158,21 @@ def test_shape_errors_quote_a_short_repr_of_the_value():
 
 
 def test_grid_validation():
-    with pytest.raises(ValueError):
-        Grid(Shape((2, 2)), [(3, 1)])
-    with pytest.raises(ValueError):
-        Grid(Shape((2, 2)), [(1, 1), (1, 1)])
-    with pytest.raises(DimensionMismatchError):
-        Grid(Shape((2, 2)), [(1, 1, 1)])
+    wide = Shape((1,) * 1000)
+    for shape, ones, error, text in [
+        (Shape((2, 2)), [(3, 1)], ValueError, "cell (3, 1) lies outside the box (2, 2)"),
+        (Shape((2, 2)), [(1, 1), (1, 1)], ValueError, "duplicate cell (1, 1)"),
+        (Shape((2, 2)), [(1, 1, 1)], DimensionMismatchError,
+         "cell (1, 1, 1) has 3 coordinates, shape has 2"),
+        # a huge cell or box is quoted in a short form
+        (Shape((2, 2)), [(1,) * 50_000], DimensionMismatchError, None),
+        (Shape((2, 2)), [(10**1000, 1)], ValueError, None),
+        (wide, [(2,) * 1000], ValueError, None),
+        (wide, [(1,) * 1000] * 2, ValueError, None),
+    ]:
+        with pytest.raises(error) as err:
+            Grid(shape, ones)
+        assert str(err.value) == text if text else len(str(err.value)) < 200
 
 
 def test_grid_is_canonically_sorted():

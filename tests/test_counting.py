@@ -1,3 +1,6 @@
+import sys
+import time
+
 import pytest
 
 from maxac import (
@@ -5,8 +8,7 @@ from maxac import (
     NotMaximalError,
     PreconditionViolatedError,
     Shape,
-    count_2d,
-    count_all_le2,
+    count_closed_form,
     count_maximal,
     enumerate_maximal,
     extend_by_two,
@@ -20,20 +22,63 @@ from maxac import (
 
 
 def test_count_2d_examples():
-    assert count_2d(2, 2) == 2
-    assert count_2d(2, 3) == 3
-    assert count_2d(5, 5) == 70
+    assert count_closed_form(Shape((2, 2))) == 2
+    assert count_closed_form(Shape((2, 3))) == 3
+    assert count_closed_form(Shape((5, 5))) == 70
 
 
 def test_count_2d_validates_arguments():
     with pytest.raises(ValueError):
-        count_2d(0, 3)
+        count_closed_form(Shape((0, 3)))
 
 
 def test_count_2d_agrees_with_enumeration():
     for w1 in range(1, 5):
         for w2 in range(1, 5):
-            assert count_2d(w1, w2) == count_maximal(Shape((w1, w2)))
+            shape = Shape((w1, w2))
+            assert count_closed_form(shape) == count_maximal(shape)
+
+
+def _reducible(dims) -> bool:
+    return 1 in dims or sum(w > 2 for w in dims) <= 3
+
+
+def test_count_closed_form_agrees_with_the_transfer_dp():
+    shapes = list(iter_shapes(25, 4))
+    assert all(_reducible(s.dims) for s in shapes)
+    for shape in shapes:
+        assert count_closed_form(shape) == count_maximal(shape), shape.dims
+
+
+def test_count_closed_form_refuses_exactly_past_three_axes_above_two():
+    refused = 0
+    for shape in iter_shapes(200, 6):
+        if _reducible(shape.dims):
+            count_closed_form(shape)
+        else:
+            refused += 1
+            with pytest.raises(PreconditionViolatedError, match="no closed form"):
+                count_closed_form(shape)
+    assert refused == 44
+
+
+def test_count_closed_form_refuses_counts_too_long_to_print():
+    limit = sys.get_int_max_str_digits()
+    assert limit > 0
+    for dims in [(2_000_000, 2_000_000), (121, 121, 121), (10**6, 10**6, 10**6),
+                 (2, 10**6, 2, 10**6, 10**6)]:
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"more than {limit} digits"):
+            count_closed_form(Shape(dims))
+        assert time.perf_counter() - start < 5, dims
+    # far from the limit, a thin box is cheap whatever its length
+    assert count_closed_form(Shape((3, 10**9))) == (10**9 + 1) * 10**9 // 2
+    assert count_closed_form(Shape((1, 10**9, 10**9))) == 1
+    sys.set_int_max_str_digits(0)  # no limit: the count is computed
+    try:
+        assert len(str(count_closed_form(Shape((121, 121, 121))))) > limit
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_extend_by_two_examples():
@@ -96,11 +141,11 @@ def test_bijection_on_small_shapes():
 
 
 def test_count_all_le2_examples():
-    assert count_all_le2(Shape((2, 2, 2))) == 2
-    assert count_all_le2(Shape((1, 2))) == 1
-    assert count_all_le2(Shape((2, 2, 2, 2))) == 2
+    assert count_closed_form(Shape((2, 2, 2))) == 2
+    assert count_closed_form(Shape((1, 2))) == 1
+    assert count_closed_form(Shape((2, 2, 2, 2))) == 2
     with pytest.raises(PreconditionViolatedError):
-        count_all_le2(Shape((2, 3)))
+        count_closed_form(Shape((3, 3, 3, 3)))
 
 
 def test_count_all_le2_agrees_with_enumeration():
@@ -109,4 +154,4 @@ def test_count_all_le2_agrees_with_enumeration():
     for d in range(1, 5):
         for dims in itertools.product((1, 2), repeat=d):
             shape = Shape(dims)
-            assert count_all_le2(shape) == count_maximal(shape) == min(dims)
+            assert count_closed_form(shape) == count_maximal(shape) == min(dims)

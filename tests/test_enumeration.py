@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 import reference_dominance
@@ -13,7 +13,7 @@ from maxac import (
     ShapeTooLargeError,
     brute_force_maximal,
     complete_to_maximal,
-    count_2d,
+    count_closed_form,
     count_maximal,
     enumerate_maximal,
     is_maximal,
@@ -129,7 +129,7 @@ def test_count_2d_above_the_budget():
     for w1 in range(1, 11):
         for w2 in range(1, 11):
             shape = Shape((w1, w2))
-            assert count_maximal(shape, max_cells=shape.cell_count) == count_2d(w1, w2)
+            assert count_maximal(shape, max_cells=shape.cell_count) == count_closed_form(shape)
     assert count_maximal(Shape((10, 10)), max_cells=100) == 48620
 
 
@@ -139,15 +139,28 @@ def plane_partitions(a: int, b: int, c: int) -> int:
     return math.prod(i + j + c - 1 for i, j in pairs) // math.prod(i + j - 1 for i, j in pairs)
 
 
+def _with_axes(dims, extra, at):
+    """``dims`` with the sizes ``extra`` inserted at the positions ``at``."""
+    rest, added = iter(dims), iter(extra)
+    return tuple(next(added) if k in at else next(rest)
+                 for k in range(len(dims) + len(extra)))
+
+
 def test_count_3d_is_macmahons_box_formula():
     # interior rows form a (w1-1) x (w2-1) grid, and l - 1 is a plane
     # partition in it with parts below w3
     assert plane_partitions(2, 2, 2) == 20 and plane_partitions(3, 3, 2) == 175
+    assert count_closed_form(Shape((2, 5, 2, 4, 6))) == plane_partitions(4, 3, 5)
     for dims in [(a, b, c) for a in range(1, 7) for b in range(1, 7) for c in range(1, 7)]:
         shape = Shape(dims)
-        assert count_maximal(shape, max_cells=shape.cell_count) == plane_partitions(
-            *(w - 1 for w in dims)
-        ), dims
+        expected = plane_partitions(*(w - 1 for w in dims))
+        assert count_maximal(shape, max_cells=shape.cell_count) == expected, dims
+        assert count_closed_form(shape) == expected, dims
+        # a size-2 axis anywhere leaves the count alone, a size-1 axis makes it 1
+        for extra in [(1,), (2,), (1, 2), (2, 1), (2, 2)]:
+            for at in combinations(range(3 + len(extra)), len(extra)):
+                padded = Shape(_with_axes(dims, extra, at))
+                assert count_closed_form(padded) == (1 if 1 in extra else expected), padded
 
 
 def test_count_of_cubes_of_side_three_is_dedekind():

@@ -3,6 +3,7 @@ validation."""
 
 from enum import IntEnum
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_grid import validate
@@ -10,9 +11,10 @@ from reference_grid import validate
 from maxac import (
     DimensionMismatchError,
     Grid,
+    PreconditionViolatedError,
     Shape,
     contains_forbidden,
-    count_2d,
+    count_closed_form,
     is_maximal,
     max_size,
     strictly_below,
@@ -59,19 +61,37 @@ def test_max_size_counts_boundary_cells(dims):
     )
 
 
+def _count(*dims):
+    return count_closed_form(Shape(dims))
+
+
 @given(st.integers(1, 30), st.integers(1, 30))
 def test_count_2d_symmetry(w1, w2):
-    assert count_2d(w1, w2) == count_2d(w2, w1)
+    assert _count(w1, w2) == _count(w2, w1)
+
+
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=6).flatmap(
+    lambda dims: st.tuples(st.just(dims), st.permutations(dims))))
+def test_count_closed_form_is_invariant_under_axis_permutations(case):
+    dims, permuted = case
+    try:
+        expected = _count(*dims)
+    except PreconditionViolatedError:
+        assert sum(w > 2 for w in dims) > 3 and 1 not in dims
+        with pytest.raises(PreconditionViolatedError):
+            _count(*permuted)
+        return
+    assert _count(*permuted) == expected
 
 
 @given(st.integers(2, 30), st.integers(2, 30))
 def test_count_2d_pascal_recurrence(w1, w2):
-    assert count_2d(w1, w2) == count_2d(w1 - 1, w2) + count_2d(w1, w2 - 1)
+    assert _count(w1, w2) == _count(w1 - 1, w2) + _count(w1, w2 - 1)
 
 
 @given(st.integers(1, 30))
 def test_count_2d_degenerate_row(k):
-    assert count_2d(1, k) == 1
+    assert _count(1, k) == 1
 
 
 @settings(max_examples=30)

@@ -39,6 +39,20 @@ def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
     assert result.detail == "transfer DP gives 7, enumeration 6"
 
 
+def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch):
+    for dims, detail in [((3, 3), "enumerated 6; binomial form agrees (6)"),
+                         ((2, 2, 2), "enumerated 2; min-dimension form agrees (2)"),
+                         ((1, 2), "enumerated 1; binomial form agrees (1); "
+                                  "min-dimension form agrees (1)"),
+                         ((3, 3, 2), "enumerated 6"), ((2, 3, 4), "enumerated 10")]:
+        assert verification.check_counting(Shape(dims)).detail == detail
+    monkeypatch.setattr(verification, "count_closed_form", lambda shape: 21)
+    for dims in [(3, 3), (2, 2, 2), (2, 3, 4)]:
+        result = verification.check_counting(Shape(dims))
+        assert not result.passed
+        assert result.detail.startswith("closed form gives 21, enumeration ")
+
+
 def test_verify_shape_refuses_work_above_its_limits(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work started above the limit")
