@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
@@ -39,9 +40,34 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _digit_count(x: int) -> int:
+    """Decimal digits of ``abs(x)``, without converting it to a string."""
+    x = abs(x)
+    # the bit length fixes the count up to one either way
+    n = max(1, int(x.bit_length() * math.log10(2)))
+    while n > 1 and 10 ** (n - 1) > x:
+        n -= 1
+    while 10 ** n <= x:
+        n += 1
+    return n
+
+
+class _BriefRepr(reprlib.Repr):
+    def repr_int(self, x, level):
+        # repr refuses ints past the interpreter's digit limit, so those are
+        # quoted by size
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        # fewer than 3 * limit bits means at most limit digits
+        if limit and x.bit_length() > 3 * limit:
+            n = _digit_count(x)
+            if n > limit:
+                return f"<{'negative ' if x < 0 else ''}int with {n} digits>"
+        return super().repr_int(x, level)
+
+
 # error details quote an offending value through this, so a huge malformed
 # input gives a short one-line message instead of a copy of itself
-_brief = reprlib.Repr()
+_brief = _BriefRepr()
 _brief.maxlevel, _brief.maxtuple, _brief.maxlist, _brief.maxdict = 3, 8, 8, 4
 _brief.maxstring = _brief.maxlong = _brief.maxother = 40
 
@@ -111,7 +137,9 @@ class Grid:
     cells; only an input it rejects, or one with ``int`` subclasses such as
     ``IntEnum``, is walked cell by cell.  The grids the library builds itself
     (the leaves of ``enumerate_maximal``) are sorted, in-box, distinct
-    ``int`` tuples by construction, and skip the check.
+    ``int`` tuples by construction, and skip the check.  Their cells are the
+    very tuples of the ``_box`` cache, and a box with a size-1 axis gets
+    the cache's whole cell tuple as its one grid's ``ones``.
     """
 
     shape: Shape
@@ -204,7 +232,8 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
 
 
 # keyed by dims, so the thousands of is_maximal calls of one verify run share
-# one box; the cells and strides are tuples, and no caller mutates them
+# one box; enumerate_maximal slices its leaves' rows out of the same cells.
+# The cells and strides are tuples, and no caller mutates them
 @lru_cache(maxsize=32)
 def _box(dims: tuple[int, ...]) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
     cells = tuple(product(*(range(1, w + 1) for w in dims)))

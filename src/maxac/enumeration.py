@@ -19,6 +19,21 @@ where their ``l`` differs, and the smaller ``l`` puts the smaller cell first:
 the leaves come out in canonical order (sorted by cell list) with no sort.
 For d = 1 the box is one row whose grids are the single cells ``(i,)``.
 
+A box with a size-1 axis and d >= 2 needs no search.  The size law gives
+every maximal grid ``prod(w_i) - prod(w_i - 1) = prod(w_i)`` cells, the
+whole box, and the whole box is clean: any two of its cells agree on that
+axis, so neither lies strictly below the other.  Both functions answer it
+at once, one grid (the box's cells in lexicographic order) and the count 1,
+after the same argument checks and cell budget as any other box.
+
+Consecutive leaves share most of their rows.  A row's cells are the run
+from ``l`` to ``h`` of its own cells, so they read two slots of the left-end
+vector, and an odometer step changes only the slot it bumps and the slots
+it resets from above 1.  So the enumerator keeps each row's run as a slice
+of the box's cell tuple (``core._box``, which ``is_maximal`` shares),
+refreshes only the rows that read a changed slot, and joins the runs into
+each kept leaf.  Past ``cap`` it walks on without refreshing, to count.
+
 ``count_maximal`` runs the same constraints as a transfer DP instead of
 visiting the grids.  It assigns the interior rows in the same order, but
 keeps only a dict from the *window*, the last ``span`` left ends assigned,
@@ -65,7 +80,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, product
 from typing import Iterator, Sequence
 
-from .core import Cell, Grid, Shape, _is_int, _layout, _trusted, _turn_on, comparable
+from .core import Cell, Grid, Shape, _box, _is_int, _layout, _trusted, _turn_on, comparable
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -96,9 +111,13 @@ def _interior_rows(
     return index, bounds
 
 
-def _iter_left_ends(bounds: Sequence[tuple[int, ...]], top: int) -> Iterator[list[int]]:
+def _iter_left_ends(
+    bounds: Sequence[tuple[int, ...]], top: int
+) -> Iterator[tuple[list[int], Sequence[int]]]:
     """Yield every order-reversing left-end vector in ascending lexicographic
-    order, as one list updated in place (read it before advancing).
+    order, as one list updated in place (read it before advancing), with the
+    slots whose value changed since the last vector: every slot, constants
+    included, for the first.
 
     An odometer: bump the last entry still below its bound and reset the
     ones after it to 1.  A row's bound reads only earlier rows, which the
@@ -106,15 +125,20 @@ def _iter_left_ends(bounds: Sequence[tuple[int, ...]], top: int) -> Iterator[lis
     """
     n = len(bounds)
     l = [1] * n + [1, top]
+    changed = range(n + 2)
     while True:
-        yield l
+        yield l, changed
+        changed = []
         j = n - 1
         while j >= 0 and l[j] == min([l[p] for p in bounds[j]]):
-            l[j] = 1
+            if l[j] > 1:
+                l[j] = 1
+                changed.append(j)
             j -= 1
         if j < 0:
             return
         l[j] += 1
+        changed.append(j)
 
 
 @dataclass(frozen=True)
@@ -152,24 +176,35 @@ def enumerate_maximal(
     _require_positive("max_cells", max_cells)
     if shape.cell_count > max_cells:
         raise ShapeTooLargeError(shape.cell_count, max_cells)
+    dims = shape.dims
+    cells = _box(dims)[0]
+    if shape.d >= 2 and 1 in dims:
+        # the size law gives the whole box, the one maximal grid
+        return EnumerationReport(shape=shape, grids=(_trusted(Grid, shape=shape, ones=cells),),
+                                 count=1, truncated=False)
     index, bounds = _interior_rows(shape)
-    top = shape.dims[-1]
-    # Per row: all of its cells, the slot of its l, and the slot of its h,
+    top = dims[-1]
+    # Per slot of the left-end vector (the constants 1 and w_d at -2 and -1
+    # are its last two), the rows that read it.  A row is its index, its
+    # flat offset into the box, the slot of its l, and the slot of its h,
     # which is l at x - (1, ..., 1) when that row exists and w_d otherwise.
     # For d = 1 the one row () is its own x - (1, ..., 1), so h = l.
-    rows = [
-        (
-            tuple(x + (y,) for y in range(1, top + 1)),
-            index.get(x, -2),
-            index.get(tuple(c - 1 for c in x), -1),
-        )
-        for x in shape.iter_rows()
-    ]
+    readers = [[] for _ in range(len(bounds) + 2)]
+    for r, x in enumerate(shape.iter_rows()):
+        lo, hi = index.get(x, -2), index.get(tuple(c - 1 for c in x), -1)
+        for slot in {lo, hi}:
+            readers[slot].append((r, r * top, lo, hi))
+    # per row, its run of cells in the current leaf
+    parts = [()] * (len(cells) // top)
     leaves = _iter_left_ends(bounds, top)
-    kept = [
-        tuple(c for cells, lo, hi in rows for c in cells[l[lo] - 1 : l[hi]])
-        for l in islice(leaves, cap)
-    ]
+    kept = []
+    for l, changed in islice(leaves, cap):
+        for slot in changed:
+            for r, offset, lo, hi in readers[slot]:
+                parts[r] = cells[offset + l[lo] - 1 : offset + l[hi]]
+        kept.append(tuple(chain.from_iterable(parts)))
+    # the odometer counts the rest itself: verification.check_counting
+    # compares this count with count_maximal's
     count = len(kept) + sum(1 for _ in leaves)
     # each leaf is a sorted tuple of distinct in-box int cells already: the
     # rows come in order and a row's cells ascend
@@ -183,13 +218,16 @@ def enumerate_maximal(
 
 def count_maximal(shape: Shape, *, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
     """Number of maximal grids over ``shape``, by the sliding-window transfer
-    DP over the interior rows' left ends (module docstring).  ``max_cells``
-    is a budget in cells, like ``enumerate_maximal``'s."""
+    DP over the interior rows' left ends (module docstring), or 1 at once
+    for a size-1 axis when d >= 2.  ``max_cells`` is a budget in cells, like
+    ``enumerate_maximal``'s."""
     _require_positive("max_cells", max_cells)
     if shape.cell_count > max_cells:
         raise ShapeTooLargeError(shape.cell_count, max_cells)
     if shape.d == 1:
         return shape.dims[0]
+    if 1 in shape.dims:
+        return 1
     *middle, second, largest = sorted(shape.dims)
     return _transfer_count((largest, *middle, second))
 

@@ -85,6 +85,22 @@ def test_enumerate_too_large(capsys):
     assert json.loads(err)["error"] == "ShapeTooLarge"
 
 
+def test_size_one_boxes_keep_their_bytes(capsys):
+    status, out, err = run(capsys, "enumerate", "--w", "3,1,2")
+    assert status == 0 and err == ""
+    assert out == (
+        '{"w":[3,1,2],"count":1,"truncated":false,"grids":[{"w":[3,1,2],"ones":'
+        '[[1,1,1],[1,1,2],[2,1,1],[2,1,2],[3,1,1],[3,1,2]]}]}\n')
+    status, out, err = run(capsys, "count", "--w", "3,1,2")
+    assert status == 0 and err == ""
+    assert out == '{"w":[3,1,2],"method":"enumerate","count":1}\n'
+    # the cell budget still comes first
+    status, out, err = run(capsys, "enumerate", "--w", "1,30")
+    assert status == 1 and out == ""
+    assert json.loads(err) == {"error": "ShapeTooLarge",
+                               "detail": "box has 30 cells, limit is 25"}
+
+
 def test_verify_passes(capsys):
     status, out, _ = run(
         capsys, "verify", "--w", "2,2,2", "--samples", "50", "--trials", "5", "--json"

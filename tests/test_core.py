@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 import reference_dominance
@@ -16,7 +17,7 @@ from maxac import (
     strictly_below,
     weight,
 )
-from maxac.core import _layout
+from maxac.core import _digit_count, _layout
 
 
 def test_strictly_below_examples():
@@ -173,6 +174,29 @@ def test_grid_validation():
         with pytest.raises(error) as err:
             Grid(shape, ones)
         assert str(err.value) == text if text else len(str(err.value)) < 200
+
+
+def test_ints_past_the_digit_limit_are_quoted_by_size():
+    # repr refuses such ints, so the error would otherwise be the
+    # interpreter's "Exceeds the limit" instead of the intended message
+    limit = sys.get_int_max_str_digits()
+    assert limit and limit < 5000
+    with pytest.raises(ValueError) as err:
+        Grid(Shape((2, 2)), [(10**5000, 1)])
+    assert str(err.value) == "cell (<int with 5001 digits>, 1) lies outside the box (2, 2)"
+    with pytest.raises(ValueError) as err:
+        Shape((-10**5000,))
+    assert str(err.value) == (
+        "dimensions must be positive integers, got <negative int with 5001 digits>")
+    # at the limit the short repr is unchanged
+    with pytest.raises(ValueError) as err:
+        Shape((-(10 ** (limit - 1)),))
+    assert str(err.value).endswith("got -10000000000000000...0000000000000000000")
+    # the digit count is exact on both sides of a power of ten
+    for k in (limit, limit + 1, 6000):
+        for x, digits in [(10**k - 1, k), (10**k, k + 1), (-(10**k), k + 1)]:
+            assert _digit_count(x) == digits
+    assert [_digit_count(x) for x in (0, 1, 9, 10, -99, 100)] == [1, 1, 1, 2, 2, 3]
 
 
 def test_grid_is_canonically_sorted():

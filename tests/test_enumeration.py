@@ -4,6 +4,7 @@ from itertools import combinations, permutations
 
 import pytest
 import reference_dominance
+import reference_enumerate
 from bitmask_search import search_maximal
 
 from maxac import (
@@ -22,6 +23,7 @@ from maxac import (
     random_maximal,
     weight,
 )
+from maxac import enumeration
 from maxac.enumeration import _transfer_count
 
 # frozen from the definitional subset-filter oracle
@@ -123,6 +125,53 @@ def test_search_agrees_with_bitmask_search_on_every_shape_in_budget():
         expected = search_maximal(shape)
         assert [g.ones for g in enumerate_maximal(shape).grids] == expected, shape.dims
         assert count_maximal(shape) == len(expected), shape.dims
+
+
+def test_enumeration_matches_the_plain_odometer():
+    # the reference rebuilds every leaf from scratch and has no size-1
+    # shortcut; LADDER is every shape of the benchmark's ladder
+    shapes = list(iter_shapes(25, 4)) + [Shape(dims) for dims in LADDER]
+    for shape in shapes:
+        for cap in [None, 1, 2, 5, 1000]:
+            report = enumerate_maximal(shape, cap, max_cells=shape.cell_count)
+            got = ([g.ones for g in report.grids], report.count, report.truncated)
+            assert got == reference_enumerate.enumerate_maximal(shape, cap), (shape.dims, cap)
+
+
+def test_a_size_one_axis_leaves_the_whole_box_as_the_one_maximal_grid():
+    shapes = [s for s in iter_shapes(16, 4) if s.d >= 2 and 1 in s.dims]
+    assert len(shapes) == 337
+    for shape in shapes:
+        report = enumerate_maximal(shape)
+        assert report.grids == brute_force_maximal(shape), shape.dims
+        assert report.grids == (Grid(shape, shape.iter_cells()),), shape.dims
+        assert report.count == count_maximal(shape) == 1 and not report.truncated
+
+
+def test_a_size_one_axis_skips_the_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("searched a box with a size-1 axis")
+
+    monkeypatch.setattr(enumeration, "_interior_rows", no_search)
+    monkeypatch.setattr(enumeration, "_transfer_count", no_search)
+    for dims in [(21, 1), (1, 5, 5), (2, 1, 3, 4)]:
+        assert enumerate_maximal(Shape(dims)).count == count_maximal(Shape(dims)) == 1
+
+
+def test_a_size_one_axis_keeps_every_argument_check_and_the_budget():
+    with pytest.raises(ShapeTooLargeError):
+        enumerate_maximal(Shape((1, 30)))
+    with pytest.raises(ShapeTooLargeError):
+        count_maximal(Shape((30, 1)))
+    for shape in [Shape((1, 3)), Shape((3, 1, 2))]:
+        with pytest.raises(ValueError, match="^cap must be a positive integer$"):
+            enumerate_maximal(shape, cap=0)
+        with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
+            enumerate_maximal(shape, max_cells=True)
+        with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
+            count_maximal(shape, max_cells=True)
+    assert enumerate_maximal(Shape((1, 30)), max_cells=30).count == 1
+    assert count_maximal(Shape((30, 1)), max_cells=30) == 1
 
 
 def test_count_2d_above_the_budget():

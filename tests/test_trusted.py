@@ -106,6 +106,9 @@ def test_trusted_builds_equal_the_public_constructors_on_small_shapes():
         for g in _maximal_grids(shape.dims):
             grids += 1
             assert g == Grid(g.shape, g.ones)
+            if shape.d >= 2 and 1 in shape.dims:
+                # the one grid is the cache's whole cell tuple
+                assert g == Grid(shape, shape.iter_cells())
             if shape.d >= 2:
                 _check_chain(to_intervals(g), every_step=True)
     assert grids == 1772
