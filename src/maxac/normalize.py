@@ -22,9 +22,10 @@ failing check leaves no verdict.  A whole normalize/peel chain from a
 checked map thus sweeps once, and on a maximal map the work is small:
 
 * A convert step lowers only h(x), so it removes exactly x from the
-  obstruction set and adds nothing.  ``normalize`` therefore computes the set
-  once, walks it in ascending order skipping rows already drained, mutates
-  one dict of intervals and builds a single IntervalMap at the end.
+  obstruction set and adds nothing.  ``normalize`` therefore reads the set
+  once, ascending, off the flat row layout that ``check_characterization``
+  sweeps (``rowform._sweep_plan``, shared by every level of a chain), drains
+  it on one list of l and one of h, and builds one IntervalMap at the end.
 * h is order-reversing, so the top-touching rows form a down-set.  The
   lexicographically first top-touching row strictly above x is then
   x + (1,...,1) if any is, and the first one at or above x other than x is
@@ -43,9 +44,9 @@ checked map thus sweeps once, and on a maximal map the work is small:
   where stage 2 starts afresh.  Once the pending row itself is converted,
   the walk starts anew from the next pending row still in the set.  Every
   row the climb enters is converted before it is left, so a whole
-  normalization costs O(d) per diagonal step of each pending row plus
-  O(d^2) per convert step, instead of a walk from the pending row on every
-  step.
+  normalization costs O(1) per diagonal step of each pending row plus O(d)
+  per convert step (one addition per step on flat indices), instead of a
+  walk from the pending row on every step.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Shape
+from .core import Shape, _trusted
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
-from .rowform import IntervalMap, RowId, _trusted_map, check_characterization, x_set
+from .rowform import (IntervalMap, RowId, _bounds, _obstructed, _trusted_map,
+                      check_characterization, x_set)
 
 
 @dataclass(frozen=True)
@@ -85,44 +87,39 @@ def _require_maximal(m: IntervalMap, verb: str) -> None:
             raise NotMaximalError(str(report))
 
 
-def _walk(intervals: dict, dims: tuple[int, ...], top: int,
-          pending: Iterable[RowId]) -> Iterator[tuple[RowId, RowId]]:
-    """Yield the convert pairs of a maximal map, draining ``pending`` (its
-    obstruction rows, ascending) in order.
+def _walk(ls: list[int], hs: list[int], plan: tuple, top: int,
+          pending: Iterable[int]) -> Iterator[tuple[RowId, RowId]]:
+    """Yield the convert pairs of a maximal map, draining ``pending`` (the
+    flat indices of its obstruction rows, ascending) in order.
 
-    Each pair is applied to ``intervals`` when the walk is resumed after it,
-    so the first pair alone leaves ``intervals`` untouched.  The climb is a
-    stack of rows; see the module docstring for why resuming it gives the
-    pairs of a fresh search.
+    ``ls`` and ``hs`` hold the bounds by flat index into ``plan``, the map's
+    ``_sweep_plan``; each pair is applied to them when the walk is resumed
+    after it, so the first pair alone leaves them untouched.  The climb is a
+    stack of flat indices; see the module docstring for why resuming it
+    gives the pairs of a fresh search.
     """
-    axes = range(len(dims) - 2, -1, -1)  # the row's axes, largest first
+    rows, _, _, diag, axes = plan
     for start in pending:
-        if intervals[start][1] != top:
+        if hs[start] != top:
             continue  # drained by an earlier step
         s = start
-        while intervals[s][0] == top:
-            s = tuple(c + 1 for c in s)
+        while ls[s] == top:
+            s += diag
         path = [s]
         while path:
             x = path[-1]
-            for k in axes:
-                if x[k] < dims[k]:
-                    z = x[:k] + (x[k] + 1,) + x[k + 1:]
-                    if intervals[z][1] == top:
-                        path.append(z)
-                        break
+            row = rows[x]
+            for k, w, stride in axes:
+                if row[k] < w and hs[x + stride] == top:
+                    path.append(x + stride)
+                    break
             else:
-                x_prime = tuple(c - 1 for c in x)
-                yield x, x_prime
-                _convert(intervals, top, x, x_prime)
+                x_prime = x - diag
+                yield row, rows[x_prime]
+                hs[x] = ls[x_prime] = top - 1
                 path.pop()
                 if not path and x != start:
                     path.append(x_prime)
-
-
-def _convert(intervals: dict, top: int, x: RowId, x_prime: RowId) -> None:
-    intervals[x] = (intervals[x][0], top - 1)
-    intervals[x_prime] = (top - 1, intervals[x_prime][1])
 
 
 def find_pair(m: IntervalMap) -> tuple[RowId, RowId]:
@@ -139,14 +136,15 @@ def find_pair(m: IntervalMap) -> tuple[RowId, RowId]:
     the smallest rival descendant while the diagonal ancestor has one.
     """
     _require_maximal(m, "find_pair")
-    obstructed = x_set(m)
-    if not obstructed:
+    plan, pending = _obstructed(m)
+    if not pending:
         raise EmptyXSetError()
     top = m.top
     if top < 2:
         # every interval is (1, 1); no weight can move anywhere
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    return next(_walk(m.intervals, m.shape.dims, top, [min(obstructed)]))
+    ls, hs = _bounds(m, plan[0])
+    return next(_walk(ls, hs, plan, top, pending[:1]))
 
 
 def convert_step(m: IntervalMap) -> IntervalMap:
@@ -156,8 +154,10 @@ def convert_step(m: IntervalMap) -> IntervalMap:
     the obstruction set.
     """
     x, x_prime = find_pair(m)
+    top = m.top
     fixed = dict(m.intervals)
-    _convert(fixed, m.top, x, x_prime)
+    fixed[x] = (fixed[x][0], top - 1)
+    fixed[x_prime] = (top - 1, fixed[x_prime][1])
     return _trusted_map(m.shape, fixed, maximal=True)
 
 
@@ -170,16 +170,16 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     already empty is returned unchanged.
     """
     _require_maximal(m, "normalize")
-    pending = sorted(x_set(m))
+    plan, pending = _obstructed(m)
     if not pending:
         return NormalizeReport(result=m, steps=0, pairs=())
     top = m.top
     if top < 2:
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    intervals = dict(m.intervals)
-    pairs = tuple(_walk(intervals, m.shape.dims, top, pending))
+    ls, hs = _bounds(m, plan[0])
+    pairs = tuple(_walk(ls, hs, plan, top, pending))
     return NormalizeReport(
-        result=_trusted_map(m.shape, intervals, maximal=True),
+        result=_trusted_map(m.shape, dict(zip(plan[0], zip(ls, hs))), maximal=True),
         steps=len(pairs),
         pairs=pairs,
     )
@@ -196,14 +196,11 @@ def peel(m: IntervalMap) -> IntervalMap:
     characterization to hold (else NotMaximalError).
     """
     _require_maximal(m, "peel")
-    if m.top < 2:
+    top = m.top
+    if top < 2:
         raise BottomedOutError("last dimension is already 1")
-    obstructed = x_set(m)
-    if obstructed:
-        raise XSetNonEmptyError(obstructed)
-    new_shape = Shape(m.shape.dims[:-1] + (m.top - 1,))
-    fixed = {
-        row: (l, h - 1) if 1 in row else (l, h)
-        for row, (l, h) in m.intervals.items()
-    }
-    return _trusted_map(new_shape, fixed, maximal=True)
+    if _obstructed(m)[1]:
+        raise XSetNonEmptyError(x_set(m))
+    fixed = {row: (l, h - 1) if h == top else (l, h) for row, (l, h) in m.intervals.items()}
+    shape = _trusted(Shape, dims=m.shape.dims[:-1] + (top - 1,))
+    return _trusted_map(shape, fixed, maximal=True)

@@ -188,13 +188,15 @@ class CharacterizationReport:
 # keyed by the row dimensions alone, so one plan serves every level of a
 # normalize/peel chain, which shrinks only the last axis
 @lru_cache(maxsize=256)
-def _sweep_plan(pre: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], int]:
+def _sweep_plan(pre: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], int, tuple]:
     """Flat strided layout of the rows of a box with row dimensions ``pre``.
 
     Flat order is ascending lexicographic order.  Returns the rows; the
     (previous, current) slice pairs that fold each coordinate value into the
     next along every axis but the last; the flat index of every row that has
-    a descendant; and the flat offset of (1, ..., 1).
+    a descendant, ascending; the flat offset of (1, ..., 1), the diagonal
+    step of ``normalize``'s walk; and its climb steps, one (axis, w, stride)
+    per axis, largest axis first: row i + stride if row i is below w there.
     """
     n = math.prod(pre)
     strides = [math.prod(pre[k + 1:]) for k in range(len(pre))]
@@ -208,7 +210,14 @@ def _sweep_plan(pre: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], in
     for w, s in zip(pre, strides):
         inner = [i + c * s for i in inner for c in range(w - 1)]
     rows = tuple(product(*(range(1, w + 1) for w in pre)))
-    return rows, chunks, tuple(inner), sum(strides)
+    axes = tuple((k, pre[k], strides[k]) for k in reversed(range(len(pre))))
+    return rows, chunks, tuple(inner), sum(strides), axes
+
+
+def _bounds(m: IntervalMap, rows) -> tuple[list[int], list[int]]:
+    """The l and the h of every row of ``m``, in the order of ``rows``."""
+    bounds = list(map(m.intervals.__getitem__, rows))
+    return [l for l, _ in bounds], [h for _, h in bounds]
 
 
 def _prefix_min(a: list[int], chunks, w: int) -> None:
@@ -242,10 +251,8 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
                          "use contains_forbidden for d = 1")
     top = m.top
     pre = m.shape.dims[:-1]
-    rows, chunks, inner, diag = _sweep_plan(pre)
-    bounds = list(map(m.intervals.__getitem__, rows))
-    ls = [l for l, _ in bounds]
-    hs = [h for _, h in bounds]
+    rows, chunks, inner, diag, _ = _sweep_plan(pre)
+    ls, hs = _bounds(m, rows)
     n = len(rows)
 
     low = ls.copy()
@@ -278,9 +285,13 @@ def x_set(m: IntervalMap) -> set[RowId]:
     """
     if m.shape.d < 2:
         raise ValueError("x_set applies to d >= 2 only")
-    top = m.top
-    return {
-        row
-        for row, (_, h) in m.intervals.items()
-        if h == top and 1 not in row
-    }
+    plan, pending = _obstructed(m)
+    return {plan[0][i] for i in pending}
+
+
+def _obstructed(m: IntervalMap) -> tuple[tuple, list[int]]:
+    """The row plan of ``m`` and its obstruction rows' flat indices, ascending:
+    the rows with ancestors are the inner rows' diagonal successors."""
+    rows, _, inner, diag, _ = plan = _sweep_plan(m.shape.dims[:-1])
+    intervals, top = m.intervals, m.top
+    return plan, [i + diag for i in inner if intervals[rows[i + diag]][1] == top]

@@ -9,8 +9,11 @@ tests require both to give identical reports.
 
 ``normalize_restarting`` is the incremental pass that searches every pair
 afresh from the smallest pending row, as ``maxac.normalize`` did before its
-walk resumed; it is fast enough to check maps far beyond the reach of the
-definitional ``normalize``.  ``seeded_maximal_map`` builds their inputs
+walk resumed; ``normalize_resumed`` is the resumed walk on row tuples, as
+``maxac.normalize`` ran it before it moved to flat row indices.  Both are
+fast enough to check maps far beyond the reach of the definitional
+``normalize``.  ``peel`` is the top cross-section removed by the definition,
+through the public constructors.  ``seeded_maximal_map`` builds inputs
 beyond the enumeration budget.
 """
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import random
 from itertools import product
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from maxac import (
     BottomedOutError,
@@ -28,7 +31,7 @@ from maxac import (
     NormalizeReport,
     NotMaximalError,
     Shape,
-    x_set,
+    XSetNonEmptyError,
 )
 from maxac.rowform import RowId
 from maxac.rowform import check_characterization as sweep_characterization
@@ -46,6 +49,11 @@ def descendant_rows(row: RowId, shape: Shape) -> Iterator[RowId]:
     if not row:
         return
     yield from product(*(range(x + 1, w + 1) for x, w in zip(row, shape.dims)))
+
+
+def x_set(m: IntervalMap) -> set[RowId]:
+    """Rows that reach the top and have an ancestor (no coordinate 1)."""
+    return {row for row, (_, h) in m.intervals.items() if h == m.top and 1 not in row}
 
 
 def check_characterization(m: IntervalMap) -> CharacterizationReport:
@@ -173,6 +181,74 @@ def normalize_restarting(m: IntervalMap) -> NormalizeReport:
     return NormalizeReport(
         result=IntervalMap(m.shape, intervals), steps=len(pairs), pairs=tuple(pairs)
     )
+
+
+def _walk(intervals: dict, dims: tuple[int, ...], top: int,
+          pending: Iterable[RowId]) -> Iterator[tuple[RowId, RowId]]:
+    """The convert pairs of a maximal map from its obstruction rows
+    (ascending), each applied to ``intervals`` when the walk resumes after
+    it.  The climb is a stack of row tuples that pops a converted row and
+    scans its parent's axes again instead of searching afresh."""
+    axes = range(len(dims) - 2, -1, -1)  # the row's axes, largest first
+    for start in pending:
+        if intervals[start][1] != top:
+            continue  # drained by an earlier step
+        s = start
+        while intervals[s][0] == top:
+            s = tuple(c + 1 for c in s)
+        path = [s]
+        while path:
+            x = path[-1]
+            for k in axes:
+                if x[k] < dims[k]:
+                    z = x[:k] + (x[k] + 1,) + x[k + 1:]
+                    if intervals[z][1] == top:
+                        path.append(z)
+                        break
+            else:
+                x_prime = tuple(c - 1 for c in x)
+                yield x, x_prime
+                intervals[x] = (intervals[x][0], top - 1)
+                intervals[x_prime] = (top - 1, intervals[x_prime][1])
+                path.pop()
+                if not path and x != start:
+                    path.append(x_prime)
+
+
+def normalize_resumed(m: IntervalMap) -> NormalizeReport:
+    """One pass over the obstruction set in ascending order, the pair walk
+    resumed after every convert step, on a dict keyed by row tuples."""
+    if m.shape.d < 2:
+        raise ValueError("normalize applies to d >= 2 only")
+    report = sweep_characterization(m)
+    if not report:
+        raise NotMaximalError(str(report))
+    pending = sorted(x_set(m))
+    if not pending:
+        return NormalizeReport(result=m, steps=0, pairs=())
+    top = m.top
+    if top < 2:
+        raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
+    intervals = dict(m.intervals)
+    pairs = tuple(_walk(intervals, m.shape.dims, top, pending))
+    return NormalizeReport(
+        result=IntervalMap(m.shape, intervals), steps=len(pairs), pairs=pairs
+    )
+
+
+def peel(m: IntervalMap) -> IntervalMap:
+    """Every ancestor-free row (some coordinate 1) loses its top cell, and
+    the box its last layer; the obstruction set must be empty."""
+    if m.shape.d < 2:
+        raise ValueError("peel applies to d >= 2 only")
+    if m.top < 2:
+        raise BottomedOutError("last dimension is already 1")
+    obstructed = x_set(m)
+    if obstructed:
+        raise XSetNonEmptyError(obstructed)
+    return IntervalMap(Shape(m.shape.dims[:-1] + (m.top - 1,)), {
+        row: (l, h - 1) if 1 in row else (l, h) for row, (l, h) in m.intervals.items()
+    })
 
 
 def seeded_maximal_map(dims, rng: random.Random) -> IntervalMap:

@@ -5,6 +5,7 @@ import reference_normalize as ref
 
 from maxac import (
     BottomedOutError,
+    BoxError,
     EmptyXSetError,
     IntervalMap,
     NotMaximalError,
@@ -21,6 +22,7 @@ from maxac import (
     to_intervals,
     x_set,
 )
+from maxac.rowform import _obstructed
 
 
 def _iw(m):
@@ -170,13 +172,15 @@ def test_convert_machinery_rejects_non_maximal_maps(op, m):
     assert str(err.value) == str(check_characterization(m))
 
 
-def _chain(norm, m):
-    """Reports of normalize at every level of the normalize/peel chain."""
-    reports = []
+def _chain(norm, m, peel_top=peel):
+    """The report of ``norm`` and the peeled map at every level of the
+    normalize/peel chain from ``m``."""
+    levels = []
     while m.top > 1:
-        reports.append(norm(m))
-        m = peel(reports[-1].result)
-    return reports
+        report = norm(m)
+        m = peel_top(report.result)
+        levels.append((report, m))
+    return levels
 
 
 def test_normalize_matches_reference_on_every_small_maximal_grid():
@@ -188,10 +192,32 @@ def test_normalize_matches_reference_on_every_small_maximal_grid():
         for g in enumerate_maximal(shape).grids:
             grids += 1
             m = to_intervals(g)
-            reports = _chain(normalize, m)
-            assert reports == _chain(ref.normalize, m), g.ones
-            steps += sum(r.steps for r in reports)
+            levels = _chain(normalize, m)
+            assert levels == _chain(ref.normalize, m, ref.peel), g.ones
+            steps += sum(r.steps for r, _ in levels)
     assert (shapes, grids, steps) == (714, 1447, 4055)
+
+
+def test_the_plan_lists_the_obstruction_set_in_ascending_order():
+    # the flat pending rows replace sorted(x_set(m)), and x_set reads them;
+    # both checked against the definition at every level of every small
+    # chain, before and after normalize
+    maps = obstructed = 0
+    for shape in iter_shapes(25, 4):
+        if shape.d < 2:
+            continue
+        for g in enumerate_maximal(shape).grids:
+            levels = [to_intervals(g)]
+            while levels[-1].top > 1:
+                levels.append(normalize(levels[-1]).result)
+                levels.append(peel(levels[-1]))
+            for m in levels:
+                maps += 1
+                plan, pending = _obstructed(m)
+                assert [plan[0][i] for i in pending] == sorted(ref.x_set(m)), g.ones
+                assert x_set(m) == ref.x_set(m)
+                obstructed += bool(pending)
+    assert (maps, obstructed) == (10437, 2826)
 
 
 def test_find_pair_and_convert_step_resume_where_normalize_does():
@@ -226,10 +252,79 @@ def _large_map_id(v):
 def test_normalize_matches_reference_on_large_maps(dims, seed):
     m = ref.seeded_maximal_map(dims, random.Random(seed))
     assert ref.check_characterization(m)
-    reports = _chain(normalize, m)
-    assert reports == _chain(ref.normalize_restarting, m)
-    assert reports == _chain(ref.normalize, m)
-    assert len(reports) == dims[-1] - 1 and sum(r.steps for r in reports) > 0
+    levels = _chain(normalize, m)
+    assert levels == _chain(ref.normalize_resumed, m, ref.peel)
+    assert levels == _chain(ref.normalize_restarting, m, ref.peel)
+    assert levels == _chain(ref.normalize, m, ref.peel)
+    assert len(levels) == dims[-1] - 1 and sum(r.steps for r, _ in levels) > 0
+
+
+# size-2 axes, where a stride step along a short axis crosses a row of the
+# next one; size-1 axes, whose plans have no inner rows; plans of one and two rows
+LAYOUT_EDGES = [(2, 2, 2, 2, 2, 3), (2, 9, 2, 9), (3, 2, 5), (9, 2), (2, 2),
+                (1, 5), (1, 4, 3), (3, 1, 4)]
+
+
+@pytest.mark.parametrize("dims", LAYOUT_EDGES, ids=_large_map_id)
+def test_the_flat_walk_matches_the_tuple_walk_on_layout_edges(dims):
+    shape = Shape(dims)
+    maps = [to_intervals(g) for g in enumerate_maximal(shape, max_cells=40).grids] \
+        if shape.cell_count <= 40 else []
+    maps += [ref.seeded_maximal_map(dims, random.Random(seed)) for seed in range(20)]
+    steps = 0
+    for m in maps:
+        levels = _chain(normalize, m)
+        assert levels == _chain(ref.normalize_resumed, m, ref.peel), dict(m.intervals)
+        steps += sum(r.steps for r, _ in levels)
+    assert steps > 0 or 1 in dims
+
+
+def _outcome(op, m):
+    """The result of ``op`` on ``m``, or the type, message and obstruction
+    rows of the error it raises."""
+    try:
+        return op(m)
+    except BoxError as err:
+        return type(err), str(err), getattr(err, "rows", None)
+
+
+# maximal maps whose obstruction set is empty, or whose top is 1 (where no
+# interval can be lowered), and maps breaking the characterization
+ALL_ONES_221 = IntervalMap(
+    Shape((2, 2, 1)), {(1, 1): (1, 1), (1, 2): (1, 1), (2, 1): (1, 1), (2, 2): (1, 1)})
+FLAT21 = IntervalMap(Shape((2, 1)), {(1,): (1, 1), (2,): (1, 1)})
+ERROR_MAPS = [M22, M22_DONE, M33, ALL_ONES_221, FLAT21, FULL33, TOPS33, PEELBAD33]
+
+
+@pytest.mark.parametrize("m", ERROR_MAPS,
+                         ids=["m22", "m22done", "m33", "ones221", "flat21",
+                              "full", "tops", "peelbad"])
+@pytest.mark.parametrize("op, oracle", [(find_pair, ref.find_pair),
+                                        (normalize, ref.normalize_resumed),
+                                        (peel, ref.peel)],
+                         ids=["find_pair", "normalize", "peel"])
+def test_error_paths_keep_their_type_message_and_rows(op, oracle, m):
+    got = _outcome(op, m)
+    if check_characterization(m):
+        assert got == _outcome(oracle, m)
+    else:
+        assert got == (NotMaximalError, str(check_characterization(m)), None)
+
+
+def test_peel_names_the_whole_obstruction_set_on_every_small_maximal_grid():
+    raised = 0
+    for shape in iter_shapes(25, 4):
+        if shape.d < 2 or shape.dims[-1] < 2:
+            continue
+        for g in enumerate_maximal(shape).grids:
+            m = to_intervals(g)
+            if x_set(m):
+                raised += 1
+                with pytest.raises(XSetNonEmptyError) as err:
+                    peel(m)
+                assert err.value.rows == ref.x_set(m)
+                assert str(err.value) == str(XSetNonEmptyError(ref.x_set(m)))
+    assert raised > 0
 
 
 @pytest.mark.slow
@@ -237,6 +332,7 @@ def test_normalize_matches_reference_on_large_maps(dims, seed):
 def test_normalize_matches_the_restarting_walk_on_huge_maps(dims, seed):
     m = ref.seeded_maximal_map(dims, random.Random(seed))
     assert ref.check_characterization(m)
-    reports = _chain(normalize, m)
-    assert reports == _chain(ref.normalize_restarting, m)
-    assert sum(r.steps for r in reports) > 5000
+    levels = _chain(normalize, m)
+    assert levels == _chain(ref.normalize_resumed, m, ref.peel)
+    assert levels == _chain(ref.normalize_restarting, m, ref.peel)
+    assert sum(r.steps for r, _ in levels) > 5000
