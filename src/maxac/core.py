@@ -17,8 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from operator import ne
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DimensionMismatchError
 
@@ -241,15 +240,49 @@ def _box(dims: tuple[int, ...]) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
     return cells, strides
 
 
-def _layout(shape: Shape) -> tuple[tuple[Cell, ...], tuple[int, ...], bytearray]:
+# per flood direction of ``_turn_on`` (up, then down): the signed diagonal
+# step; per cell, the signed strides of the axes along which that cell can
+# still step; and the tuple of all d of them, or None if no cell has it
+_Steps = tuple[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...] | None], ...]
+
+
+# keyed by dims like _box but cached apart from it, so enumerate_maximal,
+# which visits hundreds of shapes and never floods, builds no table.  A cell
+# holds a reference to one of 2^k shared offset tuples, k the number of axes
+# of size above 1: 8 bytes per cell and direction, until 2^k nears the cell
+# count (every axis of size 2) and the tuples cost about what _box's cells do
+@lru_cache(maxsize=32)
+def _steps(dims: tuple[int, ...]) -> _Steps:
+    strides = _box(dims)[1]
+    table = []
+    for sign in (1, -1):
+        # bit k of a cell's code: it can step along axis k, that is, its
+        # coordinate there is below w_k (up) or above 1 (down)
+        codes = [0]
+        for k, w in enumerate(dims):
+            open_ = [1 << k] * (w - 1)
+            row = open_ + [0] if sign == 1 else [0] + open_
+            codes = [c | b for c in codes for b in row]
+        # every set of axes of size above 1 is some cell's: build them all
+        offsets = {0: ()}
+        for k, w in enumerate(dims):
+            if w > 1:
+                step = sign * strides[k]
+                offsets.update([(c | 1 << k, t + (step,)) for c, t in offsets.items()])
+        table.append((sign * sum(strides), tuple(map(offsets.__getitem__, codes)),
+                      offsets.get((1 << len(dims)) - 1)))
+    return tuple(table)
+
+
+def _layout(shape: Shape) -> tuple[tuple[Cell, ...], tuple[int, ...], _Steps, bytearray]:
     """The box in flat row-major (that is, lexicographic) order: its cells,
-    the stride of each axis, and a fresh alive flag per cell, all set."""
+    the stride of each axis, the step table ``_steps`` of the box, and a
+    fresh alive flag per cell, all set."""
     cells, strides = _box(shape.dims)
-    return cells, strides, bytearray(b"\x01") * len(cells)
+    return cells, strides, _steps(shape.dims), bytearray(b"\x01") * len(cells)
 
 
-def _turn_on(cells: Sequence[Cell], strides: Sequence[int], alive: bytearray,
-             j: int) -> list[int]:
+def _turn_on(steps: _Steps, alive: bytearray, j: int) -> list[int]:
     """Turn on the alive cell ``j`` = x and return the flat indices it kills:
     x, and a flood over unit steps ``+e_i`` from ``x + (1,...,1)`` and
     ``-e_i`` from ``x - (1,...,1)`` (bounded by the last and first cells)
@@ -257,29 +290,34 @@ def _turn_on(cells: Sequence[Cell], strides: Sequence[int], alive: bytearray,
     clean; a dead ``y > x`` is dead through a one-cell ``q < y`` (one above
     ``y`` would lie above the alive x), so all above ``y`` is dead too.  The
     alive cells above x thus form a down-set that the flood kills in full;
-    likewise below.  Each cell dies once, at O(d) flood steps."""
+    likewise below.  ``steps`` is the box's ``_steps`` table, from which a
+    flooded cell reads its neighbours' offsets: each cell dies once, at O(d)
+    flood steps and no coordinate arithmetic."""
     alive[j] = 0
     killed = [j]
-    for stop, steps in ((cells[-1], strides), (cells[0], [-s for s in strides])):
-        stack = [j + sum(steps)] if all(map(ne, cells[j], stop)) else []
+    for diagonal, table, full in steps:
+        # x + (1,...,1) lies in the box only if x can step along every axis
+        if table[j] is not full:
+            continue
+        stack = [j + diagonal]
         while stack:
             i = stack.pop()
             if alive[i]:
                 alive[i] = 0
                 killed.append(i)
-                stack += [i + s for c, e, s in zip(cells[i], stop, steps) if c != e]
+                stack.extend(map(i.__add__, table[i]))
     return killed
 
 
 def is_maximal(g: Grid) -> bool:
     """Avoids the forbidden configuration, and every zero flip would create
     it: ``_turn_on`` finds no one-cell dead and leaves no cell alive, O(n d)."""
-    cells, strides, alive = _layout(g.shape)
+    _, strides, steps, alive = _layout(g.shape)
     for p in g.ones:
         j = sum((c - 1) * s for c, s in zip(p, strides))
         if not alive[j]:
             return False
-        _turn_on(cells, strides, alive, j)
+        _turn_on(steps, alive, j)
     return not any(alive)
 
 

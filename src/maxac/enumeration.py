@@ -291,13 +291,13 @@ def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
         if not (all(map(shape.contains_cell, order))
                 and len(order) == len(set(order)) == shape.cell_count):
             raise ValueError("order must be a permutation of the box's cells")
-    cells, strides, alive = _layout(shape)
+    cells, strides, steps, alive = _layout(shape)
     ones = []
     # a one-cell of g that is dead when reached is comparable to an earlier one
     for k, cell in enumerate(chain(g.ones, cells if order is None else order)):
         j = sum((c - 1) * s for c, s in zip(cell, strides))
         if alive[j]:
-            _turn_on(cells, strides, alive, j)
+            _turn_on(steps, alive, j)
             ones.append(cell)
         elif k < len(g.ones):
             raise AlreadyContainsError()

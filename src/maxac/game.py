@@ -7,11 +7,16 @@ exactly ``max_size`` moves, so the player ``max_size mod m`` is stuck and
 loses regardless of strategy.
 
 ``play`` turns cells on by the flood fill in ``core._turn_on`` (alive = a
-safe move; a flip loses exactly when its cell is dead) and counts the alive
-cells in a Fenwick tree, so built-in strategies find their cell in O(log n)
-and play a game on n cells in O(n (d + log n)).  ``safe_moves`` recomputes
-the safe set by definition, as the oracle in tests.  ``Grid`` and
-``GameState`` are built only for callable strategies and the transcript.
+safe move; a flip loses exactly when its cell is dead), which reads each
+flooded cell's neighbours from the box's cached step table ``core._steps``.
+A lex player takes the first alive cell, which ``bytearray.find`` finds from
+the last lex pick on, as it only moves forward.  A random player's cell comes
+from a Fenwick tree over the alive flags, at O(log n) per pick and per killed
+cell; lex-only games keep no tree.  A game on n cells thus takes
+O(n (d + log n)) steps.  ``safe_moves`` recomputes the safe set by
+definition, as the oracle in tests.  ``Grid`` and ``GameState`` are built
+only for callable strategies and the transcript, and the board skips the
+``Grid`` checks: ``play`` has checked every cell on it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import Cell, Grid, Shape, _layout, _turn_on, flip_creates_containment, max_size
+from .core import (Cell, Grid, Shape, _brief, _is_int, _layout, _trusted, _turn_on,
+                   flip_creates_containment, max_size)
 from .errors import (
     ShapeTooLargeError,
     StrategyReturnedNonZeroCellError,
@@ -32,7 +38,8 @@ Strategy = Union[str, Callable[["GameState"], Cell]]
 
 BUILTIN_STRATEGIES = ("lex", "random")
 
-# largest box ``play`` accepts; a game on n cells takes O(n (d + log n)) steps
+# largest box ``play`` accepts; a game on n cells takes O(n (d + log n)) steps,
+# and the box's cached step table holds two references per cell
 GAME_CELL_LIMIT = 10_000
 
 
@@ -77,9 +84,10 @@ class Transcript:
 
 
 def predict_loser(shape: Shape, players: int) -> int:
-    """The player who runs out of safe moves: max_size(shape) mod players."""
-    if players < 2:
-        raise ValueError("the game needs at least two players")
+    """The player who runs out of safe moves: max_size(shape) mod players.
+    ``players`` must be an ``int`` (not a ``bool``) of at least 2, else
+    ValueError; unlike ``play``, it has no upper bound."""
+    _check_players(players, bounded=False)
     return max_size(shape) % players
 
 
@@ -107,8 +115,9 @@ def play(
     drives all random players), and a callable may return any zero cell --
     including an unsafe one, losing on the spot.  Built-ins flip the first
     zero cell once no safe move remains.  Boxes of more than
-    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError``; fewer than two or
-    more than ``GAME_CELL_LIMIT + 1`` players raise ``ValueError``.
+    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError``; a ``players``
+    that is not an ``int`` or is a ``bool``, and fewer than two or more than
+    ``GAME_CELL_LIMIT + 1`` players, raise ``ValueError``.
     """
     _check_players(players)
     if len(strategies) != players:
@@ -119,11 +128,15 @@ def play(
     if shape.cell_count > GAME_CELL_LIMIT:
         raise ShapeTooLargeError(shape.cell_count, GAME_CELL_LIMIT)
 
-    rng = random.Random(seed)
     n = shape.cell_count
-    cells, strides, alive = _layout(shape)
-    # fenwick[1..n] counts the alive cells
-    fenwick = [j & -j for j in range(n + 1)]
+    cells, strides, steps, alive = _layout(shape)
+    # the first alive cell only moves forward, so lex resumes from its last
+    # pick; fenwick[1..n] counts the alive cells for random picks
+    first = 0
+    rng = fenwick = None
+    if "random" in strategies:
+        rng = random.Random(seed)
+        fenwick = [j & -j for j in range(n + 1)]
     size = n
 
     def kth_alive(k: int) -> int:
@@ -152,36 +165,43 @@ def play(
                 raise StrategyReturnedNonZeroCellError(player, cell)
             j = sum((c - 1) * s for c, s in zip(cell, strides))
         else:
-            if size:
-                j = kth_alive(0 if strategy == "lex" else rng.choice(range(size)))
-            else:
+            if not size:
                 j = next(i for i in range(n) if cells[i] not in one_set)
+            elif strategy == "lex":
+                j = first = alive.find(1, first)
+            else:
+                j = kth_alive(rng.choice(range(size)))
             cell = cells[j]
         moves.append((player, cell))
         one_set.add(cell)
         if not alive[j]:
             return Transcript(final_state=_state(shape, players, moves), loser=player,
                               terminal_cell=cell, forced=not size)
-        killed = _turn_on(cells, strides, alive, j)
+        killed = _turn_on(steps, alive, j)
         size -= len(killed)
-        for i in killed:
-            i += 1
-            while i <= n:
-                fenwick[i] -= 1
-                i += i & -i
+        if fenwick is not None:
+            for i in killed:
+                i += 1
+                while i <= n:
+                    fenwick[i] -= 1
+                    i += i & -i
     # full clean board: the player to move cannot move at all
     return Transcript(final_state=_state(shape, players, moves),
                       loser=len(moves) % players, terminal_cell=None, forced=True)
 
 
-def _check_players(players: int) -> None:
+def _check_players(players: int, bounded: bool = True) -> None:
+    if not _is_int(players):
+        raise ValueError(f"the number of players must be an int, got {_brief.repr(players)}")
     if players < 2:
         raise ValueError("the game needs at least two players")
-    if players > GAME_CELL_LIMIT + 1:
+    if bounded and players > GAME_CELL_LIMIT + 1:
         # a game within the cell budget ends after at most GAME_CELL_LIMIT + 1 moves
         raise ValueError(f"the game takes at most {GAME_CELL_LIMIT + 1} players")
 
 
 def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]]) -> GameState:
-    board = Grid(shape, [c for _, c in moves])
+    # the moves are distinct in-box cells: play checked each one it did not
+    # take from the box's own cell tuple
+    board = _trusted(Grid, shape=shape, ones=tuple(sorted(c for _, c in moves)))
     return GameState(shape=shape, board=board, players=players, moves=tuple(moves))

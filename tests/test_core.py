@@ -3,12 +3,14 @@ import sys
 
 import pytest
 import reference_dominance
+import reference_flood
 
 from maxac import (
     DimensionMismatchError,
     Grid,
     Shape,
     contains_forbidden,
+    count_maximal,
     enumerate_maximal,
     flip_creates_containment,
     is_maximal,
@@ -17,7 +19,8 @@ from maxac import (
     strictly_below,
     weight,
 )
-from maxac.core import _digit_count, _layout
+from maxac.core import _digit_count, _layout, _steps, _turn_on
+from maxac.verification import iter_shapes
 
 
 def test_strictly_below_examples():
@@ -88,12 +91,57 @@ def test_is_maximal_matches_the_pairwise_oracle():
 
 
 def test_layout_is_shared_per_box_with_fresh_flags():
-    cells, strides, alive = _layout(Shape((3, 4)))
-    again, strides_again, fresh = _layout(Shape((3, 4)))
+    cells, strides, steps, alive = _layout(Shape((3, 4)))
+    again, strides_again, steps_again, fresh = _layout(Shape((3, 4)))
     assert again is cells and strides_again is strides == (4, 1)
     assert cells == tuple(Shape((3, 4)).iter_cells())
     alive[0] = 0
     assert fresh is not alive and fresh == bytearray(b"\x01") * 12
+    # one step table per dims, whichever Shape asks
+    assert steps_again is steps is _steps((3, 4))
+    (up, up_table, up_full), (down, down_table, down_full) = steps
+    assert (up, up_full, down, down_full) == (5, (4, 1), -5, (-4, -1))
+    at = {c: (u, v) for c, u, v in zip(cells, up_table, down_table)}
+    assert at[(1, 1)] == ((4, 1), ()) and at[(2, 3)] == ((4, 1), (-4, -1))
+    assert at[(3, 1)] == ((1,), (-4,)) and at[(1, 4)] == ((4,), (-1,))
+    assert at[(3, 4)] == ((), (-4, -1))
+    # per direction, the cells share one offset tuple per set of open axes
+    assert len(set(map(id, up_table))) == len(set(map(id, down_table))) == 4
+    assert all(t is up_full for t in up_table if len(t) == 2)
+    # with a size-1 axis no cell steps along every axis: no diagonal start
+    for dims in [(1,), (1, 6), (6, 1), (3, 1, 3)]:
+        assert [full for _, _, full in _steps(dims)] == [None, None]
+
+
+def test_enumeration_never_builds_a_step_table():
+    before = _steps.cache_info()
+    for dims in [(3, 4), (2, 2, 2), (1, 5), (4, 4), (6,), (2, 3, 1, 2)]:
+        enumerate_maximal(Shape(dims))
+        count_maximal(Shape(dims))
+    after = _steps.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_table_flood_kills_what_the_coordinate_flood_kills(seed):
+    # every shape with at most 4 axes and 64 cells, d = 1 and size-1 axes
+    # included; from the empty board (seed 0) or a seeded partial one, every
+    # alive start cell must kill the same cells under both floods
+    rng = random.Random(seed)
+    for shape in iter_shapes(64, 4):
+        cells, strides, steps, board = _layout(shape)
+        if seed:
+            order = list(range(len(cells)))
+            rng.shuffle(order)
+            for j in order[:rng.randrange(len(cells) // 2 + 1)]:
+                if board[j]:
+                    reference_flood.turn_on(cells, strides, board, j)
+        for j in range(len(cells)):
+            if board[j]:
+                got, want = bytearray(board), bytearray(board)
+                killed = _turn_on(steps, got, j)
+                assert sorted(killed) == sorted(reference_flood.turn_on(cells, strides, want, j))
+                assert got == want and len(set(killed)) == len(killed), (shape.dims, j)
 
 
 def test_max_size_examples():

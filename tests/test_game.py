@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 import reference_game
 
@@ -27,6 +30,20 @@ def test_predict_loser_examples():
 def test_predict_loser_needs_two_players():
     with pytest.raises(ValueError):
         predict_loser(Shape((2, 2)), 1)
+
+
+@pytest.mark.parametrize("players", [2.0, 2.5, True, "2", None])
+def test_players_must_be_an_int(players):
+    with pytest.raises(ValueError, match="must be an int"):
+        play(Shape((2, 2)), players, ["lex", "lex"])
+    with pytest.raises(ValueError, match="must be an int"):
+        predict_loser(Shape((2, 2)), players)
+
+
+def test_predict_loser_has_no_upper_bound_on_players():
+    assert predict_loser(Shape((2, 2)), GAME_CELL_LIMIT + 2) == 3
+    with pytest.raises(ValueError, match="at most"):
+        play(Shape((2, 2)), GAME_CELL_LIMIT + 2, ["lex"] * (GAME_CELL_LIMIT + 2))
 
 
 def _state(dims, ones, players=2):
@@ -231,3 +248,27 @@ def test_game_cell_budget():
         with pytest.raises(ShapeTooLargeError) as info:
             play(Shape(dims), 2, ["lex", "lex"])
         assert info.value.limit == GAME_CELL_LIMIT
+
+
+# sha256 (first 16 hex digits) of each transcript's compact JSON, for seeds
+# 0-2 with 2 + seed players all on one strategy.  These boards are too large
+# for the rescanning reference, so the digests are what pins them.
+LARGE_GAME_DIGESTS = {
+    ((100, 100), "lex"): ('8a399bcf438448b2', '684c3f3220575b9f', '29edeffbf94df8af'),
+    ((100, 100), "random"): ('09651971bb4efbd9', '8262c4b96f3250e3', '510d7d4eae90a231'),
+    ((20, 20, 20), "lex"): ('4badbe2c70a66edd', 'e33cd1b9b38b1028', '4efe14c9164fd1e1'),
+    ((20, 20, 20), "random"): ('82f8acdad6bcefb9', '87a89350cbd0cf96', 'fdd95869cfc6e455'),
+    ((2, 5000), "lex"): ('db1620780b5c6584', 'b0cb199342dff6c4', 'b5daa3061d1337ea'),
+    ((2, 5000), "random"): ('6e07df9b06a926b3', 'b88555d034810b5e', '8927b2c824876d32'),
+    ((1, 10000), "lex"): ('9b594feaf32d32ec', '72fc55580c63d665', '272a5e90b3f58f01'),
+    ((1, 10000), "random"): ('03e7f1b802a23eae', '4e9812e1eb87f4af', '3b163154597705f7'),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("dims, style", list(LARGE_GAME_DIGESTS))
+def test_large_games_keep_their_pinned_transcripts(dims, style):
+    for seed, want in enumerate(LARGE_GAME_DIGESTS[dims, style]):
+        t = play(Shape(dims), 2 + seed, [style] * (2 + seed), seed=seed)
+        text = json.dumps(t.to_json_obj(), separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == want, (dims, style, seed)

@@ -27,6 +27,7 @@ from maxac import (
     iter_shapes,
     normalize,
     peel,
+    play,
     to_intervals,
     x_set,
 )
@@ -42,6 +43,7 @@ TRUSTED_SITES = {
     ("normalize", "convert_step"),
     ("normalize", "normalize"),
     ("normalize", "peel"),
+    ("game", "_state"),
 }
 
 
@@ -155,6 +157,27 @@ def test_to_intervals_keeps_rejecting_int_subclass_bounds():
     # int subclasses in the row ids only: the rows come from iter_rows
     m = to_intervals(Grid(Shape((2, 2)), [(Level.ONE, 1), (1, 2), (Level.TWO, 1)]))
     assert m == _public(m)
+
+
+def test_game_boards_equal_the_public_constructor():
+    # every board a callable strategy is shown, and every final board; the
+    # callable takes the last zero cell, with IntEnum coordinates where they
+    # fit, which the public constructor keeps as given
+    shown = []
+
+    def last_zero(state):
+        shown.append(state)
+        cell = max(c for c in state.shape.iter_cells() if c not in state.board.one_set)
+        return tuple(Level(x) if x <= 2 else x for x in cell)
+
+    for shape in iter_shapes(12, 3):
+        for k, strategies in enumerate([["lex", last_zero], ["random", last_zero, "lex"],
+                                        ["random", "random"], ["lex", "lex", "lex"]]):
+            t = play(shape, len(strategies), strategies, seed=k)
+            for state in shown + [t.final_state]:
+                want = Grid(Shape(tuple(shape.dims)), [c for _, c in state.moves])
+                assert state.board == want
+            shown.clear()
 
 
 M33 = IntervalMap(Shape((3, 3)), {(1,): (3, 3), (2,): (3, 3), (3,): (1, 3)})
