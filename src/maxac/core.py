@@ -137,8 +137,7 @@ class Grid:
     ``IntEnum``, is walked cell by cell.  The grids the library builds itself
     (the leaves of ``enumerate_maximal``) are sorted, in-box, distinct
     ``int`` tuples by construction, and skip the check.  Their cells are the
-    very tuples of the ``_box`` cache, and a box with a size-1 axis gets
-    the cache's whole cell tuple as its one grid's ``ones``.
+    very tuples of the box's cached layout (``_box(dims).cells``).
     """
 
     shape: Shape
@@ -230,59 +229,89 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
     return any(comparable(p, cell) for p in g.ones)
 
 
+class _Box:
+    """The box [w_1] x ... x [w_d] in flat row-major, that is lexicographic,
+    order: cell i is ``cells[i]``, and a unit step along axis k adds
+    ``strides[k]`` to its index.  ``core`` floods the box of a grid, and
+    ``rowform``, ``normalize`` and ``enumeration`` walk the box of its rows,
+    the first d - 1 axes.  Each part is built on first use, so the search
+    never builds a flood table and ``is_maximal`` never builds the row
+    parts.  No caller mutates a part."""
+
+    def __init__(self, dims: tuple[int, ...]):
+        self.cells = tuple(product(*(range(1, w + 1) for w in dims)))
+        self.strides = tuple(math.prod(dims[k + 1:]) for k in range(len(dims)))
+        # the flat offset of (1, ..., 1): x - (1, ..., 1) is cell i - diag
+        self.diag = sum(self.strides)
+        self.dims = dims
+
+    @cached_property
+    def inner(self) -> tuple[int, ...]:
+        """The cells below w_k on every axis k, ascending: the cells x for
+        which x + (1, ..., 1) lies in the box."""
+        inner = [0]
+        for w, s in zip(self.dims, self.strides):
+            inner = [i + c * s for i in inner for c in range(w - 1)]
+        return tuple(inner)
+
+    @cached_property
+    def chunks(self) -> tuple[tuple[slice, slice], ...]:
+        """The (previous, current) slice pairs that fold each coordinate value
+        into the next, along every axis but the last."""
+        n = len(self.cells)
+        return tuple(
+            (slice(lo - s, lo), slice(lo, lo + s))
+            for w, s in zip(self.dims[:-1], self.strides)
+            for base in range(0, n, w * s)
+            for lo in range(base + s, base + w * s, s)
+        )
+
+    @cached_property
+    def axes(self) -> tuple[tuple[int, int, int], ...]:
+        """The climb steps, one (axis, w, stride) per axis, largest axis first:
+        cell i + stride if cell i is below w there."""
+        return tuple((k, self.dims[k], self.strides[k]) for k in reversed(range(len(self.dims))))
+
+    @cached_property
+    def steps(self) -> tuple:
+        """The flood table of ``_turn_on``, per direction (up, then down): the
+        signed diagonal step; per cell, the signed strides of the axes along
+        which that cell can still step; and the tuple of all d of them, or
+        None if no cell has it.  A cell holds a reference to one of 2^k
+        shared offset tuples, k the number of axes of size above 1: 8 bytes
+        per cell and direction, until 2^k nears the cell count (every axis
+        of size 2) and the tuples cost about what the cells do."""
+        dims, strides = self.dims, self.strides
+        table = []
+        for sign in (1, -1):
+            # bit k of a cell's code: it can step along axis k, that is, its
+            # coordinate there is below w_k (up) or above 1 (down)
+            codes = [0]
+            for k, w in enumerate(dims):
+                open_ = [1 << k] * (w - 1)
+                row = open_ + [0] if sign == 1 else [0] + open_
+                codes = [c | b for c in codes for b in row]
+            # every set of axes of size above 1 is some cell's: build them all
+            offsets = {0: ()}
+            for k, w in enumerate(dims):
+                if w > 1:
+                    step = sign * strides[k]
+                    offsets.update([(c | 1 << k, t + (step,)) for c, t in offsets.items()])
+            table.append((sign * self.diag, tuple(map(offsets.__getitem__, codes)),
+                          offsets.get((1 << len(dims)) - 1)))
+        return tuple(table)
+
+
 # keyed by dims, so the thousands of is_maximal calls of one verify run share
-# one box; enumerate_maximal slices its leaves' rows out of the same cells.
-# The cells and strides are tuples, and no caller mutates them
-@lru_cache(maxsize=32)
-def _box(dims: tuple[int, ...]) -> tuple[tuple[Cell, ...], tuple[int, ...]]:
-    cells = tuple(product(*(range(1, w + 1) for w in dims)))
-    strides = tuple(math.prod(dims[k + 1:]) for k in range(len(dims)))
-    return cells, strides
+# one box, and every level of a normalize/peel chain, which shrinks only the
+# last axis, one row box.  The benchmark's normalize/peel chains read 6 row
+# boxes and the search 2 boxes per op, well inside 32; a box at the game's
+# 10,000-cell limit takes 1.1-1.4 MB with every part built, so 32 take at
+# most about 45 MB
+_box = lru_cache(maxsize=32)(_Box)
 
 
-# per flood direction of ``_turn_on`` (up, then down): the signed diagonal
-# step; per cell, the signed strides of the axes along which that cell can
-# still step; and the tuple of all d of them, or None if no cell has it
-_Steps = tuple[tuple[int, tuple[tuple[int, ...], ...], tuple[int, ...] | None], ...]
-
-
-# keyed by dims like _box but cached apart from it, so enumerate_maximal,
-# which visits hundreds of shapes and never floods, builds no table.  A cell
-# holds a reference to one of 2^k shared offset tuples, k the number of axes
-# of size above 1: 8 bytes per cell and direction, until 2^k nears the cell
-# count (every axis of size 2) and the tuples cost about what _box's cells do
-@lru_cache(maxsize=32)
-def _steps(dims: tuple[int, ...]) -> _Steps:
-    strides = _box(dims)[1]
-    table = []
-    for sign in (1, -1):
-        # bit k of a cell's code: it can step along axis k, that is, its
-        # coordinate there is below w_k (up) or above 1 (down)
-        codes = [0]
-        for k, w in enumerate(dims):
-            open_ = [1 << k] * (w - 1)
-            row = open_ + [0] if sign == 1 else [0] + open_
-            codes = [c | b for c in codes for b in row]
-        # every set of axes of size above 1 is some cell's: build them all
-        offsets = {0: ()}
-        for k, w in enumerate(dims):
-            if w > 1:
-                step = sign * strides[k]
-                offsets.update([(c | 1 << k, t + (step,)) for c, t in offsets.items()])
-        table.append((sign * sum(strides), tuple(map(offsets.__getitem__, codes)),
-                      offsets.get((1 << len(dims)) - 1)))
-    return tuple(table)
-
-
-def _layout(shape: Shape) -> tuple[tuple[Cell, ...], tuple[int, ...], _Steps, bytearray]:
-    """The box in flat row-major (that is, lexicographic) order: its cells,
-    the stride of each axis, the step table ``_steps`` of the box, and a
-    fresh alive flag per cell, all set."""
-    cells, strides = _box(shape.dims)
-    return cells, strides, _steps(shape.dims), bytearray(b"\x01") * len(cells)
-
-
-def _turn_on(steps: _Steps, alive: bytearray, j: int) -> list[int]:
+def _turn_on(steps: tuple, alive: bytearray, j: int) -> list[int]:
     """Turn on the alive cell ``j`` = x and return the flat indices it kills:
     x, and a flood over unit steps ``+e_i`` from ``x + (1,...,1)`` and
     ``-e_i`` from ``x - (1,...,1)`` (bounded by the last and first cells)
@@ -290,9 +319,9 @@ def _turn_on(steps: _Steps, alive: bytearray, j: int) -> list[int]:
     clean; a dead ``y > x`` is dead through a one-cell ``q < y`` (one above
     ``y`` would lie above the alive x), so all above ``y`` is dead too.  The
     alive cells above x thus form a down-set that the flood kills in full;
-    likewise below.  ``steps`` is the box's ``_steps`` table, from which a
-    flooded cell reads its neighbours' offsets: each cell dies once, at O(d)
-    flood steps and no coordinate arithmetic."""
+    likewise below.  ``steps`` is the box's flood table (``_Box.steps``),
+    from which a flooded cell reads its neighbours' offsets: each cell dies
+    once, at O(d) flood steps and no coordinate arithmetic."""
     alive[j] = 0
     killed = [j]
     for diagonal, table, full in steps:
@@ -312,12 +341,13 @@ def _turn_on(steps: _Steps, alive: bytearray, j: int) -> list[int]:
 def is_maximal(g: Grid) -> bool:
     """Avoids the forbidden configuration, and every zero flip would create
     it: ``_turn_on`` finds no one-cell dead and leaves no cell alive, O(n d)."""
-    _, strides, steps, alive = _layout(g.shape)
+    box = _box(g.shape.dims)
+    alive = bytearray(b"\x01") * len(box.cells)
     for p in g.ones:
-        j = sum((c - 1) * s for c, s in zip(p, strides))
+        j = sum((c - 1) * s for c, s in zip(p, box.strides))
         if not alive[j]:
             return False
-        _turn_on(steps, alive, j)
+        _turn_on(box.steps, alive, j)
     return not any(alive)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import Grid, Shape, _brief, is_maximal
+from .core import Grid, Shape, _brief
 from .errors import (EmptyRowError, NonContiguousRowError, NotMaximalError,
                      PreconditionViolatedError)
 from .rowform import IntervalMap, check_characterization, to_intervals
@@ -68,19 +68,16 @@ def count_closed_form(shape: Shape) -> int:
 def _maximal_row_form(g: Grid) -> IntervalMap:
     """The row form of ``g``, or NotMaximalError if ``g`` is not maximal.
 
-    For d >= 2 an empty or gapped row, or a row breaking the h- or l-rule,
-    certifies non-maximality in one O(rows * d) sweep; d = 1, where the
-    rules do not apply, asks ``is_maximal``.
+    An empty or gapped row certifies non-maximality; so does, for d >= 2, a
+    row breaking the h- or l-rule, in one O(rows * d) sweep.  For d = 1,
+    where the rules do not apply, the size law decides: a maximal grid has
+    exactly one one-cell.
     """
-    if g.shape.d == 1:
-        if not is_maximal(g):
-            raise NotMaximalError()
-        return to_intervals(g)
     try:
         m = to_intervals(g)
     except (EmptyRowError, NonContiguousRowError):
         raise NotMaximalError() from None
-    if not check_characterization(m):
+    if not (len(g.ones) == 1 if g.shape.d == 1 else check_characterization(m)):
         raise NotMaximalError()
     return m
 

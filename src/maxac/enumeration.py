@@ -26,6 +26,14 @@ axis, so neither lies strictly below the other.  Both functions answer it
 at once, one grid (the box's cells in lexicographic order) and the count 1,
 after the same argument checks and cell budget as any other box.
 
+The search runs on the flat row indices of the row box, the cached layout
+``core._box`` of the first d - 1 axes that ``rowform`` and ``normalize``
+read too.  The left-end vector has one slot per row and a last one for
+``w_d``; the odometer moves the slots of the row box's ``inner`` rows (the
+interior rows), a predecessor ``x - e_i`` is ``stride_i`` slots back, and
+``h`` reads the slot ``diag`` back (``x - (1, ..., 1)``), or the ``w_d``
+slot when ``x`` has a coordinate equal to 1.
+
 Consecutive leaves share most of their rows.  A row's cells are the run
 from ``l`` to ``h`` of its own cells, so they read two slots of the left-end
 vector, and an odometer step changes only the slot it bumps and the slots
@@ -80,7 +88,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, product
 from typing import Iterator, Sequence
 
-from .core import Cell, Grid, Shape, _box, _is_int, _layout, _trusted, _turn_on, comparable
+from .core import Cell, Grid, Shape, _box, _is_int, _trusted, _turn_on, comparable
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -92,53 +100,33 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer")
 
 
-def _interior_rows(
-    shape: Shape,
-) -> tuple[dict[tuple[int, ...], int], list[tuple[int, ...]]]:
-    """Index of each interior row in lexicographic order, and per interior
-    row the slots whose minimum bounds its left end from above.
-
-    Slots index the vector ``_iter_left_ends`` yields: interior rows first,
-    then the constants 1 (slot -2) and ``w_d`` (slot -1).  A row with no
-    predecessor is bounded by ``w_d`` alone.
-    """
-    index = {x: j for j, x in enumerate(product(*(range(1, w) for w in shape.dims[:-1])))}
-    bounds = [
-        tuple(index[x[:i] + (x[i] - 1,) + x[i + 1:]] for i in range(len(x)) if x[i] > 1)
-        or (-1,)
-        for x in index
-    ]
-    return index, bounds
-
-
 def _iter_left_ends(
-    bounds: Sequence[tuple[int, ...]], top: int
+    order: Sequence[tuple[int, tuple[int, ...]]], l: list[int]
 ) -> Iterator[tuple[list[int], Sequence[int]]]:
     """Yield every order-reversing left-end vector in ascending lexicographic
-    order, as one list updated in place (read it before advancing), with the
-    slots whose value changed since the last vector: every slot, constants
-    included, for the first.
+    order, as ``l`` updated in place (read it before advancing), with the
+    slots whose value changed since the last vector: every slot for the first.
 
-    An odometer: bump the last entry still below its bound and reset the
-    ones after it to 1.  A row's bound reads only earlier rows, which the
-    bump leaves alone, and 1 is always allowed, so every step lands on a leaf.
+    ``order`` lists the slots the odometer moves, last first, each with the
+    slots whose minimum bounds it from above.  An odometer: bump the last
+    slot still below its bound and reset the ones after it to 1.  A slot's
+    bound reads only earlier slots, which the bump leaves alone, and 1 is
+    always allowed, so every step lands on a leaf.
     """
-    n = len(bounds)
-    l = [1] * n + [1, top]
-    changed = range(n + 2)
+    changed = range(len(l))
     while True:
         yield l, changed
         changed = []
-        j = n - 1
-        while j >= 0 and l[j] == min([l[p] for p in bounds[j]]):
+        for j, bound in order:
+            if l[j] < min([l[p] for p in bound]):
+                l[j] += 1
+                changed.append(j)
+                break
             if l[j] > 1:
                 l[j] = 1
                 changed.append(j)
-            j -= 1
-        if j < 0:
+        else:
             return
-        l[j] += 1
-        changed.append(j)
 
 
 @dataclass(frozen=True)
@@ -177,31 +165,34 @@ def enumerate_maximal(
     if shape.cell_count > max_cells:
         raise ShapeTooLargeError(shape.cell_count, max_cells)
     dims = shape.dims
-    cells = _box(dims)[0]
     if shape.d >= 2 and 1 in dims:
         # the size law gives the whole box, the one maximal grid
-        return EnumerationReport(shape=shape, grids=(_trusted(Grid, shape=shape, ones=cells),),
+        whole = tuple(shape.iter_cells())
+        return EnumerationReport(shape=shape, grids=(_trusted(Grid, shape=shape, ones=whole),),
                                  count=1, truncated=False)
-    index, bounds = _interior_rows(shape)
-    top = dims[-1]
-    # Per slot of the left-end vector (the constants 1 and w_d at -2 and -1
-    # are its last two), the rows that read it.  A row is its index, its
-    # flat offset into the box, the slot of its l, and the slot of its h,
-    # which is l at x - (1, ..., 1) when that row exists and w_d otherwise.
-    # For d = 1 the one row () is its own x - (1, ..., 1), so h = l.
-    readers = [[] for _ in range(len(bounds) + 2)]
-    for r, x in enumerate(shape.iter_rows()):
-        lo, hi = index.get(x, -2), index.get(tuple(c - 1 for c in x), -1)
-        for slot in {lo, hi}:
-            readers[slot].append((r, r * top, lo, hi))
+    cells = _box(dims).cells
+    rows = _box(dims[:-1])
+    n, top = len(rows.cells), dims[-1]
+    # slot n holds w_d (module docstring); the inner rows' slots move, each
+    # bounded by its predecessors or, with none, by w_d; the others stay 1
+    order = [(i, tuple(i - s for c, s in zip(rows.cells[i], rows.strides) if c > 1) or (n,))
+             for i in reversed(rows.inner)]
+    # Per slot, the rows that read it: row r, at flat offset r * w_d into
+    # the box, reads l at slot r and h at slot r - diag or n.  For d = 1 the
+    # one row () is its own x - (1, ..., 1), so h = l.
+    readers = [[] for _ in range(n + 1)]
+    for r, x in enumerate(rows.cells):
+        hi = n if 1 in x else r - rows.diag
+        for slot in {r, hi}:
+            readers[slot].append((r, r * top, hi))
     # per row, its run of cells in the current leaf
-    parts = [()] * (len(cells) // top)
-    leaves = _iter_left_ends(bounds, top)
+    parts = [()] * n
+    leaves = _iter_left_ends(order, [1] * n + [top])
     kept = []
     for l, changed in islice(leaves, cap):
         for slot in changed:
-            for r, offset, lo, hi in readers[slot]:
-                parts[r] = cells[offset + l[lo] - 1 : offset + l[hi]]
+            for r, offset, hi in readers[slot]:
+                parts[r] = cells[offset + l[r] - 1 : offset + l[hi]]
         kept.append(tuple(chain.from_iterable(parts)))
     # the odometer counts the rest itself: verification.check_counting
     # compares this count with count_maximal's
@@ -291,7 +282,9 @@ def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
         if not (all(map(shape.contains_cell, order))
                 and len(order) == len(set(order)) == shape.cell_count):
             raise ValueError("order must be a permutation of the box's cells")
-    cells, strides, steps, alive = _layout(shape)
+    box = _box(shape.dims)
+    cells, strides, steps = box.cells, box.strides, box.steps
+    alive = bytearray(b"\x01") * len(cells)
     ones = []
     # a one-cell of g that is dead when reached is comparable to an earlier one
     for k, cell in enumerate(chain(g.ones, cells if order is None else order)):

@@ -8,9 +8,9 @@ loses regardless of strategy.
 
 ``play`` turns cells on by the flood fill in ``core._turn_on`` (alive = a
 safe move; a flip loses exactly when its cell is dead), which reads each
-flooded cell's neighbours from the box's cached step table ``core._steps``.
-A lex player takes the first alive cell, which ``bytearray.find`` finds from
-the last lex pick on, as it only moves forward.  A random player's cell comes
+flooded cell's neighbours from the flood table of the box's cached layout
+(``core._box``).  A lex player takes the first alive cell, which
+``bytearray.find`` finds from the last lex pick on, as it only moves forward.  A random player's cell comes
 from a Fenwick tree over the alive flags, at O(log n) per pick and per killed
 cell; lex-only games keep no tree.  A game on n cells thus takes
 O(n (d + log n)) steps.  ``safe_moves`` recomputes the safe set by
@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import (Cell, Grid, Shape, _brief, _is_int, _layout, _trusted, _turn_on,
+from .core import (Cell, Grid, Shape, _box, _brief, _is_int, _trusted, _turn_on,
                    flip_creates_containment, max_size)
 from .errors import (
     ShapeTooLargeError,
@@ -39,7 +39,7 @@ Strategy = Union[str, Callable[["GameState"], Cell]]
 BUILTIN_STRATEGIES = ("lex", "random")
 
 # largest box ``play`` accepts; a game on n cells takes O(n (d + log n)) steps,
-# and the box's cached step table holds two references per cell
+# and the box's cached flood table holds two references per cell
 GAME_CELL_LIMIT = 10_000
 
 
@@ -129,7 +129,9 @@ def play(
         raise ShapeTooLargeError(shape.cell_count, GAME_CELL_LIMIT)
 
     n = shape.cell_count
-    cells, strides, steps, alive = _layout(shape)
+    box = _box(shape.dims)
+    cells, strides, steps = box.cells, box.strides, box.steps
+    alive = bytearray(b"\x01") * n
     # the first alive cell only moves forward, so lex resumes from its last
     # pick; fenwick[1..n] counts the alive cells for random picks
     first = 0

@@ -23,9 +23,10 @@ checked map thus sweeps once, and on a maximal map the work is small:
 
 * A convert step lowers only h(x), so it removes exactly x from the
   obstruction set and adds nothing.  ``normalize`` therefore reads the set
-  once, ascending, off the flat row layout that ``check_characterization``
-  sweeps (``rowform._sweep_plan``, shared by every level of a chain), drains
-  it on one list of l and one of h, and builds one IntervalMap at the end.
+  once, ascending, off the row box that ``check_characterization`` sweeps
+  (``core._box`` of the first d - 1 axes, shared by every level of a
+  chain), drains it on one list of l and one of h, and builds one
+  IntervalMap at the end.
 * h is order-reversing, so the top-touching rows form a down-set.  The
   lexicographically first top-touching row strictly above x is then
   x + (1,...,1) if any is, and the first one at or above x other than x is
@@ -54,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Shape, _trusted
+from .core import Shape, _Box, _trusted
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
 from .rowform import (IntervalMap, RowId, _bounds, _obstructed, _trusted_map,
                       check_characterization, x_set)
@@ -87,18 +88,18 @@ def _require_maximal(m: IntervalMap, verb: str) -> None:
             raise NotMaximalError(str(report))
 
 
-def _walk(ls: list[int], hs: list[int], plan: tuple, top: int,
+def _walk(ls: list[int], hs: list[int], box: _Box, top: int,
           pending: Iterable[int]) -> Iterator[tuple[RowId, RowId]]:
     """Yield the convert pairs of a maximal map, draining ``pending`` (the
     flat indices of its obstruction rows, ascending) in order.
 
-    ``ls`` and ``hs`` hold the bounds by flat index into ``plan``, the map's
-    ``_sweep_plan``; each pair is applied to them when the walk is resumed
+    ``ls`` and ``hs`` hold the bounds by flat index into ``box``, the map's
+    row box; each pair is applied to them when the walk is resumed
     after it, so the first pair alone leaves them untouched.  The climb is a
     stack of flat indices; see the module docstring for why resuming it
     gives the pairs of a fresh search.
     """
-    rows, _, _, diag, axes = plan
+    rows, diag, axes = box.cells, box.diag, box.axes
     for start in pending:
         if hs[start] != top:
             continue  # drained by an earlier step
@@ -136,15 +137,15 @@ def find_pair(m: IntervalMap) -> tuple[RowId, RowId]:
     the smallest rival descendant while the diagonal ancestor has one.
     """
     _require_maximal(m, "find_pair")
-    plan, pending = _obstructed(m)
+    box, pending = _obstructed(m)
     if not pending:
         raise EmptyXSetError()
     top = m.top
     if top < 2:
         # every interval is (1, 1); no weight can move anywhere
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    ls, hs = _bounds(m, plan[0])
-    return next(_walk(ls, hs, plan, top, pending[:1]))
+    ls, hs = _bounds(m, box.cells)
+    return next(_walk(ls, hs, box, top, pending[:1]))
 
 
 def convert_step(m: IntervalMap) -> IntervalMap:
@@ -170,16 +171,16 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     already empty is returned unchanged.
     """
     _require_maximal(m, "normalize")
-    plan, pending = _obstructed(m)
+    box, pending = _obstructed(m)
     if not pending:
         return NormalizeReport(result=m, steps=0, pairs=())
     top = m.top
     if top < 2:
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    ls, hs = _bounds(m, plan[0])
-    pairs = tuple(_walk(ls, hs, plan, top, pending))
+    ls, hs = _bounds(m, box.cells)
+    pairs = tuple(_walk(ls, hs, box, top, pending))
     return NormalizeReport(
-        result=_trusted_map(m.shape, dict(zip(plan[0], zip(ls, hs))), maximal=True),
+        result=_trusted_map(m.shape, dict(zip(box.cells, zip(ls, hs))), maximal=True),
         steps=len(pairs),
         pairs=pairs,
     )

@@ -16,21 +16,22 @@ covered directly by ``contains_forbidden``.
 ancestors of x are exactly the rows at or below x - (1,...,1), so the h-rule
 reads a closed prefix minimum of l there, and symmetrically the l-rule reads
 a closed suffix maximum of h at x + (1,...,1).  Both are separable running
-folds over flat strided row indices, one axis at a time.  A passing check
-leaves its verdict on the map (``_maximal``, not a dataclass field), which
-``normalize`` reads instead of sweeping the same map again.
+folds, one axis at a time, over the flat row indices of the row box: the
+layout ``core._box`` of the first d - 1 axes, memoised by them, so
+``normalize`` and ``peel`` read the same one at every level of a chain,
+which shrinks only the last axis.  A passing check leaves its verdict on
+the map (``_maximal``, not a dataclass field), which ``normalize`` reads
+instead of sweeping the same map again.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, product
+from itertools import chain
 from types import MappingProxyType
 
-from .core import Grid, Shape, _brief, _is_int, _trusted
+from .core import Grid, Shape, _Box, _box, _brief, _is_int, _trusted
 from .errors import EmptyRowError, NonContiguousRowError
 
 RowId = tuple[int, ...]
@@ -185,35 +186,6 @@ class CharacterizationReport:
         )
 
 
-# keyed by the row dimensions alone, so one plan serves every level of a
-# normalize/peel chain, which shrinks only the last axis
-@lru_cache(maxsize=256)
-def _sweep_plan(pre: tuple[int, ...]) -> tuple[tuple, tuple, tuple[int, ...], int, tuple]:
-    """Flat strided layout of the rows of a box with row dimensions ``pre``.
-
-    Flat order is ascending lexicographic order.  Returns the rows; the
-    (previous, current) slice pairs that fold each coordinate value into the
-    next along every axis but the last; the flat index of every row that has
-    a descendant, ascending; the flat offset of (1, ..., 1), the diagonal
-    step of ``normalize``'s walk; and its climb steps, one (axis, w, stride)
-    per axis, largest axis first: row i + stride if row i is below w there.
-    """
-    n = math.prod(pre)
-    strides = [math.prod(pre[k + 1:]) for k in range(len(pre))]
-    chunks = tuple(
-        (slice(lo - s, lo), slice(lo, lo + s))
-        for w, s in zip(pre[:-1], strides)
-        for base in range(0, n, w * s)
-        for lo in range(base + s, base + w * s, s)
-    )
-    inner = [0]
-    for w, s in zip(pre, strides):
-        inner = [i + c * s for i in inner for c in range(w - 1)]
-    rows = tuple(product(*(range(1, w + 1) for w in pre)))
-    axes = tuple((k, pre[k], strides[k]) for k in reversed(range(len(pre))))
-    return rows, chunks, tuple(inner), sum(strides), axes
-
-
 def _bounds(m: IntervalMap, rows) -> tuple[list[int], list[int]]:
     """The l and the h of every row of ``m``, in the order of ``rows``."""
     bounds = list(map(m.intervals.__getitem__, rows))
@@ -251,12 +223,13 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
                          "use contains_forbidden for d = 1")
     top = m.top
     pre = m.shape.dims[:-1]
-    rows, chunks, inner, diag, _ = _sweep_plan(pre)
+    box = _box(pre)
+    rows, inner, diag = box.cells, box.inner, box.diag
     ls, hs = _bounds(m, rows)
     n = len(rows)
 
     low = ls.copy()
-    _prefix_min(low, chunks, pre[-1])
+    _prefix_min(low, box.chunks, pre[-1])
     want_h = [top] * n
     for i in inner:  # row i + diag has ancestors, all at or below row i
         want_h[i + diag] = low[i]
@@ -266,7 +239,7 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
 
     # suffix maximum of h = -(prefix minimum of -h over the reversed layout)
     high = [-h for h in reversed(hs)]
-    _prefix_min(high, chunks, pre[-1])
+    _prefix_min(high, box.chunks, pre[-1])
     want_l = [1] * n
     for i in inner:  # row i's descendants are at or above row i + diag
         want_l[i] = -high[n - 1 - i - diag]
@@ -285,13 +258,14 @@ def x_set(m: IntervalMap) -> set[RowId]:
     """
     if m.shape.d < 2:
         raise ValueError("x_set applies to d >= 2 only")
-    plan, pending = _obstructed(m)
-    return {plan[0][i] for i in pending}
+    box, pending = _obstructed(m)
+    return {box.cells[i] for i in pending}
 
 
-def _obstructed(m: IntervalMap) -> tuple[tuple, list[int]]:
-    """The row plan of ``m`` and its obstruction rows' flat indices, ascending:
+def _obstructed(m: IntervalMap) -> tuple[_Box, list[int]]:
+    """The row box of ``m`` and its obstruction rows' flat indices, ascending:
     the rows with ancestors are the inner rows' diagonal successors."""
-    rows, _, inner, diag, _ = plan = _sweep_plan(m.shape.dims[:-1])
+    box = _box(m.shape.dims[:-1])
+    rows, diag = box.cells, box.diag
     intervals, top = m.intervals, m.top
-    return plan, [i + diag for i in inner if intervals[rows[i + diag]][1] == top]
+    return box, [i + diag for i in box.inner if intervals[rows[i + diag]][1] == top]

@@ -2,24 +2,26 @@
 test-only oracle.
 
 Each flooded cell finds its neighbours from its own coordinates, comparing
-them with the box's last (upward) or first (downward) cell.  It shares none
-of the step table ``maxac.core._steps`` that the library floods with, and
-the tests require both to kill the same cells from every start.
+them with the box's last (upward) or first (downward) cell.  It builds its
+own cells and strides from ``Shape.iter_cells``, shares none of the box
+layout ``maxac.core._box`` that the library floods with, and the tests
+require both to kill the same cells from every start.
 """
 
 from __future__ import annotations
 
+import math
 from operator import ne
 from typing import Sequence
 
 from maxac import Cell, Shape
-from maxac.core import _box
 
 
 def layout(shape: Shape) -> tuple[tuple[Cell, ...], tuple[int, ...], bytearray]:
     """The box in flat row-major (that is, lexicographic) order: its cells,
     the stride of each axis, and a fresh alive flag per cell, all set."""
-    cells, strides = _box(shape.dims)
+    cells = tuple(shape.iter_cells())
+    strides = tuple(math.prod(shape.dims[k + 1:]) for k in range(shape.d))
     return cells, strides, bytearray(b"\x01") * len(cells)
 
 

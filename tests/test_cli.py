@@ -144,6 +144,15 @@ def test_normalize_reports_empty_row(capsys, monkeypatch):
     assert json.loads(err)["error"] == "EmptyRow"
 
 
+@pytest.mark.parametrize("ones", [[], [[2], [3]], [[1], [4]]],
+                         ids=["empty", "adjacent", "gapped"])
+def test_extend_rejects_a_non_maximal_one_dimensional_grid(capsys, monkeypatch, ones):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"w": [5], "ones": ones})))
+    status, out, err = run(capsys, "extend", "--json")
+    assert status == 1 and out == ""
+    assert json.loads(err) == {"error": "NotMaximal", "detail": "input grid is not maximal"}
+
+
 def test_peel_accepts_interval_map_input(capsys, tmp_path, monkeypatch):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(MAP_33_NORMALIZED))

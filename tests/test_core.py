@@ -19,7 +19,7 @@ from maxac import (
     strictly_below,
     weight,
 )
-from maxac.core import _digit_count, _layout, _steps, _turn_on
+from maxac.core import _Box, _box, _digit_count, _turn_on
 from maxac.verification import iter_shapes
 
 
@@ -90,18 +90,16 @@ def test_is_maximal_matches_the_pairwise_oracle():
             assert is_maximal(g) == reference_dominance.is_maximal(g), (dims, g.ones)
 
 
-def test_layout_is_shared_per_box_with_fresh_flags():
-    cells, strides, steps, alive = _layout(Shape((3, 4)))
-    again, strides_again, steps_again, fresh = _layout(Shape((3, 4)))
-    assert again is cells and strides_again is strides == (4, 1)
-    assert cells == tuple(Shape((3, 4)).iter_cells())
-    alive[0] = 0
-    assert fresh is not alive and fresh == bytearray(b"\x01") * 12
-    # one step table per dims, whichever Shape asks
-    assert steps_again is steps is _steps((3, 4))
-    (up, up_table, up_full), (down, down_table, down_full) = steps
+def test_one_layout_per_box_with_shared_step_tuples():
+    box = _box((3, 4))
+    # one layout object per dims, whichever Shape asks
+    assert _box(Shape((3, 4)).dims) is box
+    assert box.cells == tuple(Shape((3, 4)).iter_cells()) and box.strides == (4, 1)
+    assert box.diag == 5
+    (up, up_table, up_full), (down, down_table, down_full) = box.steps
+    assert box.steps is box.steps
     assert (up, up_full, down, down_full) == (5, (4, 1), -5, (-4, -1))
-    at = {c: (u, v) for c, u, v in zip(cells, up_table, down_table)}
+    at = {c: (u, v) for c, u, v in zip(box.cells, up_table, down_table)}
     assert at[(1, 1)] == ((4, 1), ()) and at[(2, 3)] == ((4, 1), (-4, -1))
     assert at[(3, 1)] == ((1,), (-4,)) and at[(1, 4)] == ((4,), (-1,))
     assert at[(3, 4)] == ((), (-4, -1))
@@ -110,16 +108,29 @@ def test_layout_is_shared_per_box_with_fresh_flags():
     assert all(t is up_full for t in up_table if len(t) == 2)
     # with a size-1 axis no cell steps along every axis: no diagonal start
     for dims in [(1,), (1, 6), (6, 1), (3, 1, 3)]:
-        assert [full for _, _, full in _steps(dims)] == [None, None]
+        assert [full for _, _, full in _box(dims).steps] == [None, None]
 
 
-def test_enumeration_never_builds_a_step_table():
-    before = _steps.cache_info()
+def _forbid(monkeypatch, *parts):
+    """Make reading any of ``parts`` of a box layout raise, cached or not."""
+    def built(self):
+        raise AssertionError("built a part the caller does not read")
+
+    for part in parts:
+        monkeypatch.setattr(_Box, part, property(built))
+
+
+def test_enumeration_never_builds_a_step_table(monkeypatch):
+    _forbid(monkeypatch, "steps")
     for dims in [(3, 4), (2, 2, 2), (1, 5), (4, 4), (6,), (2, 3, 1, 2)]:
         enumerate_maximal(Shape(dims))
         count_maximal(Shape(dims))
-    after = _steps.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_is_maximal_never_builds_the_row_parts(monkeypatch):
+    _forbid(monkeypatch, "inner", "chunks", "axes")
+    for dims in [(3, 4), (2, 2, 2), (1, 5), (6,)]:
+        assert is_maximal(random_maximal(Shape(dims), 0))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -129,7 +140,9 @@ def test_step_table_flood_kills_what_the_coordinate_flood_kills(seed):
     # alive start cell must kill the same cells under both floods
     rng = random.Random(seed)
     for shape in iter_shapes(64, 4):
-        cells, strides, steps, board = _layout(shape)
+        cells, strides, board = reference_flood.layout(shape)
+        box = _box(shape.dims)
+        assert (box.cells, box.strides) == (cells, strides)
         if seed:
             order = list(range(len(cells)))
             rng.shuffle(order)
@@ -139,7 +152,7 @@ def test_step_table_flood_kills_what_the_coordinate_flood_kills(seed):
         for j in range(len(cells)):
             if board[j]:
                 got, want = bytearray(board), bytearray(board)
-                killed = _turn_on(steps, got, j)
+                killed = _turn_on(box.steps, got, j)
                 assert sorted(killed) == sorted(reference_flood.turn_on(cells, strides, want, j))
                 assert got == want and len(set(killed)) == len(killed), (shape.dims, j)
 

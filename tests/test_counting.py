@@ -19,6 +19,7 @@ from maxac import (
     to_intervals,
     weight,
 )
+from maxac.core import _box
 
 
 def test_count_2d_examples():
@@ -105,6 +106,24 @@ def test_extend_rejects_non_maximal_input():
             if projectable:
                 with pytest.raises(NotMaximalError):
                     project_last(g)
+
+
+# the empty grid, two adjacent cells, and a gapped row
+ONE_D_NON_MAXIMAL = [(), ((2,), (3,)), ((1,), (4,))]
+
+
+def test_a_one_dimensional_grid_is_decided_by_its_row_form():
+    # by the size law a maximal 1-d grid has one one-cell, so extend needs
+    # no layout of the box, however long
+    before = _box.cache_info()
+    for ones in ONE_D_NON_MAXIMAL:
+        with pytest.raises(NotMaximalError):
+            extend_by_two(Grid(Shape((5,)), ones))
+    images = [extend_by_two(Grid(Shape((5,)), [(y,)])) for y in range(1, 6)]
+    extend_by_two(Grid(Shape((10**5,)), [(7,)]))
+    after = _box.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
+    assert images == list(enumerate_maximal(Shape((5, 2))).grids)
 
 
 def test_project_last_examples():

@@ -152,7 +152,7 @@ def test_a_size_one_axis_skips_the_search(monkeypatch):
     def no_search(*args):
         raise AssertionError("searched a box with a size-1 axis")
 
-    monkeypatch.setattr(enumeration, "_interior_rows", no_search)
+    monkeypatch.setattr(enumeration, "_iter_left_ends", no_search)
     monkeypatch.setattr(enumeration, "_transfer_count", no_search)
     for dims in [(21, 1), (1, 5, 5), (2, 1, 3, 4)]:
         assert enumerate_maximal(Shape(dims)).count == count_maximal(Shape(dims)) == 1

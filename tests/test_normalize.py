@@ -19,9 +19,11 @@ from maxac import (
     max_size,
     normalize,
     peel,
+    random_maximal,
     to_intervals,
     x_set,
 )
+from maxac.core import _box
 from maxac.rowform import _obstructed
 
 
@@ -198,7 +200,7 @@ def test_normalize_matches_reference_on_every_small_maximal_grid():
     assert (shapes, grids, steps) == (714, 1447, 4055)
 
 
-def test_the_plan_lists_the_obstruction_set_in_ascending_order():
+def test_the_row_box_lists_the_obstruction_set_in_ascending_order():
     # the flat pending rows replace sorted(x_set(m)), and x_set reads them;
     # both checked against the definition at every level of every small
     # chain, before and after normalize
@@ -213,11 +215,25 @@ def test_the_plan_lists_the_obstruction_set_in_ascending_order():
                 levels.append(peel(levels[-1]))
             for m in levels:
                 maps += 1
-                plan, pending = _obstructed(m)
-                assert [plan[0][i] for i in pending] == sorted(ref.x_set(m)), g.ones
+                box, pending = _obstructed(m)
+                assert [box.cells[i] for i in pending] == sorted(ref.x_set(m)), g.ones
                 assert x_set(m) == ref.x_set(m)
                 obstructed += bool(pending)
     assert (maps, obstructed) == (10437, 2826)
+
+
+def test_a_whole_chain_builds_one_row_layout():
+    # every level of the chain has the same row dimensions, so the row form,
+    # the characterization, normalize and peel all read one cached row box
+    g = random_maximal(Shape((5, 4, 6)), 3)
+    _box.cache_clear()
+    m = to_intervals(g)
+    assert check_characterization(m)
+    levels = _chain(normalize, m)
+    assert len(levels) == 5 and sum(r.steps for r, _ in levels) > 0
+    # one miss for the whole chain, then one hit per normalize and per peel
+    info = _box.cache_info()
+    assert (info.misses, info.hits) == (1, 2 * len(levels))
 
 
 def test_find_pair_and_convert_step_resume_where_normalize_does():

@@ -1,8 +1,10 @@
 """The package's public names: the same set and the same objects as the eager
-imports gave, in every import order."""
+imports gave, in every import order; and the README's quick start."""
 
+import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -104,3 +106,18 @@ def test_a_cli_keeps_running_the_copy_of_the_package_it_was_loaded_with():
                  "print(first.main(['normalize']),"
                  " first.main(['verify', '--w', '2,2', '--samples', '5', '--trials', '1']))")
     assert out.splitlines()[-1].endswith("0 0")
+
+
+def test_the_readme_quick_start_gives_what_its_comments_say():
+    readme = (SRC.parent / "README.md").read_text()
+    block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)[1]
+    # run the block statement by statement, keeping each bare expression's value
+    namespace, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
+    size, _, loser = values
+    assert (size, len(namespace["report"].grids), loser) == (5, 6, 1)
