@@ -17,7 +17,9 @@ from maxac import (
     Grid,
     Shape,
     check_characterization,
+    contains_forbidden,
     enumerate_maximal,
+    flip_creates_containment,
     from_intervals,
     is_maximal,
     to_intervals,
@@ -55,7 +57,10 @@ for mask in range(1 << len(cells)):
         local = bool(check_characterization(to_intervals(g)))
     except Exception:
         local = False  # empty or gapped row: certainly not maximal
-    assert local == is_maximal(g)
+    # maximal by definition: clean, and every zero flip would break that
+    direct = not contains_forbidden(g) and all(
+        flip_creates_containment(g, c) for c in cells if c not in g.one_set)
+    assert local == direct
     agreements += 1
 print(f"    direct flip test and local rules agree on all {agreements} grids.")
 print()

@@ -17,9 +17,9 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ShapeTooLargeError
 
 Cell = tuple[int, ...]
 
@@ -33,6 +33,9 @@ _MAX_CELLS = 2**64 - 1
 # verification.
 VERIFY_SAMPLE_LIMIT = 10_000
 VERIFY_TRIAL_LIMIT = 10_000
+
+# this copy of the package, through which ``is_maximal`` reaches ``rowform``
+_package = sys.modules[__package__]
 
 
 def _is_int(value) -> bool:
@@ -232,11 +235,11 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
 class _Box:
     """The box [w_1] x ... x [w_d] in flat row-major, that is lexicographic,
     order: cell i is ``cells[i]``, and a unit step along axis k adds
-    ``strides[k]`` to its index.  ``core`` floods the box of a grid, and
+    ``strides[k]`` to its index.  The flood fills the box of a grid, and
     ``rowform``, ``normalize`` and ``enumeration`` walk the box of its rows,
-    the first d - 1 axes.  Each part is built on first use, so the search
-    never builds a flood table and ``is_maximal`` never builds the row
-    parts.  No caller mutates a part."""
+    the first d - 1 axes.  Each part is built on first use, so the row sweep
+    (``is_maximal`` too) and the search never build a flood table.  No
+    caller mutates a part."""
 
     def __init__(self, dims: tuple[int, ...]):
         self.cells = tuple(product(*(range(1, w + 1) for w in dims)))
@@ -303,12 +306,21 @@ class _Box:
 
 
 # keyed by dims, so the thousands of is_maximal calls of one verify run share
-# one box, and every level of a normalize/peel chain, which shrinks only the
-# last axis, one row box.  The benchmark's normalize/peel chains read 6 row
-# boxes and the search 2 boxes per op, well inside 32; a box at the game's
-# 10,000-cell limit takes 1.1-1.4 MB with every part built, so 32 take at
-# most about 45 MB
+# one row box, as does every level of a normalize/peel chain, which shrinks
+# only the last axis.  The benchmark's chains read 6 row boxes and the search
+# 2 boxes per op, well inside 32.  The flood's whole boxes have at most
+# GAME_CELL_LIMIT cells, 1.1-1.4 MB with every part built: 32 take 45 MB
 _box = lru_cache(maxsize=32)(_Box)
+
+# largest box the flood fills (``play``, ``complete_to_maximal``,
+# ``random_maximal``): its cached flood table holds two references per cell
+GAME_CELL_LIMIT = 10_000
+
+
+def _flood_box(shape: Shape) -> _Box:
+    if shape.cell_count > GAME_CELL_LIMIT:
+        raise ShapeTooLargeError(shape.cell_count, GAME_CELL_LIMIT)
+    return _box(shape.dims)
 
 
 def _turn_on(steps: tuple, alive: bytearray, j: int) -> list[int]:
@@ -338,17 +350,30 @@ def _turn_on(steps: tuple, alive: bytearray, j: int) -> list[int]:
     return killed
 
 
+def _flood(g: Grid, cells: Iterable[Cell] = ()) -> tuple[list[Cell], bytearray] | None:
+    """Turn on the one-cells of ``g``, then each cell of ``cells`` still
+    alive, by ``_turn_on``: the cells turned on and the alive flags after,
+    or None if a one-cell of ``g`` is dead when reached (comparable to an
+    earlier one).  With no ``cells``, ``g`` is maximal iff it floods and
+    leaves none alive."""
+    box = _flood_box(g.shape)
+    alive = bytearray(b"\x01") * len(box.cells)
+    ones = []
+    for k, cell in enumerate(chain(g.ones, cells)):
+        j = sum((c - 1) * s for c, s in zip(cell, box.strides))
+        if alive[j]:
+            _turn_on(box.steps, alive, j)
+            ones.append(cell)
+        elif k < len(g.ones):
+            return None
+    return ones, alive
+
+
 def is_maximal(g: Grid) -> bool:
     """Avoids the forbidden configuration, and every zero flip would create
-    it: ``_turn_on`` finds no one-cell dead and leaves no cell alive, O(n d)."""
-    box = _box(g.shape.dims)
-    alive = bytearray(b"\x01") * len(box.cells)
-    for p in g.ones:
-        j = sum((c - 1) * s for c, s in zip(p, box.strides))
-        if not alive[j]:
-            return False
-        _turn_on(box.steps, alive, j)
-    return not any(alive)
+    it: ``rowform.maximal_row_form``, which rejects a wrong weight in O(1)
+    and otherwise costs O(|ones| + rows d) over the row box."""
+    return _package.rowform.maximal_row_form(g) is not None
 
 
 def max_size(s: Shape) -> int:

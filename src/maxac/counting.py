@@ -17,10 +17,9 @@ dominating, and never two of these; the extended grid puts them on both
 layers, layer 2 and layer 1 respectively.  For d = 1 the single row () has
 the interval [i, i] of its one cell i, and the same reading applies.
 
-The same row form decides whether the input is maximal at all: for d >= 2 a
-grid is maximal exactly when its rows are nonempty contiguous segments that
-satisfy the h- and l-rules (``rowform``), one O(rows * d) sweep that needs
-no pass over the zero cells.
+The same row form decides whether the input is maximal at all
+(``rowform.maximal_row_form``, as for ``is_maximal``), with no pass over
+the zero cells.
 """
 
 from __future__ import annotations
@@ -29,9 +28,8 @@ import math
 import sys
 
 from .core import Grid, Shape, _brief
-from .errors import (EmptyRowError, NonContiguousRowError, NotMaximalError,
-                     PreconditionViolatedError)
-from .rowform import IntervalMap, check_characterization, to_intervals
+from .errors import NotMaximalError, PreconditionViolatedError
+from .rowform import maximal_row_form
 
 
 def count_closed_form(shape: Shape) -> int:
@@ -65,23 +63,6 @@ def count_closed_form(shape: Shape) -> int:
                      "(sys.get_int_max_str_digits)")
 
 
-def _maximal_row_form(g: Grid) -> IntervalMap:
-    """The row form of ``g``, or NotMaximalError if ``g`` is not maximal.
-
-    An empty or gapped row certifies non-maximality; so does, for d >= 2, a
-    row breaking the h- or l-rule, in one O(rows * d) sweep.  For d = 1,
-    where the rules do not apply, the size law decides: a maximal grid has
-    exactly one one-cell.
-    """
-    try:
-        m = to_intervals(g)
-    except (EmptyRowError, NonContiguousRowError):
-        raise NotMaximalError() from None
-    if not (len(g.ones) == 1 if g.shape.d == 1 else check_characterization(m)):
-        raise NotMaximalError()
-    return m
-
-
 def extend_by_two(n: Grid) -> Grid:
     """Append a size-2 axis, sending a maximal grid to the unique maximal
     grid one dimension up.
@@ -90,9 +71,11 @@ def extend_by_two(n: Grid) -> Grid:
     below l (dominated) go on layer 2 and cells above h (dominating) on
     layer 1.
     """
+    if (m := maximal_row_form(n)) is None:
+        raise NotMaximalError()
     top = n.shape.dims[-1]
     ones = []
-    for row, (l, h) in _maximal_row_form(n).intervals.items():
+    for row, (l, h) in m.intervals.items():
         ones += [row + (y, 2) for y in range(1, h + 1)]
         ones += [row + (y, 1) for y in range(l, top + 1)]
     return Grid(Shape(n.shape.dims + (2,)), ones)
@@ -103,5 +86,7 @@ def project_last(m: Grid) -> Grid:
     both layers, i.e. whose interval is [1, 2].  Inverse of ``extend_by_two``."""
     if m.shape.d < 2 or m.shape.dims[-1] != 2:
         raise ValueError("the shape must end with a dimension of size 2")
-    both = [row for row, lh in _maximal_row_form(m).intervals.items() if lh == (1, 2)]
+    if (form := maximal_row_form(m)) is None:
+        raise NotMaximalError()
+    both = [row for row, lh in form.intervals.items() if lh == (1, 2)]
     return Grid(Shape(m.shape.dims[:-1]), both)

@@ -38,7 +38,7 @@ Consecutive leaves share most of their rows.  A row's cells are the run
 from ``l`` to ``h`` of its own cells, so they read two slots of the left-end
 vector, and an odometer step changes only the slot it bumps and the slots
 it resets from above 1.  So the enumerator keeps each row's run as a slice
-of the box's cell tuple (``core._box``, which ``is_maximal`` shares),
+of the box's cell tuple (``core._box``, which the flood shares),
 refreshes only the rows that read a changed slot, and joins the runs into
 each kept leaf.  Past ``cap`` it walks on without refreshing, to count.
 
@@ -88,7 +88,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, product
 from typing import Iterator, Sequence
 
-from .core import Cell, Grid, Shape, _box, _is_int, _trusted, _turn_on, comparable
+from .core import Cell, Grid, Shape, _box, _flood, _flood_box, _is_int, _trusted, comparable
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -274,35 +274,27 @@ def brute_force_maximal(shape: Shape) -> tuple[Grid, ...]:
 def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
     """Greedy saturation: walk ``order`` (default lexicographic) and turn on
     every cell whose flip keeps the grid clean; maximal grids come back
-    unchanged.  An ``order`` that is not a permutation of the box's cells
-    raises ValueError, a grid with the forbidden pair AlreadyContainsError."""
+    unchanged.  A box of more than ``GAME_CELL_LIMIT`` cells raises
+    ShapeTooLargeError, an ``order`` that is not a permutation of the box's
+    cells ValueError, a grid with the forbidden pair AlreadyContainsError."""
     shape = g.shape
+    cells = _flood_box(shape).cells
     if order is not None:
         order = list(order)
         if not (all(map(shape.contains_cell, order))
                 and len(order) == len(set(order)) == shape.cell_count):
             raise ValueError("order must be a permutation of the box's cells")
-    box = _box(shape.dims)
-    cells, strides, steps = box.cells, box.strides, box.steps
-    alive = bytearray(b"\x01") * len(cells)
-    ones = []
-    # a one-cell of g that is dead when reached is comparable to an earlier one
-    for k, cell in enumerate(chain(g.ones, cells if order is None else order)):
-        j = sum((c - 1) * s for c, s in zip(cell, strides))
-        if alive[j]:
-            _turn_on(steps, alive, j)
-            ones.append(cell)
-        elif k < len(g.ones):
-            raise AlreadyContainsError()
-    return Grid(shape, ones)
+    if (flood := _flood(g, cells if order is None else order)) is None:
+        raise AlreadyContainsError()
+    return Grid(shape, flood[0])
 
 
 def random_maximal(shape: Shape, seed: int) -> Grid:
     """Maximal grid obtained by greedy completion over a seed-shuffled cell
-    order.  Deterministic for a fixed seed, but not uniform over the maximal
-    grids: over seeds 0-5999 on 4x4 one of the 20 grids came out 105 times
-    and another 873 times."""
+    order, within the same cell budget.  Deterministic for a fixed seed, but
+    not uniform over the maximal grids: over seeds 0-5999 on 4x4 one of the
+    20 grids came out 105 times and another 873 times."""
     rng = random.Random(seed)
-    cells = list(shape.iter_cells())
+    cells = list(_flood_box(shape).cells)
     rng.shuffle(cells)
     return complete_to_maximal(Grid(shape, ()), cells)

@@ -25,22 +25,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import (Cell, Grid, Shape, _box, _brief, _is_int, _trusted, _turn_on,
-                   flip_creates_containment, max_size)
-from .errors import (
-    ShapeTooLargeError,
-    StrategyReturnedNonZeroCellError,
-    StrategyReturnedOutOfRangeError,
-)
+from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _brief, _flood_box, _is_int, _trusted,
+                   _turn_on, flip_creates_containment, max_size)
+from .errors import StrategyReturnedNonZeroCellError, StrategyReturnedOutOfRangeError
 
 # built-in strategy names, or a callable mapping the state to a zero cell
 Strategy = Union[str, Callable[["GameState"], Cell]]
 
 BUILTIN_STRATEGIES = ("lex", "random")
-
-# largest box ``play`` accepts; a game on n cells takes O(n (d + log n)) steps,
-# and the box's cached flood table holds two references per cell
-GAME_CELL_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -125,11 +117,8 @@ def play(
     for s in strategies:
         if not callable(s) and s not in BUILTIN_STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}")
-    if shape.cell_count > GAME_CELL_LIMIT:
-        raise ShapeTooLargeError(shape.cell_count, GAME_CELL_LIMIT)
-
+    box = _flood_box(shape)
     n = shape.cell_count
-    box = _box(shape.dims)
     cells, strides, steps = box.cells, box.strides, box.steps
     alive = bytearray(b"\x01") * n
     # the first alive cell only moves forward, so lex resumes from its last

@@ -9,8 +9,9 @@ one-cells form contiguous segments, so it is fully described by the interval
 
 where ancestors (descendants) of a row are the rows strictly below (above) it
 in all first d-1 coordinates; with no ancestors (descendants) the rule reads
-h(x) = w_d (l(x) = 1).  For d = 1 the rules are not used; that case is
-covered directly by ``contains_forbidden``.
+h(x) = w_d (l(x) = 1).  ``maximal_row_form`` decides maximality for the
+library: the size law (weight ``max_size``) first, which alone settles
+d = 1, then the row form and the rules.
 
 ``check_characterization`` tests both rules in one O(rows * d) sweep: the
 ancestors of x are exactly the rows at or below x - (1,...,1), so the h-rule
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from itertools import chain
 from types import MappingProxyType
 
-from .core import Grid, Shape, _Box, _box, _brief, _is_int, _trusted
+from .core import Grid, Shape, _Box, _box, _brief, _is_int, _trusted, max_size
 from .errors import EmptyRowError, NonContiguousRowError
 
 RowId = tuple[int, ...]
@@ -248,6 +249,19 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
         return CharacterizationReport(False, rows[k], "l", want_l[k], ls[k])
     object.__setattr__(m, "_maximal", True)
     return _HOLDS
+
+
+def maximal_row_form(g: Grid) -> IntervalMap | None:
+    """The row form of ``g`` if ``g`` is maximal, else None: a wrong weight
+    rejects at once, with no layout built, and otherwise an empty or gapped
+    row, or a row breaking the h- or l-rule, in O(|ones| + rows * d)."""
+    if len(g.ones) != max_size(g.shape):
+        return None
+    try:
+        m = to_intervals(g)
+    except (EmptyRowError, NonContiguousRowError):
+        return None
+    return m if g.shape.d == 1 or check_characterization(m) else None
 
 
 def x_set(m: IntervalMap) -> set[RowId]:

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, is_maximal,
+from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _flood, is_maximal,
                    max_size, weight)
 from .counting import count_closed_form, extend_by_two, project_last
 from .enumeration import (
@@ -106,14 +106,16 @@ def check_size_law(shape: Shape, grids: Sequence[Grid]) -> CheckResult:
 def check_equivalence(
     shape: Shape, grids: Sequence[Grid], samples: int = 1000, seed: int = 0
 ) -> CheckResult:
-    """is_maximal(g) iff to_intervals(g) succeeds and the characterization
+    """Maximal, by the flood (``core._flood``; ``is_maximal`` reads the row
+    form under test), iff to_intervals(g) succeeds and the characterization
     holds, over all maximal grids plus a seeded non-maximal sample."""
     name = "characterization-equivalence"
     if shape.d < 2:
         return CheckResult(name, True, "d = 1: characterization not applicable")
     pool = list(grids) + sample_non_maximal(shape, samples, seed)
     for g in pool:
-        direct = is_maximal(g)
+        flood = _flood(g)
+        direct = flood is not None and not any(flood[1])
         try:
             local = bool(check_characterization(to_intervals(g)))
         except (EmptyRowError, NonContiguousRowError):

@@ -4,9 +4,9 @@
 then every zero cell against every one-cell; ``complete_to_maximal`` tests
 each candidate against every one-cell turned on so far.  Both use only the
 pairwise ``comparable``, ``contains_forbidden`` and
-``flip_creates_containment``.  They share none of the flood fill in
-``maxac.core``, and the tests require both to give identical answers and
-identical grids.
+``flip_creates_containment``.  They share neither the flood fill in
+``maxac.core`` nor the row form in ``maxac.rowform``, and the tests require
+both to give identical answers and identical grids.
 """
 
 from __future__ import annotations

@@ -127,10 +127,54 @@ def test_enumeration_never_builds_a_step_table(monkeypatch):
         count_maximal(Shape(dims))
 
 
-def test_is_maximal_never_builds_the_row_parts(monkeypatch):
-    _forbid(monkeypatch, "inner", "chunks", "axes")
+def test_is_maximal_never_builds_a_step_table(monkeypatch):
+    _forbid(monkeypatch, "steps")
     for dims in [(3, 4), (2, 2, 2), (1, 5), (6,)]:
-        assert is_maximal(random_maximal(Shape(dims), 0))
+        g = enumerate_maximal(Shape(dims)).grids[-1]
+        assert is_maximal(g)
+        assert not is_maximal(Grid(g.shape, g.ones[1:]))
+
+
+def _holds_only_the_row_box(dims):
+    """Whether the layout cache, cleared before, holds just ``dims[:-1]``."""
+    if _box.cache_info().currsize != 1:
+        return False
+    _box(dims[:-1])
+    return _box.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+
+def test_a_grid_of_the_wrong_weight_adds_no_box():
+    shape = Shape((3, 4))
+    maximal = enumerate_maximal(shape).grids[0]
+    _box.cache_clear()
+    for ones in [(), ((1, 1),), maximal.ones[1:], tuple(shape.iter_cells())]:
+        assert not is_maximal(Grid(shape, ones))
+    assert _box.cache_info().currsize == 0
+
+
+def test_a_maximal_grid_adds_only_its_row_box():
+    for dims in [(3, 4), (2, 3, 4), (4, 1, 3)]:
+        g = enumerate_maximal(Shape(dims)).grids[0]
+        _box.cache_clear()
+        assert is_maximal(g)
+        assert _holds_only_the_row_box(dims)
+    # d = 1: the size law decides, and there is no row box
+    _box.cache_clear()
+    assert is_maximal(Grid(Shape((5,)), [(3,)]))
+    assert not is_maximal(Grid(Shape((5,)), [(3,), (4,)]))
+    assert _box.cache_info().currsize == 0
+
+
+def test_is_maximal_on_a_million_cells_builds_no_layout_of_the_box(monkeypatch):
+    _forbid(monkeypatch, "steps")
+    shape = Shape((1000, 1000))
+    # the maximal grid "some coordinate is 1"
+    boundary = Grid(shape, [(1, y) for y in range(1, 1001)] + [(x, 1) for x in range(2, 1001)])
+    _box.cache_clear()
+    assert not is_maximal(Grid(shape, [(500, 500)]))
+    assert _box.cache_info().currsize == 0
+    assert is_maximal(boundary)
+    assert _holds_only_the_row_box(shape.dims)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

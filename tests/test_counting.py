@@ -1,7 +1,9 @@
+import random
 import sys
 import time
 
 import pytest
+import reference_dominance
 
 from maxac import (
     Grid,
@@ -14,8 +16,8 @@ from maxac import (
     extend_by_two,
     is_maximal,
     iter_shapes,
+    max_size,
     project_last,
-    sample_non_maximal,
     to_intervals,
     weight,
 )
@@ -92,20 +94,42 @@ def test_extend_by_two_examples():
     assert project_last(image) == base
 
 
+def _certified_non_maximal(shape, rng):
+    """Random subsets, punctured maximal grids (too light) and maximal grids
+    with one cell moved (the right weight), kept when the pairwise oracle
+    certifies them non-maximal."""
+    cells = list(shape.iter_cells())
+    maximal = enumerate_maximal(shape).grids
+    out = []
+    for _ in range(6):
+        ones = list(rng.choice(maximal).ones)
+        zeros = [c for c in cells if c not in ones]
+        candidates = [[c for c in cells if rng.random() < 0.4], ones[1:]]
+        if zeros:
+            candidates.append(ones[1:] + [rng.choice(zeros)])
+        grids = [Grid(shape, c) for c in candidates]
+        out += [g for g in grids if not reference_dominance.is_maximal(g)]
+    return out
+
+
 def test_extend_rejects_non_maximal_input():
     with pytest.raises(NotMaximalError):
         extend_by_two(Grid(Shape((2, 2)), [(1, 2)]))
-    # the row-form guard must reject what the pairwise is_maximal rejects:
-    # empty rows, gapped rows and rows breaking the h- or l-rule alike, in
-    # both directions of the bijection
+    # the row-form guard must reject what the pairwise oracle rejects: wrong
+    # weights, empty rows, gapped rows and rows breaking the h- or l-rule
+    # alike, in both directions of the bijection
+    rng = random.Random(7)
+    right_weight = 0
     for shape in iter_shapes(16, 4):
         projectable = shape.d >= 2 and shape.dims[-1] == 2
-        for g in sample_non_maximal(shape, 5):
+        for g in _certified_non_maximal(shape, rng):
+            right_weight += weight(g) == max_size(shape)
             with pytest.raises(NotMaximalError):
                 extend_by_two(g)
             if projectable:
                 with pytest.raises(NotMaximalError):
                     project_last(g)
+    assert right_weight > 100
 
 
 # the empty grid, two adjacent cells, and a gapped row

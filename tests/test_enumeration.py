@@ -8,6 +8,7 @@ import reference_enumerate
 from bitmask_search import search_maximal
 
 from maxac import (
+    GAME_CELL_LIMIT,
     AlreadyContainsError,
     Grid,
     Shape,
@@ -24,6 +25,7 @@ from maxac import (
     weight,
 )
 from maxac import enumeration
+from maxac.core import _box
 from maxac.enumeration import _transfer_count
 
 # frozen from the definitional subset-filter oracle
@@ -349,6 +351,28 @@ def test_random_maximal_examples():
     assert random_maximal(Shape((1, 5)), 3).ones == tuple(Shape((1, 5)).iter_cells())
     for seed in range(100):
         assert weight(random_maximal(Shape((3, 3)), seed)) == 5
+
+
+def test_the_flood_refuses_a_box_past_the_game_budget(monkeypatch):
+    def unread(*args):
+        raise AssertionError("listed the cells of a box past the budget")
+        yield
+
+    monkeypatch.setattr(Shape, "iter_cells", unread)
+    before = _box.cache_info().currsize
+    for dims in [(2,) * 18, (101, 100)]:
+        shape = Shape(dims)
+        for refused in [lambda: complete_to_maximal(Grid(shape)),
+                        lambda: complete_to_maximal(Grid(shape), unread()),
+                        lambda: random_maximal(shape, 0)]:
+            with pytest.raises(ShapeTooLargeError) as info:
+                refused()
+            assert (info.value.cells, info.value.limit) == (shape.cell_count, GAME_CELL_LIMIT)
+    assert _box.cache_info().currsize == before
+    monkeypatch.undo()
+    # the budget itself is fine
+    assert weight(random_maximal(Shape((100, 100)), 0)) == 199
+    assert weight(complete_to_maximal(Grid(Shape((100, 100))))) == 199
 
 
 def test_random_maximal_is_seed_deterministic():

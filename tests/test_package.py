@@ -108,6 +108,22 @@ def test_a_cli_keeps_running_the_copy_of_the_package_it_was_loaded_with():
     assert out.splitlines()[-1].endswith("0 0")
 
 
+def test_is_maximal_keeps_deciding_through_its_own_copy_of_the_row_form():
+    out = _fresh("import sys\n"
+                 "import maxac.core, maxac.rowform\n"
+                 "core, rowform = maxac.core, maxac.rowform\n"
+                 "for name in [n for n in sys.modules if n.split('.')[0] == 'maxac']:\n"
+                 "    del sys.modules[name]\n"
+                 "import maxac.core, maxac.rowform\n"
+                 "calls = []\n"
+                 "decide = rowform.maximal_row_form\n"
+                 "rowform.maximal_row_form = lambda g: calls.append(g) or decide(g)\n"
+                 "shape = core.Shape((2, 2))\n"
+                 "print(core.is_maximal(core.Grid(shape, [(1, 1), (1, 2), (2, 1)])),"
+                 " core.is_maximal(core.Grid(shape, [(1, 2), (2, 1)])), len(calls))")
+    assert out.splitlines()[-1] == "True False 2"
+
+
 def test_the_readme_quick_start_gives_what_its_comments_say():
     readme = (SRC.parent / "README.md").read_text()
     block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)[1]

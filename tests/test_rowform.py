@@ -1,6 +1,7 @@
 import random
 
 import pytest
+import reference_dominance
 import reference_normalize as ref
 from reference_normalize import ancestor_rows, descendant_rows
 
@@ -18,6 +19,7 @@ from maxac import (
     weight,
     x_set,
 )
+from maxac.core import _flood
 
 SMALL_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (1, 4), (3, 2, 2)]
 
@@ -196,7 +198,9 @@ def test_x_set_examples():
 
 
 def test_equivalence_with_is_maximal_on_small_shapes():
-    # direct flip test vs interval characterization, both directions
+    # interval characterization vs the definitional flip test and the flood,
+    # both directions; is_maximal reads the characterization, so it must
+    # agree with both oracles too
     for dims in [(2, 2), (2, 3), (2, 2, 2)]:
         shape = Shape(dims)
         cells = list(shape.iter_cells())
@@ -207,7 +211,9 @@ def test_equivalence_with_is_maximal_on_small_shapes():
                 local = bool(check_characterization(to_intervals(g)))
             except (EmptyRowError, NonContiguousRowError):
                 local = False
-            assert local == is_maximal(g), g.ones
+            flood = _flood(g)
+            flooded = flood is not None and not any(flood[1])
+            assert local == reference_dominance.is_maximal(g) == flooded == is_maximal(g), g.ones
 
 
 def test_monotonicity_along_dominance():

@@ -3,13 +3,15 @@ import pytest
 from maxac import (
     VERIFY_SAMPLE_LIMIT,
     VERIFY_TRIAL_LIMIT,
+    CharacterizationReport,
+    Grid,
     Shape,
     enumerate_maximal,
     is_maximal,
     sample_non_maximal,
     verify_shape,
 )
-from maxac import verification
+from maxac import rowform, verification
 
 
 def test_sample_non_maximal_enumerates_only_when_sampling(monkeypatch):
@@ -28,6 +30,24 @@ def test_sample_non_maximal_enumerates_only_when_sampling(monkeypatch):
     sample = sample_non_maximal(shape, 3, seed=4)
     assert len(sample) == 3 and not any(is_maximal(g) for g in sample)
     assert calls == [shape]
+
+
+def test_the_equivalence_check_decides_maximality_apart_from_the_row_form(monkeypatch):
+    # a characterization that passes every map, wherever it is read: only a
+    # direct side that shares no code with it can disagree
+    def holds(m):
+        return CharacterizationReport(True)
+
+    monkeypatch.setattr(rowform, "check_characterization", holds)
+    monkeypatch.setattr(verification, "check_characterization", holds)
+    shape = Shape((3, 3))
+    grids = enumerate_maximal(shape).grids
+    assert not verification.check_equivalence(shape, grids).passed
+    # the right weight and contiguous rows, but (1, 1) lies below (3, 2): the
+    # size law cannot tell this one apart, only the rules can
+    bad = Grid(shape, [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3)])
+    result = verification.check_equivalence(shape, [bad], samples=0)
+    assert (result.passed, result.detail) == (False, f"disagreement on grid with ones {bad.ones}")
 
 
 def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
