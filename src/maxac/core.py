@@ -54,6 +54,11 @@ def _digit_count(x: int) -> int:
     return n
 
 
+def _count_too_long(dims, limit: int) -> ValueError:
+    return ValueError(f"the count for shape {_brief.repr(dims)} has more than {limit} "
+                      "digits, the limit for printing an integer (sys.get_int_max_str_digits)")
+
+
 class _BriefRepr(reprlib.Repr):
     def repr_int(self, x, level):
         # repr refuses ints past the interpreter's digit limit, so those are

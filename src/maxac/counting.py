@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import sys
 
-from .core import Grid, Shape, _brief
+from .core import Grid, Shape, _brief, _count_too_long
 from .errors import NotMaximalError, PreconditionViolatedError
 from .rowform import maximal_row_form
 
@@ -56,11 +56,11 @@ def count_closed_form(shape: Shape) -> int:
         powers = [(t, min(t, a, b, a + b - t)) for t in range(1, a + b)]
         value = (math.prod((t + c) ** k for t, k in powers)
                  // math.prod(t**k for t, k in powers))
-        if not limit or value < 10**limit:
+        # fewer than 3 * limit bits means at most limit digits, and 10**limit
+        # costs more than all the rest on a small box
+        if not limit or value.bit_length() <= 3 * limit or value < 10**limit:
             return value
-    raise ValueError(f"the count for shape {_brief.repr(shape.dims)} has more than "
-                     f"{limit} digits, the limit for printing an integer "
-                     "(sys.get_int_max_str_digits)")
+    raise _count_too_long(shape.dims, limit)
 
 
 def extend_by_two(n: Grid) -> Grid:

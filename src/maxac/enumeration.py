@@ -42,33 +42,31 @@ of the box's cell tuple (``core._box``, which the flood shares),
 refreshes only the rows that read a changed slot, and joins the runs into
 each kept leaf.  Past ``cap`` it walks on without refreshing, to count.
 
-``count_maximal`` runs the same constraints as a transfer DP instead of
-visiting the grids.  It assigns the interior rows in the same order, but
-keeps only a dict from the *window*, the last ``span`` left ends assigned,
-to the number of partial assignments that end in it.  In lexicographic
-order the predecessor ``x - e_i`` lies ``stride_i`` rows back and the
-largest stride is ``span``, the product of the ``w_i - 1`` strictly between
-the first and the last axis, so the window holds every predecessor a row
-reads.  Each row maps a window to one successor per choice of its ``l``,
-and the count is the sum over the last layer.
+The count is the number of antichains, or order ideals, of the product of
+chains ``P = [w_1 - 1] x ... x [w_d - 1]``: order-reversing maps
+``P -> [1, k]`` correspond to order ideals of ``P x [k - 1]`` (Stanley,
+*Enumerative Combinatorics* vol. 1, ch. 3).  That gives
+``counting.count_closed_form`` (``w``, the binomial or MacMahon's box
+formula once size-1 and size-2 axes are reduced away) up to three axes
+above 2, and for ``3^d`` the Dedekind number M(d) (OEIS A000372: 3, 6, 20,
+168, 7581, 7828354); the tests use both as oracles.
 
-The count is symmetric in ``w`` (below), but the DP's cost is not: the
-window grows with the middle axes and the state count with the value range
-``w_d``.  So ``count_maximal`` sorts the axes and runs the DP on
-``(largest, the rest ascending, second largest)``: the smallest ``d - 2``
-axes in the middle give the smallest window, and of the two largest, rows
-along the largest and values on the second largest do less work (counted
-transitions on 4x5x7: 2,405 against 4,865 the other way round; 3x3x3x3x4:
-13,652 against 54,829).
-
-The count is the number of antichains of the product of chains
-``[w_1 - 1] x ... x [w_d - 1]``: order-reversing maps ``P -> [1, k]``
-correspond to order ideals of ``P x [k - 1]`` (Stanley, *Enumerative
-Combinatorics* vol. 1, ch. 3), and order ideals to antichains.  That gives
-``counting.count_closed_form`` (``w``, the binomial or MacMahon's box formula
-once size-1 and size-2 axes are reduced away) up to three axes above 2, and
-for ``3^d`` the Dedekind number M(d) (OEIS A000372: 3, 6, 20, 168, 7581,
-7828354); the tests use both as oracles.
+``count_maximal`` counts by slice zeta transforms.  With ``P = [a - 1] x Q``
+for a largest side ``a``, the ideals of ``P`` are the multichains
+``I_1 >= ... >= I_{a-1}`` in ``J(Q)``, the ideals of ``Q``, so the count is
+``sum(zeta^(a-2) 1)``, where ``zeta g(I)`` sums ``g`` over the ideals inside
+``I``.  One ``zeta`` is a fast zeta transform on a distributive lattice
+(Bjorklund, Husfeldt, Kaski, Koivisto, Nederlof and Parviainen, SODA 2012):
+for each element ``q`` of ``Q`` in lexicographic order, ``g[I] += g[I - {q}]``
+for every ideal ``I`` in which ``q`` is maximal, one addition per covering
+pair of ``J(Q)``.  The ideals are the left-end vectors of the box without
+axis ``a`` (row ``x`` holds ``(x, y)`` for ``y < l(x)``), listed once by
+the odometer; size-2 axes add nothing to ``Q``, and if at most one side
+above 2 is left, ``J(Q)`` is a chain and a pass is a prefix sum.  Before
+any pass, ``COUNT_STATE_LIMIT`` bounds the ideals, which number the count of
+the box without axis ``a`` (by the closed form, or by ``count_maximal``
+itself past three axes above 2), and ``COUNT_WORK_LIMIT`` the passes times
+the covering pairs.
 
 Two oracles share no machinery with the search: ``brute_force_maximal``
 filters every subset of the box as a bitmask against per-cell masks of the
@@ -82,17 +80,30 @@ Plus greedy completion of a clean grid to a maximal one, and seeded random
 
 from __future__ import annotations
 
+import math
 import random
-from collections import defaultdict
+import sys
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from itertools import accumulate, chain, islice
+from operator import mul
 from typing import Iterator, Sequence
 
-from .core import Cell, Grid, Shape, _box, _flood, _flood_box, _is_int, _trusted, comparable
+from .core import (Cell, Grid, Shape, _box, _Box, _brief, _count_too_long, _digit_count, _flood,
+                   _flood_box, _is_int, _trusted, comparable)
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
 BRUTE_FORCE_CELL_LIMIT = 16
+# count_maximal's budgets (module docstring), checked before any pass.  It
+# holds the ideals and their covering pairs at once: 5x5x5x5's 232,848 and
+# 1.36 million took 2.4-2.8 s and 115 MB peak RSS on a 2-vCPU VM.  An addition
+# costs 0.1-0.3 us: 3163x3163, 10 million of them, took 1.9 s.
+COUNT_STATE_LIMIT = 250_000
+COUNT_WORK_LIMIT = 10_000_000
+
+# this copy of the package, through which the state count reaches ``counting``
+_package = sys.modules[__package__]
 
 
 def _require_positive(name: str, value) -> None:
@@ -100,19 +111,22 @@ def _require_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive integer")
 
 
-def _iter_left_ends(
-    order: Sequence[tuple[int, tuple[int, ...]]], l: list[int]
-) -> Iterator[tuple[list[int], Sequence[int]]]:
-    """Yield every order-reversing left-end vector in ascending lexicographic
-    order, as ``l`` updated in place (read it before advancing), with the
-    slots whose value changed since the last vector: every slot for the first.
+def _iter_left_ends(rows: _Box, top: int) -> Iterator[tuple[list[int], Sequence[int]]]:
+    """Yield every order-reversing left-end vector over the row box ``rows``
+    into ``[1, top]``, in ascending lexicographic order, as one list updated
+    in place (read it before advancing), with the slots whose value changed
+    since the last vector: every slot for the first.
 
-    ``order`` lists the slots the odometer moves, last first, each with the
-    slots whose minimum bounds it from above.  An odometer: bump the last
-    slot still below its bound and reset the ones after it to 1.  A slot's
-    bound reads only earlier slots, which the bump leaves alone, and 1 is
-    always allowed, so every step lands on a leaf.
+    Slot ``n``, past the rows, holds ``top``; the boundary rows stay 1.  An
+    odometer over the inner rows, last first: bump the last one still below
+    the minimum over its predecessors (or ``top``, with none) and reset the
+    ones after it to 1.  A slot's bound reads only earlier slots, which the
+    bump leaves alone, and 1 is always allowed, so every step lands on a leaf.
     """
+    n = len(rows.cells)
+    order = [(i, tuple(i - s for c, s in zip(rows.cells[i], rows.strides) if c > 1) or (n,))
+             for i in reversed(rows.inner)]
+    l = [1] * n + [top]
     changed = range(len(l))
     while True:
         yield l, changed
@@ -173,10 +187,6 @@ def enumerate_maximal(
     cells = _box(dims).cells
     rows = _box(dims[:-1])
     n, top = len(rows.cells), dims[-1]
-    # slot n holds w_d (module docstring); the inner rows' slots move, each
-    # bounded by its predecessors or, with none, by w_d; the others stay 1
-    order = [(i, tuple(i - s for c, s in zip(rows.cells[i], rows.strides) if c > 1) or (n,))
-             for i in reversed(rows.inner)]
     # Per slot, the rows that read it: row r, at flat offset r * w_d into
     # the box, reads l at slot r and h at slot r - diag or n.  For d = 1 the
     # one row () is its own x - (1, ..., 1), so h = l.
@@ -187,7 +197,7 @@ def enumerate_maximal(
             readers[slot].append((r, r * top, hi))
     # per row, its run of cells in the current leaf
     parts = [()] * n
-    leaves = _iter_left_ends(order, [1] * n + [top])
+    leaves = _iter_left_ends(rows, top)
     kept = []
     for l, changed in islice(leaves, cap):
         for slot in changed:
@@ -207,44 +217,96 @@ def enumerate_maximal(
     )
 
 
-def count_maximal(shape: Shape, *, max_cells: int = DEFAULT_CELL_LIMIT) -> int:
-    """Number of maximal grids over ``shape``, by the sliding-window transfer
-    DP over the interior rows' left ends (module docstring), or 1 at once
-    for a size-1 axis when d >= 2.  ``max_cells`` is a budget in cells, like
-    ``enumerate_maximal``'s."""
-    _require_positive("max_cells", max_cells)
-    if shape.cell_count > max_cells:
-        raise ShapeTooLargeError(shape.cell_count, max_cells)
+def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
+    """Number of maximal grids over ``shape``: ``w_1`` for d = 1, 1 for a
+    size-1 axis when d >= 2, else by slice zeta transforms under the count
+    budgets (module docstring).  ``max_cells``, if given, is a budget in
+    cells like ``enumerate_maximal``'s.  Raises ValueError if the count has
+    more digits than the interpreter prints (``sys.get_int_max_str_digits``)."""
+    if max_cells is not None:
+        _require_positive("max_cells", max_cells)
+        if shape.cell_count > max_cells:
+            raise ShapeTooLargeError(shape.cell_count, max_cells)
     if shape.d == 1:
         return shape.dims[0]
     if 1 in shape.dims:
         return 1
-    *middle, second, largest = sorted(shape.dims)
-    return _transfer_count((largest, *middle, second))
+    count = _zeta_count(shape.dims)
+    # A multichain is a multiset of a - 1 of the S ideals, so the count is at
+    # most C(a + S - 2, S - 1), about 1,900 digits with (a - 2)(S - 1) within
+    # COUNT_WORK_LIMIT: under the default limit, 4,300, but not a lowered one.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and count.bit_length() > 3 * limit and _digit_count(count) > limit:
+        raise _count_too_long(shape.dims, limit)
+    return count
 
 
-def _transfer_count(dims: Sequence[int]) -> int:
-    """The transfer DP on a box of d >= 2 axes taken in the given order: the
-    interior rows in lexicographic order over ``dims[:-1]``, their left ends
-    in ``[1, dims[-1]]``."""
-    *pre, top = dims
-    strides = [1]
-    for w in reversed(pre[1:]):
-        strides.insert(0, strides[0] * (w - 1))
-    span = strides[0]
-    # the padding in the first window is never read: a row reads the slot
-    # span - stride_i only when its predecessor along axis i exists
-    layer = {(top,) * span: 1}
-    for x in product(*[range(1, w) for w in pre]):
-        slots = [span - s for s, c in zip(strides, x) if c > 1]
-        successors = defaultdict(int)
-        for window, ways in layer.items():
-            bound = min([window[k] for k in slots]) if slots else top
-            tail = window[1:]
-            for v in range(1, bound + 1):
-                successors[tail + (v,)] += ways
-        layer = successors
-    return sum(layer.values())
+def _zeta_count(dims: Sequence[int], named: Sequence[int] | None = None) -> int:
+    """The slice zeta count over a box of d >= 2 sides, all above 1.  A
+    refusal names the box ``named``, whose count needs this one."""
+    named = named or dims
+    *rest, a = sorted(dims)
+    rest = [w for w in rest if w > 2]
+    if len(rest) < 2:  # J(Q) is a chain: the ideals of [w - 1], or of a point
+        g = [1] * (rest[0] if rest else 2)
+        _check_budget(named, (a - 2) * (len(g) - 1), "additions")
+        for _ in range(a - 2):
+            g = list(accumulate(g))
+        return sum(g)
+    states = COUNT_STATE_LIMIT + 1
+    # a maximal chain of J(Q) alone has |Q| + 1 ideals
+    if math.prod(w - 1 for w in rest) < COUNT_STATE_LIMIT:
+        with suppress(ValueError):  # more digits than the interpreter prints
+            states = (_package.count_closed_form(Shape(tuple(rest))) if len(rest) <= 3
+                      else _zeta_count(rest, named))
+    _check_budget(named, states, "states")
+    # every ideal but the empty one covers one, a check before the pairs
+    _check_budget(named, (a - 2) * (states - 1), "additions")
+    upper, lower = _covering_pairs(rest)
+    _check_budget(named, (a - 2) * len(upper), "additions")
+    g = [1] * states
+    for _ in range(a - 2):
+        for i, j in zip(upper, lower):
+            g[i] += g[j]
+    return sum(g)
+
+
+def _check_budget(named: Sequence[int], amount: int, unit: str) -> None:
+    limit, budget = ((COUNT_STATE_LIMIT, "COUNT_STATE_LIMIT") if unit == "states"
+                     else (COUNT_WORK_LIMIT, "COUNT_WORK_LIMIT"))
+    if amount > limit:
+        raise ShapeTooLargeError(math.prod(named), limit, (
+            f"counting shape {_brief.repr(tuple(named))} takes at least "
+            f"{_brief.repr(amount)} {unit}, limit is {limit} ({budget})"))
+
+
+def _covering_pairs(rest: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The covering pairs ``(I, I - {q})`` of ``J(Q)``, ``Q`` the product of
+    the ``[w - 1]`` over ``rest``: the indices of the two ideals in the
+    odometer's order, by ``q`` in lexicographic order."""
+    rows, top = _box(tuple(rest[:-1])), rest[-1]
+    # an ideal's key: its inner rows' left ends as digits base top + 1.  Row
+    # x gives up (x, l(x) - 1), element k * (top - 1) + l(x) - 2 of Q, when
+    # l(x) > 1 and no x + e_i (a row, as x is inner) has the same left end.
+    digit = [0] * (len(rows.cells) + 1)
+    for k, x in enumerate(rows.inner):
+        digit[x] = (top + 1) ** k
+    rules = [(x, [x + s for s in rows.strides], digit[x], k * (top - 1) - 2)
+             for k, x in enumerate(rows.inner)]
+    by_element = [[] for _ in range(len(rows.inner) * (top - 1))]
+    index = {}
+    for l, _ in _iter_left_ends(rows, top):
+        key = sum(map(mul, l, digit))
+        i = index[key] = len(index)
+        for x, successors, step, element in rules:
+            if (v := l[x]) > 1:
+                for y in successors:
+                    if l[y] == v:
+                        break
+                else:  # I - {q} comes earlier in the odometer's order
+                    by_element[element + v] += i, index[key - step]
+    flat = list(chain.from_iterable(by_element))
+    return flat[::2], flat[1::2]
 
 
 def brute_force_maximal(shape: Shape) -> tuple[Grid, ...]:

@@ -65,14 +65,14 @@ class BottomedOutError(BoxError):
 
 
 class ShapeTooLargeError(BoxError):
-    """The box exceeds the configured cell budget for exhaustive work."""
+    """The box exceeds a work budget: the cell budget, or one ``detail`` names."""
 
     code = "ShapeTooLarge"
 
-    def __init__(self, cells, limit):
+    def __init__(self, cells, limit, detail=None):
         self.cells = cells
         self.limit = limit
-        super().__init__(f"box has {cells} cells, limit is {limit}")
+        super().__init__(detail or f"box has {cells} cells, limit is {limit}")
 
 
 class AlreadyContainsError(BoxError):

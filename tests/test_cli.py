@@ -52,6 +52,50 @@ def test_count(capsys):
     assert json.loads(out)["count"] == 2
 
 
+def test_count_answers_past_the_enumeration_budget(capsys):
+    for w, count in [("12,12", 705432), ("3,3,3", 20), ("3,3,3,3,3", 7581)]:
+        status, out, err = run(capsys, "count", "--w", w)
+        assert status == 0 and err == ""
+        assert out == f'{{"w":[{w}],"method":"enumerate","count":{count}}}\n'
+
+
+def test_count_refuses_past_its_budgets_before_any_pass(capsys, monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("listed the covering pairs past a budget")
+
+    monkeypatch.setattr("maxac.enumeration._covering_pairs", no_pass)
+    for w in ["10,10,10,10", "6,6,6,6,6"]:
+        start = time.perf_counter()
+        status, out, err = run(capsys, "count", "--w", w)
+        assert time.perf_counter() - start < 0.1
+        assert status == 1 and out == ""
+        error = json.loads(err)
+        assert error["error"] == "ShapeTooLarge"
+        assert error["detail"].endswith("(COUNT_STATE_LIMIT)")
+
+
+def test_count_refuses_counts_too_long_to_print(capsys):
+    # the budgets admit counts of up to about 1,900 digits, so the refusal
+    # shows under a lowered limit: C(2198, 1099) has 660 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        status, out, err = run(capsys, "count", "--w", "1000,1000")
+        assert status == 0 and err == ""
+        assert json.loads(out)["count"] == math.comb(1998, 999)
+        status, out, err = run(capsys, "count", "--w", "1100,1100")
+        assert status == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "detail": (
+            "the count for shape (1100, 1100) has more than 640 digits, "
+            "the limit for printing an integer (sys.get_int_max_str_digits)")}
+        sys.set_int_max_str_digits(0)  # no limit: the count is printed
+        status, out, err = run(capsys, "count", "--w", "1100,1100")
+        assert status == 0 and err == ""
+        assert json.loads(out)["count"] == math.comb(2198, 1099)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_count_formula(capsys):
     status, out, _ = run(capsys, "count", "--w", "4,5", "--method", "formula", "--json")
     assert status == 0

@@ -6,8 +6,11 @@ import pytest
 import reference_dominance
 import reference_enumerate
 from bitmask_search import search_maximal
+from reference_count import _transfer_count
 
 from maxac import (
+    COUNT_STATE_LIMIT,
+    COUNT_WORK_LIMIT,
     GAME_CELL_LIMIT,
     AlreadyContainsError,
     Grid,
@@ -26,7 +29,6 @@ from maxac import (
 )
 from maxac import enumeration
 from maxac.core import _box
-from maxac.enumeration import _transfer_count
 
 # frozen from the definitional subset-filter oracle
 TWO_BY_TWO = [
@@ -83,10 +85,11 @@ def test_cap_and_budget_must_be_positive_integers():
     for bad in [True, False, 0, -1, 25.5, 25.0, None, "25"]:
         with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
             enumerate_maximal(shape, max_cells=bad)
-        with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
-            count_maximal(shape, max_cells=bad)
+        if bad is not None:  # count_maximal's default: no cell budget
+            with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
+                count_maximal(shape, max_cells=bad)
     assert enumerate_maximal(shape, cap=1, max_cells=4).count == 2
-    assert count_maximal(shape, max_cells=4) == 2
+    assert count_maximal(shape, max_cells=4) == count_maximal(shape, max_cells=None) == 2
 
 
 def test_count_maximal_examples():
@@ -155,7 +158,7 @@ def test_a_size_one_axis_skips_the_search(monkeypatch):
         raise AssertionError("searched a box with a size-1 axis")
 
     monkeypatch.setattr(enumeration, "_iter_left_ends", no_search)
-    monkeypatch.setattr(enumeration, "_transfer_count", no_search)
+    monkeypatch.setattr(enumeration, "_zeta_count", no_search)
     for dims in [(21, 1), (1, 5, 5), (2, 1, 3, 4)]:
         assert enumerate_maximal(Shape(dims)).count == count_maximal(Shape(dims)) == 1
 
@@ -164,7 +167,7 @@ def test_a_size_one_axis_keeps_every_argument_check_and_the_budget():
     with pytest.raises(ShapeTooLargeError):
         enumerate_maximal(Shape((1, 30)))
     with pytest.raises(ShapeTooLargeError):
-        count_maximal(Shape((30, 1)))
+        count_maximal(Shape((30, 1)), max_cells=29)
     for shape in [Shape((1, 3)), Shape((3, 1, 2))]:
         with pytest.raises(ValueError, match="^cap must be a positive integer$"):
             enumerate_maximal(shape, cap=0)
@@ -173,7 +176,7 @@ def test_a_size_one_axis_keeps_every_argument_check_and_the_budget():
         with pytest.raises(ValueError, match="^max_cells must be a positive integer$"):
             count_maximal(shape, max_cells=True)
     assert enumerate_maximal(Shape((1, 30)), max_cells=30).count == 1
-    assert count_maximal(Shape((30, 1)), max_cells=30) == 1
+    assert count_maximal(Shape((30, 1)), max_cells=30) == count_maximal(Shape((30, 1))) == 1
 
 
 def test_count_2d_above_the_budget():
@@ -222,13 +225,11 @@ def test_count_of_cubes_of_side_three_is_dedekind():
         assert count_maximal(shape, max_cells=shape.cell_count) == dedekind, d
 
 
-@pytest.mark.slow
 def test_count_of_the_six_cube_of_side_three_is_dedekind():
     shape = Shape((3,) * 6)
     assert count_maximal(shape, max_cells=shape.cell_count) == 7_828_354
 
 
-@pytest.mark.slow
 def test_count_of_the_cube_of_side_eight_is_macmahons_box_formula():
     shape = Shape((8, 8, 8))
     assert count_maximal(shape, max_cells=shape.cell_count) == plane_partitions(7, 7, 7)
@@ -254,13 +255,72 @@ def test_count_matches_the_odometer_above_the_budget():
 
 
 def test_every_axis_order_runs_to_the_same_count():
-    # count_maximal picks one axis order; the DP itself runs in any order,
-    # each with its own window and value range
+    # the reference transfer DP runs in any axis order, each with its own
+    # window and value range
     shapes = [s.dims for s in iter_shapes(25, 4) if s.d >= 2] + [(7, 4, 5), (3, 3, 4, 2)]
     for dims in shapes:
-        expected = count_maximal(Shape(dims), max_cells=math.prod(dims))
+        expected = count_maximal(Shape(dims))
         for order in set(permutations(dims)):
             assert _transfer_count(order) == expected, order
+
+
+def test_count_matches_the_transfer_dp_on_every_shape_up_to_64_cells():
+    shapes = list(iter_shapes(64, 5))
+    assert len(shapes) == 6616
+    for shape in shapes:
+        if shape.d >= 2 and 1 not in shape.dims:
+            # the axis order that kept the DP's window smallest
+            *middle, second, largest = sorted(shape.dims)
+            expected = _transfer_count((largest, *middle, second))
+        else:
+            expected = shape.dims[0] if shape.d == 1 else 1
+        assert count_maximal(shape) == expected, shape.dims
+
+
+def test_count_is_invariant_under_axis_permutations():
+    for shape in iter_shapes(25, 4):
+        expected = count_maximal(shape)
+        for order in set(permutations(shape.dims)):
+            assert count_maximal(Shape(order)) == expected, order
+
+
+def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("listed the covering pairs past a budget")
+
+    monkeypatch.setattr(enumeration, "_covering_pairs", no_pass)
+    # the ideals number the count of the box less its largest side: 10^3's
+    # for 10^4; 6^5 needs 6^4's, which is refused on 6^3's 267,227,532; and
+    # [999]^2 has more than the budget's elements alone
+    for dims, states in [((10, 10, 10, 10), plane_partitions(9, 9, 9)),
+                         ((6, 6, 6, 6, 6), plane_partitions(5, 5, 5)),
+                         ((1000, 1000, 1000), None)]:
+        with pytest.raises(ShapeTooLargeError) as info:
+            count_maximal(Shape(dims))
+        limit = COUNT_STATE_LIMIT
+        assert info.value.limit == limit and info.value.cells == math.prod(dims)
+        amount = states if states else limit + 1
+        assert str(info.value) == (f"counting shape {dims} takes at least {amount} states, "
+                                   f"limit is {limit} (COUNT_STATE_LIMIT)")
+    # passes times the ideals less one, a lower bound on the covering pairs:
+    # 20 ideals of [2]^3, 232,848 of [4]^3, and a chain of 2
+    for dims, work in [((3, 3, 3, 10**6), 999_998 * 19), ((5, 5, 5, 1000), 998 * 232_847),
+                       ((2, 10**9), (10**9 - 2) * 1)]:
+        with pytest.raises(ShapeTooLargeError) as info:
+            count_maximal(Shape(dims))
+        assert info.value.limit == COUNT_WORK_LIMIT
+        assert str(info.value) == (f"counting shape {dims} takes at least {work} additions, "
+                                   f"limit is {COUNT_WORK_LIMIT} (COUNT_WORK_LIMIT)")
+
+
+def test_the_work_budget_counts_the_covering_pairs_once_listed():
+    # J([2]^3) has 20 ideals and 32 covering pairs: 400,000 passes pass the
+    # first check (7.6 million) and fail the exact one (12.8 million)
+    assert COUNT_WORK_LIMIT == 10_000_000
+    with pytest.raises(ShapeTooLargeError, match=(
+            r"^counting shape \(3, 3, 3, 400002\) takes at least 12800000 additions, "
+            r"limit is 10000000 \(COUNT_WORK_LIMIT\)$")):
+        count_maximal(Shape((3, 3, 3, 400_002)))
 
 
 def test_cap_keeps_the_first_grids_above_the_budget():

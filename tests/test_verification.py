@@ -11,7 +11,7 @@ from maxac import (
     sample_non_maximal,
     verify_shape,
 )
-from maxac import rowform, verification
+from maxac import counting, rowform, verification
 
 
 def test_sample_non_maximal_enumerates_only_when_sampling(monkeypatch):
@@ -56,7 +56,7 @@ def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
     monkeypatch.setattr(verification, "count_maximal", lambda shape: 7)
     result = verification.check_counting(shape)
     assert not result.passed
-    assert result.detail == "transfer DP gives 7, enumeration 6"
+    assert result.detail == "slice zeta gives 7, enumeration 6"
 
 
 def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch):
@@ -71,6 +71,36 @@ def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch
         result = verification.check_counting(Shape(dims))
         assert not result.passed
         assert result.detail.startswith("closed form gives 21, enumeration ")
+
+
+def test_the_bijection_check_reads_each_image_once(monkeypatch):
+    # one row-form pass per grid on each side of each round trip: 6 on 3x3 and
+    # 6 on 3x3x2 forward, and as many back
+    calls = []
+
+    def counted(g):
+        calls.append(g.shape.dims)
+        return row_form(g)
+
+    row_form = rowform.maximal_row_form
+    monkeypatch.setattr(rowform, "maximal_row_form", counted)
+    monkeypatch.setattr(counting, "maximal_row_form", counted)
+    shape = Shape((3, 3))
+    assert verification.check_bijection(shape, enumerate_maximal(shape).grids).passed
+    assert calls.count((3, 3, 2)) == calls.count((3, 3)) == 12 and len(calls) == 24
+
+
+def test_the_bijection_check_fails_a_non_maximal_image(monkeypatch):
+    def punctured(g):
+        image = counting.extend_by_two(g)
+        return Grid(image.shape, image.ones[1:])
+
+    monkeypatch.setattr(verification, "extend_by_two", punctured)
+    shape = Shape((3, 3))
+    grids = enumerate_maximal(shape).grids
+    result = verification.check_bijection(shape, grids)
+    assert (result.passed, result.detail) == (
+        False, f"round trip failed for ones {grids[0].ones}")
 
 
 def test_verify_shape_refuses_work_above_its_limits(monkeypatch):
