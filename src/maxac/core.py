@@ -54,21 +54,33 @@ def _digit_count(x: int) -> int:
     return n
 
 
-def _count_too_long(dims, limit: int) -> ValueError:
-    return ValueError(f"the count for shape {_brief.repr(dims)} has more than {limit} "
-                      "digits, the limit for printing an integer (sys.get_int_max_str_digits)")
+# the most digits the interpreter prints of an int; 0, or no such function,
+# means no limit
+_print_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _too_long(x: int, limit: int) -> bool:
+    # fewer than 3 * limit bits means at most limit digits
+    return bool(limit) and x.bit_length() > 3 * limit and _digit_count(x) > limit
+
+
+def _printable(dims, count: int | None) -> int:
+    """``count``, the count for shape ``dims``, or ValueError if it has more
+    digits than the interpreter prints; None stands for a count known to be
+    too long."""
+    limit = _print_limit()
+    if count is None or _too_long(count, limit):
+        raise ValueError(f"the count for shape {_brief.repr(dims)} has more than {limit} "
+                         "digits, the limit for printing an integer (sys.get_int_max_str_digits)")
+    return count
 
 
 class _BriefRepr(reprlib.Repr):
     def repr_int(self, x, level):
         # repr refuses ints past the interpreter's digit limit, so those are
         # quoted by size
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        # fewer than 3 * limit bits means at most limit digits
-        if limit and x.bit_length() > 3 * limit:
-            n = _digit_count(x)
-            if n > limit:
-                return f"<{'negative ' if x < 0 else ''}int with {n} digits>"
+        if _too_long(x, _print_limit()):
+            return f"<{'negative ' if x < 0 else ''}int with {_digit_count(x)} digits>"
         return super().repr_int(x, level)
 
 

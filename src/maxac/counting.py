@@ -25,9 +25,8 @@ the zero cells.
 from __future__ import annotations
 
 import math
-import sys
 
-from .core import Grid, Shape, _brief, _count_too_long
+from .core import Grid, Shape, _brief, _print_limit, _printable
 from .errors import NotMaximalError, PreconditionViolatedError
 from .rowform import maximal_row_form
 
@@ -48,7 +47,8 @@ def count_closed_form(shape: Shape) -> int:
             f"no closed form applies to shape {_brief.repr(shape.dims)}: "
             f"{len(sides)} axes exceed 2, the closed forms cover at most 3")
     a, b, c = [1] * (3 - len(sides)) + sides
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _print_limit()
+    value = None
     # MacMahon: the product over i <= a, j <= b of (t + c) / t with
     # t = i + j - 1, grouped by t; t = a + b - 1 gives the least of the a * b
     # factors, and the margin of one digit dwarfs the float error
@@ -56,11 +56,7 @@ def count_closed_form(shape: Shape) -> int:
         powers = [(t, min(t, a, b, a + b - t)) for t in range(1, a + b)]
         value = (math.prod((t + c) ** k for t, k in powers)
                  // math.prod(t**k for t, k in powers))
-        # fewer than 3 * limit bits means at most limit digits, and 10**limit
-        # costs more than all the rest on a small box
-        if not limit or value.bit_length() <= 3 * limit or value < 10**limit:
-            return value
-    raise _count_too_long(shape.dims, limit)
+    return _printable(shape.dims, value)
 
 
 def extend_by_two(n: Grid) -> Grid:

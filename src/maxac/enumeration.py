@@ -64,9 +64,10 @@ axis ``a`` (row ``x`` holds ``(x, y)`` for ``y < l(x)``), listed once by
 the odometer; size-2 axes add nothing to ``Q``, and if at most one side
 above 2 is left, ``J(Q)`` is a chain and a pass is a prefix sum.  Before
 any pass, ``COUNT_STATE_LIMIT`` bounds the ideals, which number the count of
-the box without axis ``a`` (by the closed form, or by ``count_maximal``
-itself past three axes above 2), and ``COUNT_WORK_LIMIT`` the passes times
-the covering pairs.
+the box without axis ``a`` (by the closed form, or past three axes above 2
+by ``count_maximal`` itself once ``2 ** (the widest rank of Q)``, a lower
+bound, is within the budget), and ``COUNT_WORK_LIMIT`` the passes times the
+covering pairs.
 
 Two oracles share no machinery with the search: ``brute_force_maximal``
 filters every subset of the box as a bitmask against per-cell masks of the
@@ -89,8 +90,8 @@ from itertools import accumulate, chain, islice
 from operator import mul
 from typing import Iterator, Sequence
 
-from .core import (Cell, Grid, Shape, _box, _Box, _brief, _count_too_long, _digit_count, _flood,
-                   _flood_box, _is_int, _trusted, comparable)
+from .core import (Cell, Grid, Shape, _box, _Box, _brief, _flood, _flood_box,
+                   _is_int, _printable, _trusted, comparable)
 from .errors import AlreadyContainsError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -231,14 +232,10 @@ def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
         return shape.dims[0]
     if 1 in shape.dims:
         return 1
-    count = _zeta_count(shape.dims)
     # A multichain is a multiset of a - 1 of the S ideals, so the count is at
     # most C(a + S - 2, S - 1), about 1,900 digits with (a - 2)(S - 1) within
     # COUNT_WORK_LIMIT: under the default limit, 4,300, but not a lowered one.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and count.bit_length() > 3 * limit and _digit_count(count) > limit:
-        raise _count_too_long(shape.dims, limit)
-    return count
+    return _printable(shape.dims, _zeta_count(shape.dims))
 
 
 def _zeta_count(dims: Sequence[int], named: Sequence[int] | None = None) -> int:
@@ -248,17 +245,28 @@ def _zeta_count(dims: Sequence[int], named: Sequence[int] | None = None) -> int:
     *rest, a = sorted(dims)
     rest = [w for w in rest if w > 2]
     if len(rest) < 2:  # J(Q) is a chain: the ideals of [w - 1], or of a point
-        g = [1] * (rest[0] if rest else 2)
-        _check_budget(named, (a - 2) * (len(g) - 1), "additions")
+        states = rest[0] if rest else 2
+        _check_budget(named, (a - 2) * (states - 1), "additions")
+        g = [1] * states
         for _ in range(a - 2):
             g = list(accumulate(g))
         return sum(g)
     states = COUNT_STATE_LIMIT + 1
     # a maximal chain of J(Q) alone has |Q| + 1 ideals
     if math.prod(w - 1 for w in rest) < COUNT_STATE_LIMIT:
-        with suppress(ValueError):  # more digits than the interpreter prints
-            states = (_package.count_closed_form(Shape(tuple(rest))) if len(rest) <= 3
-                      else _zeta_count(rest, named))
+        if len(rest) <= 3:
+            with suppress(ValueError):  # more digits than the interpreter prints
+                states = _package.count_closed_form(Shape(tuple(rest)))
+        else:
+            # a subset of one rank of Q, with all of Q below that rank, is an
+            # ideal: 2 ** (the widest rank) of them spare the count of rest
+            # when it is surely past the budget
+            ranks = [1]
+            for n in (w - 1 for w in rest):
+                ranks = [sum(ranks[max(0, k - n + 1):k + 1]) for k in range(len(ranks) + n - 1)]
+            states = 2 ** max(ranks)
+            if states <= COUNT_STATE_LIMIT:
+                states = _zeta_count(rest, named)
     _check_budget(named, states, "states")
     # every ideal but the empty one covers one, a check before the pairs
     _check_budget(named, (a - 2) * (states - 1), "additions")

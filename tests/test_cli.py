@@ -64,14 +64,16 @@ def test_count_refuses_past_its_budgets_before_any_pass(capsys, monkeypatch):
         raise AssertionError("listed the covering pairs past a budget")
 
     monkeypatch.setattr("maxac.enumeration._covering_pairs", no_pass)
-    for w in ["10,10,10,10", "6,6,6,6,6"]:
+    for w, budget in [("10,10,10,10", "COUNT_STATE_LIMIT"), ("6,6,6,6,6", "COUNT_STATE_LIMIT"),
+                      ("5,5,5,5,5", "COUNT_STATE_LIMIT"), ("3,4,4,4,4,4", "COUNT_STATE_LIMIT"),
+                      ("100000000,100000000", "COUNT_WORK_LIMIT")]:
         start = time.perf_counter()
         status, out, err = run(capsys, "count", "--w", w)
         assert time.perf_counter() - start < 0.1
         assert status == 1 and out == ""
         error = json.loads(err)
         assert error["error"] == "ShapeTooLarge"
-        assert error["detail"].endswith("(COUNT_STATE_LIMIT)")
+        assert error["detail"].endswith(f"({budget})")
 
 
 def test_count_refuses_counts_too_long_to_print(capsys):

@@ -290,11 +290,13 @@ def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
 
     monkeypatch.setattr(enumeration, "_covering_pairs", no_pass)
     # the ideals number the count of the box less its largest side: 10^3's
-    # for 10^4; 6^5 needs 6^4's, which is refused on 6^3's 267,227,532; and
-    # [999]^2 has more than the budget's elements alone
+    # for 10^4; past three sides above 2, at least 2 ** (the widest rank of
+    # Q), as any subset of a rank with all below it is an ideal: 44 of [4]^4,
+    # 85 of [5]^4 and 20 of [2]^6; and [999]^2 has more than the budget's
+    # elements alone
     for dims, states in [((10, 10, 10, 10), plane_partitions(9, 9, 9)),
-                         ((6, 6, 6, 6, 6), plane_partitions(5, 5, 5)),
-                         ((1000, 1000, 1000), None)]:
+                         ((5, 5, 5, 5, 5), 2**44), ((6, 6, 6, 6, 6), 2**85),
+                         ((3,) * 7, 2**20), ((1000, 1000, 1000), None)]:
         with pytest.raises(ShapeTooLargeError) as info:
             count_maximal(Shape(dims))
         limit = COUNT_STATE_LIMIT
@@ -303,9 +305,11 @@ def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
         assert str(info.value) == (f"counting shape {dims} takes at least {amount} states, "
                                    f"limit is {limit} (COUNT_STATE_LIMIT)")
     # passes times the ideals less one, a lower bound on the covering pairs:
-    # 20 ideals of [2]^3, 232,848 of [4]^3, and a chain of 2
+    # 20 ideals of [2]^3, 232,848 of [4]^3, and chains of 2 and 10^8, the
+    # last refused before its 800 MB list of states
     for dims, work in [((3, 3, 3, 10**6), 999_998 * 19), ((5, 5, 5, 1000), 998 * 232_847),
-                       ((2, 10**9), (10**9 - 2) * 1)]:
+                       ((2, 10**9), (10**9 - 2) * 1),
+                       ((10**8, 10**8), (10**8 - 2) * (10**8 - 1))]:
         with pytest.raises(ShapeTooLargeError) as info:
             count_maximal(Shape(dims))
         assert info.value.limit == COUNT_WORK_LIMIT
