@@ -30,11 +30,11 @@ _EXPORTS = {
     "core": ("Cell", "Grid", "Shape", "contains_forbidden", "flip_creates_containment",
              "is_maximal", "max_size", "strictly_below", "weight",
              "VERIFY_SAMPLE_LIMIT", "VERIFY_TRIAL_LIMIT"),
-    "counting": ("count_closed_form", "extend_by_two", "project_last"),
-    "enumeration": ("BRUTE_FORCE_CELL_LIMIT", "COUNT_STATE_LIMIT", "COUNT_WORK_LIMIT",
-                    "DEFAULT_CELL_LIMIT", "EnumerationReport",
-                    "brute_force_maximal", "complete_to_maximal", "count_maximal",
-                    "enumerate_maximal", "random_maximal"),
+    "counting": ("extend_by_two", "project_last"),
+    "enumeration": ("BRUTE_FORCE_CELL_LIMIT", "COUNT_DIGIT_LIMIT", "COUNT_STATE_LIMIT",
+                    "COUNT_WORK_LIMIT", "DEFAULT_CELL_LIMIT", "EnumerationReport",
+                    "brute_force_maximal", "complete_to_maximal", "count_closed_form",
+                    "count_maximal", "enumerate_maximal", "random_maximal"),
     "errors": ("AlreadyContainsError", "BottomedOutError", "BoxError",
                "DimensionMismatchError", "EmptyRowError", "EmptyXSetError",
                "NonContiguousRowError", "NotMaximalError", "PreconditionViolatedError",

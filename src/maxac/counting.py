@@ -1,12 +1,8 @@
-"""Closed-form counts and the append-a-layer bijection.
+"""The append-a-layer bijection.
 
-``count_closed_form`` is one reduction: a size-1 axis (d >= 2) leaves one
-maximal grid; appending a size-2 axis neither creates nor destroys maximal
-grids (``extend_by_two`` and ``project_last`` realize the bijection), so
-those axes drop out; what is left is ``w`` for one axis, the binomial
-C(w1 + w2 - 2, w1 - 1) for two and MacMahon's box formula for three.  The
-first two are MacMahon's product with the missing sides set to 1 (a size-2
-axis), so one product serves all three.
+Appending a size-2 axis neither creates nor destroys maximal grids:
+``extend_by_two`` and ``project_last`` realize the bijection, which is why
+size-2 axes drop out of ``enumeration.count_closed_form``.
 
 Both directions of the bijection read the row-interval form.  In a maximal
 grid, a zero cell (x, y) of row x with y < l(x) lies strictly below some
@@ -24,39 +20,9 @@ the zero cells.
 
 from __future__ import annotations
 
-import math
-
-from .core import Grid, Shape, _brief, _print_limit, _printable
-from .errors import NotMaximalError, PreconditionViolatedError
+from .core import Grid, Shape
+from .errors import NotMaximalError
 from .rowform import maximal_row_form
-
-
-def count_closed_form(shape: Shape) -> int:
-    """Number of maximal grids over ``shape`` by the closed forms.
-
-    Raises PreconditionViolatedError when more than three axes exceed 2 and
-    no axis is 1, and ValueError when the count has more digits than the
-    interpreter prints (``sys.get_int_max_str_digits``; 0, or no such
-    function, means no limit), before any work if it surely has.
-    """
-    if 1 in shape.dims:
-        return 1
-    sides = sorted(w - 1 for w in shape.dims if w > 2)
-    if len(sides) > 3:
-        raise PreconditionViolatedError(
-            f"no closed form applies to shape {_brief.repr(shape.dims)}: "
-            f"{len(sides)} axes exceed 2, the closed forms cover at most 3")
-    a, b, c = [1] * (3 - len(sides)) + sides
-    limit = _print_limit()
-    value = None
-    # MacMahon: the product over i <= a, j <= b of (t + c) / t with
-    # t = i + j - 1, grouped by t; t = a + b - 1 gives the least of the a * b
-    # factors, and the margin of one digit dwarfs the float error
-    if not limit or a * b * math.log10((a + b + c - 1) / (a + b - 1)) <= limit + 1:
-        powers = [(t, min(t, a, b, a + b - t)) for t in range(1, a + b)]
-        value = (math.prod((t + c) ** k for t, k in powers)
-                 // math.prod(t**k for t, k in powers))
-    return _printable(shape.dims, value)
 
 
 def extend_by_two(n: Grid) -> Grid:

@@ -22,8 +22,8 @@ For d = 1 the box is one row whose grids are the single cells ``(i,)``.
 A box with a size-1 axis and d >= 2 needs no search.  The size law gives
 every maximal grid ``prod(w_i) - prod(w_i - 1) = prod(w_i)`` cells, the
 whole box, and the whole box is clean: any two of its cells agree on that
-axis, so neither lies strictly below the other.  Both functions answer it
-at once, one grid (the box's cells in lexicographic order) and the count 1,
+axis, so neither lies strictly below the other.  ``enumerate_maximal``
+answers it at once, one grid (the box's cells in lexicographic order),
 after the same argument checks and cell budget as any other box.
 
 The search runs on the flat row indices of the row box, the cached layout
@@ -40,34 +40,38 @@ vector, and an odometer step changes only the slot it bumps and the slots
 it resets from above 1.  So the enumerator keeps each row's run as a slice
 of the box's cell tuple (``core._box``, which the flood shares),
 refreshes only the rows that read a changed slot, and joins the runs into
-each kept leaf.  Past ``cap`` it walks on without refreshing, to count.
+each kept leaf.  It stops at ``cap``: if a leaf is left, the count comes
+from ``count_maximal``.
 
 The count is the number of antichains, or order ideals, of the product of
 chains ``P = [w_1 - 1] x ... x [w_d - 1]``: order-reversing maps
 ``P -> [1, k]`` correspond to order ideals of ``P x [k - 1]`` (Stanley,
-*Enumerative Combinatorics* vol. 1, ch. 3).  That gives
-``counting.count_closed_form`` (``w``, the binomial or MacMahon's box
-formula once size-1 and size-2 axes are reduced away) up to three axes
-above 2, and for ``3^d`` the Dedekind number M(d) (OEIS A000372: 3, 6, 20,
-168, 7581, 7828354); the tests use both as oracles.
+*Enumerative Combinatorics* vol. 1, ch. 3).  ``count_maximal`` takes one
+route.  Where a closed form applies, it is ``count_closed_form``: 1 for a
+size-1 axis (d >= 2); size-2 axes drop out (the bijection of ``counting``);
+what is left is ``w`` for one axis, the binomial for two and MacMahon's box
+formula for three.  Past three axes above 2 it counts by slice zeta
+transforms.  With ``P = [a - 1] x Q`` for a largest side ``a``, the ideals
+of ``P`` are the multichains ``I_1 >= ... >= I_{a-1}`` in ``J(Q)``, the
+ideals of ``Q``, so the count is ``sum(zeta^(a-2) 1)``, where ``zeta g(I)``
+sums ``g`` over the ideals inside ``I``.  One ``zeta`` is a fast zeta
+transform on a distributive lattice (Bjorklund, Husfeldt, Kaski, Koivisto,
+Nederlof and Parviainen, SODA 2012): for each element ``q`` of ``Q`` in
+lexicographic order, ``g[I] += g[I - {q}]`` for every ideal ``I`` in which
+``q`` is maximal, one addition per covering pair of ``J(Q)``.  The ideals
+are the left-end vectors of the box without axis ``a`` (row ``x`` holds
+``(x, y)`` for ``y < l(x)``), listed once by the odometer; size-2 axes add
+nothing to ``Q``.  For ``3^d`` the count is the Dedekind number M(d) (OEIS
+A000372: 3, 6, 20, 168, 7581, 7828354); the tests use it and the closed
+forms as oracles.
 
-``count_maximal`` counts by slice zeta transforms.  With ``P = [a - 1] x Q``
-for a largest side ``a``, the ideals of ``P`` are the multichains
-``I_1 >= ... >= I_{a-1}`` in ``J(Q)``, the ideals of ``Q``, so the count is
-``sum(zeta^(a-2) 1)``, where ``zeta g(I)`` sums ``g`` over the ideals inside
-``I``.  One ``zeta`` is a fast zeta transform on a distributive lattice
-(Bjorklund, Husfeldt, Kaski, Koivisto, Nederlof and Parviainen, SODA 2012):
-for each element ``q`` of ``Q`` in lexicographic order, ``g[I] += g[I - {q}]``
-for every ideal ``I`` in which ``q`` is maximal, one addition per covering
-pair of ``J(Q)``.  The ideals are the left-end vectors of the box without
-axis ``a`` (row ``x`` holds ``(x, y)`` for ``y < l(x)``), listed once by
-the odometer; size-2 axes add nothing to ``Q``, and if at most one side
-above 2 is left, ``J(Q)`` is a chain and a pass is a prefix sum.  Before
-any pass, ``COUNT_STATE_LIMIT`` bounds the ideals, which number the count of
-the box without axis ``a`` (by the closed form, or past three axes above 2
-by ``count_maximal`` itself once ``2 ** (the widest rank of Q)``, a lower
-bound, is within the budget), and ``COUNT_WORK_LIMIT`` the passes times the
-covering pairs.
+``COUNT_DIGIT_LIMIT`` bounds a lower estimate of the closed form's digits,
+before any work and after the interpreter's own digit limit.  Before any
+pass of the slice zeta, ``COUNT_STATE_LIMIT`` bounds the ideals,
+which number the count of the box without axis ``a`` (by the same route
+once ``|Q|`` and, past three axes above 2, ``2 ** (the widest rank of Q)``,
+two lower bounds, are within the budget), and ``COUNT_WORK_LIMIT`` the
+passes times the covering pairs.
 
 Two oracles share no machinery with the search: ``brute_force_maximal``
 filters every subset of the box as a bitmask against per-cell masks of the
@@ -83,28 +87,28 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import chain, islice
 from operator import mul
 from typing import Iterator, Sequence
 
 from .core import (Cell, Grid, Shape, _box, _Box, _brief, _flood, _flood_box,
-                   _is_int, _printable, _trusted, comparable)
-from .errors import AlreadyContainsError, ShapeTooLargeError
+                   _is_int, _print_limit, _printable, _trusted, comparable)
+from .errors import AlreadyContainsError, PreconditionViolatedError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
 BRUTE_FORCE_CELL_LIMIT = 16
 # count_maximal's budgets (module docstring), checked before any pass.  It
 # holds the ideals and their covering pairs at once: 5x5x5x5's 232,848 and
 # 1.36 million took 2.4-2.8 s and 115 MB peak RSS on a 2-vCPU VM.  An addition
-# costs 0.1-0.3 us: 3163x3163, 10 million of them, took 1.9 s.
+# costs 0.1-0.3 us: 3x3x3x312502, 10 million of them, took 1.1 s.
 COUNT_STATE_LIMIT = 250_000
 COUNT_WORK_LIMIT = 10_000_000
-
-# this copy of the package, through which the state count reaches ``counting``
-_package = sys.modules[__package__]
+# count_closed_form's budget on its lower estimate of the digits, which was
+# at least half the true number in every case measured: 33000x33000 (9,933
+# of 19,865 digits) took 1.0 s and 238x238x238 (9,908 of 19,146) 0.46 s
+COUNT_DIGIT_LIMIT = 10_000
 
 
 def _require_positive(name: str, value) -> None:
@@ -205,9 +209,7 @@ def enumerate_maximal(
             for r, offset, hi in readers[slot]:
                 parts[r] = cells[offset + l[r] - 1 : offset + l[hi]]
         kept.append(tuple(chain.from_iterable(parts)))
-    # the odometer counts the rest itself: verification.check_counting
-    # compares this count with count_maximal's
-    count = len(kept) + sum(1 for _ in leaves)
+    count = len(kept) if next(leaves, None) is None else count_maximal(shape)
     # each leaf is a sorted tuple of distinct in-box int cells already: the
     # rows come in order and a row's cells ascend
     return EnumerationReport(
@@ -219,44 +221,69 @@ def enumerate_maximal(
 
 
 def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
-    """Number of maximal grids over ``shape``: ``w_1`` for d = 1, 1 for a
-    size-1 axis when d >= 2, else by slice zeta transforms under the count
-    budgets (module docstring).  ``max_cells``, if given, is a budget in
-    cells like ``enumerate_maximal``'s.  Raises ValueError if the count has
-    more digits than the interpreter prints (``sys.get_int_max_str_digits``)."""
+    """Number of maximal grids over ``shape``: ``count_closed_form`` where it
+    applies, else by slice zeta transforms, under the count budgets (module
+    docstring).  ``max_cells``, if given, is a budget in cells like
+    ``enumerate_maximal``'s.  Raises ValueError if the count has more digits
+    than the interpreter prints (``sys.get_int_max_str_digits``)."""
     if max_cells is not None:
         _require_positive("max_cells", max_cells)
         if shape.cell_count > max_cells:
             raise ShapeTooLargeError(shape.cell_count, max_cells)
-    if shape.d == 1:
-        return shape.dims[0]
+    try:
+        return count_closed_form(shape)
+    except PreconditionViolatedError:
+        # A multichain is a multiset of a - 1 of the S ideals, so the count is
+        # at most C(a + S - 2, S - 1), about 1,900 digits with (a - 2)(S - 1)
+        # within COUNT_WORK_LIMIT: under the default limit, 4,300, but not a
+        # lowered one.
+        return _printable(shape.dims, _zeta_count(shape.dims))
+
+
+def count_closed_form(shape: Shape) -> int:
+    """Number of maximal grids over ``shape`` by the closed forms.
+
+    Raises PreconditionViolatedError when more than three axes exceed 2 and
+    no axis is 1, ValueError when the count has more digits than the
+    interpreter prints (``sys.get_int_max_str_digits``; 0, or no such
+    function, means no limit), before any work if it surely has, and
+    ShapeTooLargeError past ``COUNT_DIGIT_LIMIT``, before any work.
+    """
     if 1 in shape.dims:
         return 1
-    # A multichain is a multiset of a - 1 of the S ideals, so the count is at
-    # most C(a + S - 2, S - 1), about 1,900 digits with (a - 2)(S - 1) within
-    # COUNT_WORK_LIMIT: under the default limit, 4,300, but not a lowered one.
-    return _printable(shape.dims, _zeta_count(shape.dims))
+    sides = sorted(w - 1 for w in shape.dims if w > 2)
+    if len(sides) > 3:
+        raise PreconditionViolatedError(
+            f"no closed form applies to shape {_brief.repr(shape.dims)}: "
+            f"{len(sides)} axes exceed 2, the closed forms cover at most 3")
+    a, b, c = [1] * (3 - len(sides)) + sides
+    # MacMahon: the product over i <= a, j <= b of (t + c) / t with
+    # t = i + j - 1, grouped by t; t = a + b - 1 gives the least of the a * b
+    # factors, and the margin of one digit dwarfs the float error
+    digits = a * b * math.log10((a + b + c - 1) / (a + b - 1))
+    limit = _print_limit()
+    value = None
+    if not limit or digits <= limit + 1:
+        _check_budget(shape.dims, int(digits), "digits")
+        powers = [(t, min(t, a, b, a + b - t)) for t in range(1, a + b)]
+        value = (math.prod((t + c) ** k for t, k in powers)
+                 // math.prod(t**k for t, k in powers))
+    return _printable(shape.dims, value)
 
 
 def _zeta_count(dims: Sequence[int], named: Sequence[int] | None = None) -> int:
-    """The slice zeta count over a box of d >= 2 sides, all above 1.  A
-    refusal names the box ``named``, whose count needs this one."""
+    """The slice zeta count over a box of sides all above 1, at least two of
+    them above 2.  A refusal names the box ``named``, whose count needs this
+    one."""
     named = named or dims
     *rest, a = sorted(dims)
     rest = [w for w in rest if w > 2]
-    if len(rest) < 2:  # J(Q) is a chain: the ideals of [w - 1], or of a point
-        states = rest[0] if rest else 2
-        _check_budget(named, (a - 2) * (states - 1), "additions")
-        g = [1] * states
-        for _ in range(a - 2):
-            g = list(accumulate(g))
-        return sum(g)
     states = COUNT_STATE_LIMIT + 1
     # a maximal chain of J(Q) alone has |Q| + 1 ideals
     if math.prod(w - 1 for w in rest) < COUNT_STATE_LIMIT:
         if len(rest) <= 3:
             with suppress(ValueError):  # more digits than the interpreter prints
-                states = _package.count_closed_form(Shape(tuple(rest)))
+                states = count_closed_form(Shape(tuple(rest)))
         else:
             # a subset of one rank of Q, with all of Q below that rank, is an
             # ideal: 2 ** (the widest rank) of them spare the count of rest
@@ -280,8 +307,9 @@ def _zeta_count(dims: Sequence[int], named: Sequence[int] | None = None) -> int:
 
 
 def _check_budget(named: Sequence[int], amount: int, unit: str) -> None:
-    limit, budget = ((COUNT_STATE_LIMIT, "COUNT_STATE_LIMIT") if unit == "states"
-                     else (COUNT_WORK_LIMIT, "COUNT_WORK_LIMIT"))
+    limit, budget = {"states": (COUNT_STATE_LIMIT, "COUNT_STATE_LIMIT"),
+                     "additions": (COUNT_WORK_LIMIT, "COUNT_WORK_LIMIT"),
+                     "digits": (COUNT_DIGIT_LIMIT, "COUNT_DIGIT_LIMIT")}[unit]
     if amount > limit:
         raise ShapeTooLargeError(math.prod(named), limit, (
             f"counting shape {_brief.repr(tuple(named))} takes at least "

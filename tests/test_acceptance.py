@@ -99,7 +99,7 @@ def test_criterion_3_counting_2d():
     """count_maximal((w1, w2)) equals the binomial C(w1 + w2 - 2, w1 - 1)."""
     for w1 in range(1, 6):
         for w2 in range(1, 6):
-            _run(check_counting, Shape((w1, w2)))
+            _run(check_counting, Shape((w1, w2)), _maximal(Shape((w1, w2))))
             assert count_closed_form(Shape((w1, w2))) == math.comb(w1 + w2 - 2, w1 - 1)
     assert count_maximal(Shape((2, 2))) == 2
     assert count_maximal(Shape((5, 5))) == 70
@@ -120,7 +120,7 @@ def test_criterion_5_all_le2_corollary():
     for d in range(1, 5):
         for dims in itertools.product((1, 2), repeat=d):
             shape = Shape(dims)
-            _run(check_counting, shape)
+            _run(check_counting, shape, _maximal(shape))
             assert count_maximal(shape) == count_closed_form(shape) == min(dims)
             boxes += 1
     for n in range(1, 7):

@@ -64,16 +64,38 @@ def test_count_refuses_past_its_budgets_before_any_pass(capsys, monkeypatch):
         raise AssertionError("listed the covering pairs past a budget")
 
     monkeypatch.setattr("maxac.enumeration._covering_pairs", no_pass)
-    for w, budget in [("10,10,10,10", "COUNT_STATE_LIMIT"), ("6,6,6,6,6", "COUNT_STATE_LIMIT"),
-                      ("5,5,5,5,5", "COUNT_STATE_LIMIT"), ("3,4,4,4,4,4", "COUNT_STATE_LIMIT"),
-                      ("100000000,100000000", "COUNT_WORK_LIMIT")]:
+    # the closed form refuses 10^8 x 10^8 by the digit limit, before any work
+    for w, code, budget in [
+            ("10,10,10,10", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
+            ("6,6,6,6,6", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
+            ("5,5,5,5,5", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
+            ("3,4,4,4,4,4", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
+            ("3,3,3,1000000", "ShapeTooLarge", "COUNT_WORK_LIMIT"),
+            ("100000000,100000000", "ValueError", "sys.get_int_max_str_digits")]:
         start = time.perf_counter()
         status, out, err = run(capsys, "count", "--w", w)
         assert time.perf_counter() - start < 0.1
         assert status == 1 and out == ""
         error = json.loads(err)
-        assert error["error"] == "ShapeTooLarge"
+        assert error["error"] == code
         assert error["detail"].endswith(f"({budget})")
+
+
+def test_count_refuses_past_the_digit_budget_with_no_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for method in ("enumerate", "formula"):
+            start = time.perf_counter()
+            status, out, err = run(capsys, "count", "--w", "1000000,1000000",
+                                   "--method", method)
+            assert time.perf_counter() - start < 0.1
+            assert status == 1 and out == ""
+            error = json.loads(err)
+            assert error["error"] == "ShapeTooLarge"
+            assert error["detail"].endswith("(COUNT_DIGIT_LIMIT)")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_count_refuses_counts_too_long_to_print(capsys):
@@ -365,8 +387,8 @@ EVERY_MODULE = {"core", "counting", "enumeration", "errors", "game", "normalize"
 @pytest.mark.parametrize("argv, stdin, modules", [
     (["size", "--w", "3,3"], None, set()),
     (["count", "--w", "3,3"], None, {"enumeration"}),
-    (["count", "--w", "3,3", "--method", "formula"], None, {"counting", "rowform"}),
-    (["count", "--w", "2,2,2", "--method", "formula"], None, {"counting", "rowform"}),
+    (["count", "--w", "3,3", "--method", "formula"], None, {"enumeration"}),
+    (["count", "--w", "2,2,2", "--method", "formula"], None, {"enumeration"}),
     (["enumerate", "--w", "2,2"], None, {"enumeration"}),
     (["game", "--w", "2,2"], None, {"game"}),
     (["normalize"], GRID_33, {"normalize", "rowform"}),

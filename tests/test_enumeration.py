@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import time
 from itertools import combinations, permutations
 
 import pytest
@@ -9,6 +11,7 @@ from bitmask_search import search_maximal
 from reference_count import _transfer_count
 
 from maxac import (
+    COUNT_DIGIT_LIMIT,
     COUNT_STATE_LIMIT,
     COUNT_WORK_LIMIT,
     GAME_CELL_LIMIT,
@@ -183,8 +186,18 @@ def test_count_2d_above_the_budget():
     for w1 in range(1, 11):
         for w2 in range(1, 11):
             shape = Shape((w1, w2))
-            assert count_maximal(shape, max_cells=shape.cell_count) == count_closed_form(shape)
+            assert count_maximal(shape, max_cells=shape.cell_count) == math.comb(
+                w1 + w2 - 2, w1 - 1)
     assert count_maximal(Shape((10, 10)), max_cells=100) == 48620
+
+
+def test_count_takes_the_closed_form_on_long_boxes():
+    # boxes of at most three sides above 2 take the closed form, whatever
+    # their length
+    for dims, expected in [((2, 10**9), 10**9), ((3163, 3163), math.comb(6324, 3162))]:
+        start = time.perf_counter()
+        assert count_maximal(Shape(dims)) == expected
+        assert time.perf_counter() - start < 0.1, dims
 
 
 def plane_partitions(a: int, b: int, c: int) -> int:
@@ -231,8 +244,22 @@ def test_count_of_the_six_cube_of_side_three_is_dedekind():
 
 
 def test_count_of_the_cube_of_side_eight_is_macmahons_box_formula():
+    # count_maximal takes the closed form here, so the zeta kernel is called
+    # directly
     shape = Shape((8, 8, 8))
     assert count_maximal(shape, max_cells=shape.cell_count) == plane_partitions(7, 7, 7)
+    assert enumeration._zeta_count(shape.dims) == plane_partitions(7, 7, 7)
+
+
+def test_the_zeta_kernel_matches_the_transfer_dp_up_to_64_cells():
+    # count_maximal reaches the kernel only past three sides above 2, so it
+    # is called directly on every box with two or more
+    shapes = [s.dims for s in iter_shapes(64, 5)
+              if 1 not in s.dims and sum(w > 2 for w in s.dims) >= 2]
+    assert len(shapes) == 236
+    for dims in shapes:
+        *middle, second, largest = sorted(dims)
+        assert enumeration._zeta_count(dims) == _transfer_count((largest, *middle, second)), dims
 
 
 # the 28 shapes of the benchmark's search ladder, all above the default budget
@@ -245,13 +272,14 @@ LADDER = [
 
 
 def test_count_matches_the_odometer_above_the_budget():
+    # uncapped, the enumeration counts the grids it lists
     for dims in LADDER:
         shape = Shape(dims)
         budget = shape.cell_count
         assert budget > 25
-        assert count_maximal(shape, max_cells=budget) == enumerate_maximal(
-            shape, cap=1, max_cells=budget
-        ).count, dims
+        assert count_maximal(shape, max_cells=budget) == len(enumerate_maximal(
+            shape, max_cells=budget
+        ).grids), dims
 
 
 def test_every_axis_order_runs_to_the_same_count():
@@ -292,11 +320,11 @@ def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
     # the ideals number the count of the box less its largest side: 10^3's
     # for 10^4; past three sides above 2, at least 2 ** (the widest rank of
     # Q), as any subset of a rank with all below it is an ideal: 44 of [4]^4,
-    # 85 of [5]^4 and 20 of [2]^6; and [999]^2 has more than the budget's
+    # 85 of [5]^4 and 20 of [2]^6; and [999]^3 has more than the budget's
     # elements alone
     for dims, states in [((10, 10, 10, 10), plane_partitions(9, 9, 9)),
                          ((5, 5, 5, 5, 5), 2**44), ((6, 6, 6, 6, 6), 2**85),
-                         ((3,) * 7, 2**20), ((1000, 1000, 1000), None)]:
+                         ((3,) * 7, 2**20), ((1000, 1000, 1000, 1000), None)]:
         with pytest.raises(ShapeTooLargeError) as info:
             count_maximal(Shape(dims))
         limit = COUNT_STATE_LIMIT
@@ -305,16 +333,37 @@ def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
         assert str(info.value) == (f"counting shape {dims} takes at least {amount} states, "
                                    f"limit is {limit} (COUNT_STATE_LIMIT)")
     # passes times the ideals less one, a lower bound on the covering pairs:
-    # 20 ideals of [2]^3, 232,848 of [4]^3, and chains of 2 and 10^8, the
-    # last refused before its 800 MB list of states
-    for dims, work in [((3, 3, 3, 10**6), 999_998 * 19), ((5, 5, 5, 1000), 998 * 232_847),
-                       ((2, 10**9), (10**9 - 2) * 1),
-                       ((10**8, 10**8), (10**8 - 2) * (10**8 - 1))]:
+    # 20 ideals of [2]^3 and 232,848 of [4]^3
+    for dims, work in [((3, 3, 3, 10**6), 999_998 * 19), ((5, 5, 5, 1000), 998 * 232_847)]:
         with pytest.raises(ShapeTooLargeError) as info:
             count_maximal(Shape(dims))
         assert info.value.limit == COUNT_WORK_LIMIT
         assert str(info.value) == (f"counting shape {dims} takes at least {work} additions, "
                                    f"limit is {COUNT_WORK_LIMIT} (COUNT_WORK_LIMIT)")
+    # up to three sides above 2 the closed form refuses a count too long to
+    # print before any work
+    for dims in [(10**8, 10**8), (1000, 1000, 1000)]:
+        with pytest.raises(ValueError, match=r"\(sys.get_int_max_str_digits\)$"):
+            count_maximal(Shape(dims))
+
+
+def test_the_digit_budget_refuses_before_any_work_with_no_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for dims, digits in [((10**6, 10**6), 301_029), ((10**5, 10**5), 30_102),
+                             ((800, 800, 800), 112_474)]:
+            for count in (count_maximal, count_closed_form):
+                start = time.perf_counter()
+                with pytest.raises(ShapeTooLargeError) as info:
+                    count(Shape(dims))
+                assert time.perf_counter() - start < 0.1, (count, dims)
+                assert info.value.limit == COUNT_DIGIT_LIMIT
+                assert str(info.value) == (
+                    f"counting shape {dims} takes at least {digits} digits, "
+                    f"limit is {COUNT_DIGIT_LIMIT} (COUNT_DIGIT_LIMIT)")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_the_work_budget_counts_the_covering_pairs_once_listed():
@@ -325,6 +374,25 @@ def test_the_work_budget_counts_the_covering_pairs_once_listed():
             r"^counting shape \(3, 3, 3, 400002\) takes at least 12800000 additions, "
             r"limit is 10000000 \(COUNT_WORK_LIMIT\)$")):
         count_maximal(Shape((3, 3, 3, 400_002)))
+
+
+def test_a_capped_enumeration_stops_at_the_cap(monkeypatch):
+    pulled = []
+    iter_left_ends = enumeration._iter_left_ends
+
+    def counted(*args):
+        for leaf in iter_left_ends(*args):
+            pulled.append(leaf)
+            yield leaf
+
+    monkeypatch.setattr(enumeration, "_iter_left_ends", counted)
+    shape = Shape((5, 5, 4))
+    for cap, kept in [(5, 5), (1000, 1000), (24_696, 24_696), (None, 24_696)]:
+        pulled.clear()
+        report = enumerate_maximal(shape, cap=cap, max_cells=100)
+        assert report.count == 24_696 and len(report.grids) == kept
+        assert report.truncated == (kept < 24_696)
+        assert len(pulled) <= kept + 1
 
 
 def test_cap_keeps_the_first_grids_above_the_budget():

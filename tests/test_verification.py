@@ -11,7 +11,7 @@ from maxac import (
     sample_non_maximal,
     verify_shape,
 )
-from maxac import counting, rowform, verification
+from maxac import counting, enumeration, rowform, verification
 
 
 def test_sample_non_maximal_enumerates_only_when_sampling(monkeypatch):
@@ -52,11 +52,19 @@ def test_the_equivalence_check_decides_maximality_apart_from_the_row_form(monkey
 
 def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
     shape = Shape((3, 3))
-    assert verification.check_counting(shape).detail == "enumerated 6; binomial form agrees (6)"
+    grids = enumerate_maximal(shape).grids
+    assert verification.check_counting(shape, grids).detail == (
+        "enumerated 6; binomial form agrees (6)")
     monkeypatch.setattr(verification, "count_maximal", lambda shape: 7)
-    result = verification.check_counting(shape)
+    result = verification.check_counting(shape, grids)
     assert not result.passed
-    assert result.detail == "slice zeta gives 7, enumeration 6"
+    assert result.detail == "count_maximal gives 7, enumeration 6"
+    # it counts the grids it is given, not a capped enumeration, whose count
+    # past the cap is count_maximal's own
+    monkeypatch.undo()
+    monkeypatch.setattr(verification, "enumerate_maximal", None)
+    result = verification.check_counting(shape, grids[1:])
+    assert (result.passed, result.detail) == (False, "count_maximal gives 6, enumeration 5")
 
 
 def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch):
@@ -65,12 +73,14 @@ def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch
                          ((1, 2), "enumerated 1; binomial form agrees (1); "
                                   "min-dimension form agrees (1)"),
                          ((3, 3, 2), "enumerated 6"), ((2, 3, 4), "enumerated 10")]:
-        assert verification.check_counting(Shape(dims)).detail == detail
-    monkeypatch.setattr(verification, "count_closed_form", lambda shape: 21)
+        grids = enumerate_maximal(Shape(dims)).grids
+        assert verification.check_counting(Shape(dims), grids).detail == detail
+    # count_maximal takes the closed form on each of these
+    monkeypatch.setattr(enumeration, "count_closed_form", lambda shape: 21)
     for dims in [(3, 3), (2, 2, 2), (2, 3, 4)]:
-        result = verification.check_counting(Shape(dims))
+        result = verification.check_counting(Shape(dims), enumerate_maximal(Shape(dims)).grids)
         assert not result.passed
-        assert result.detail.startswith("closed form gives 21, enumeration ")
+        assert result.detail.startswith("count_maximal gives 21, enumeration ")
 
 
 def test_the_bijection_check_reads_each_image_once(monkeypatch):
