@@ -49,12 +49,14 @@ chains ``P = [w_1 - 1] x ... x [w_d - 1]``: order-reversing maps
 *Enumerative Combinatorics* vol. 1, ch. 3).  ``count_maximal`` takes one
 route.  Where a closed form applies, it is ``count_closed_form``: 1 for a
 size-1 axis (d >= 2); size-2 axes drop out (the bijection of ``counting``);
-what is left is ``w`` for one axis, the binomial for two and MacMahon's box
-formula for three.  Past three axes above 2 it counts by slice zeta
-transforms.  With ``P = [a - 1] x Q`` for a largest side ``a``, the ideals
-of ``P`` are the multichains ``I_1 >= ... >= I_{a-1}`` in ``J(Q)``, the
-ideals of ``Q``, so the count is ``sum(zeta^(a-2) 1)``, where ``zeta g(I)``
-sums ``g`` over the ideals inside ``I``.  One ``zeta`` is a fast zeta
+what is left, the sides ``a <= b <= c`` of ``P`` padded with 1s, is
+MacMahon's box formula row by row, the product over rows ``i < a`` of
+``C(b + c + i, b) / C(b + i, b)``: ``w`` for one axis and the binomial for
+two.  Past three axes above 2 it counts by slice zeta transforms.  With
+``P = [a - 1] x Q`` for a largest side ``a``, the ideals of ``P`` are the
+multichains ``I_1 >= ... >= I_{a-1}`` in ``J(Q)``, the ideals of ``Q``, so
+the count is ``sum(zeta^(a-2) 1)``, where ``zeta g(I)`` sums ``g`` over the
+ideals inside ``I``.  One ``zeta`` is a fast zeta
 transform on a distributive lattice (Bjorklund, Husfeldt, Kaski, Koivisto,
 Nederlof and Parviainen, SODA 2012): for each element ``q`` of ``Q`` in
 lexicographic order, ``g[I] += g[I - {q}]`` for every ideal ``I`` in which
@@ -66,12 +68,14 @@ A000372: 3, 6, 20, 168, 7581, 7828354); the tests use it and the closed
 forms as oracles.
 
 ``COUNT_DIGIT_LIMIT`` bounds a lower estimate of the closed form's digits,
-before any work and after the interpreter's own digit limit.  Before any
-pass of the slice zeta, ``COUNT_STATE_LIMIT`` bounds the ideals,
-which number the count of the box without axis ``a`` (by the same route
-once ``|Q|`` and, past three axes above 2, ``2 ** (the widest rank of Q)``,
-two lower bounds, are within the budget), and ``COUNT_WORK_LIMIT`` the
-passes times the covering pairs.
+``a`` times the log of its last and least row (exact for two sides), before
+any work and after the interpreter's own digit limit.  Before any pass of
+the slice zeta, ``COUNT_STATE_LIMIT`` bounds the ideals of ``Q``.  They
+number ``count_maximal`` of the box without axis ``a``, taken once two lower
+bounds are within the budget: ``|Q| + 1`` and, past three axes above 2,
+``2 ** (the widest rank of Q)``.  A refusal of that count means more ideals
+than the budget.  ``COUNT_WORK_LIMIT`` bounds the passes times the covering
+pairs.
 
 Two oracles share no machinery with the search: ``brute_force_maximal``
 filters every subset of the box as a bitmask against per-cell masks of the
@@ -87,7 +91,6 @@ from __future__ import annotations
 
 import math
 import random
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain, islice
 from operator import mul
@@ -105,15 +108,21 @@ BRUTE_FORCE_CELL_LIMIT = 16
 # costs 0.1-0.3 us: 3x3x3x312502, 10 million of them, took 1.1 s.
 COUNT_STATE_LIMIT = 250_000
 COUNT_WORK_LIMIT = 10_000_000
-# count_closed_form's budget on its lower estimate of the digits, which was
-# at least half the true number in every case measured: 33000x33000 (9,933
-# of 19,865 digits) took 1.0 s and 238x238x238 (9,908 of 19,146) 0.46 s
-COUNT_DIGIT_LIMIT = 10_000
+# count_closed_form's budget on its lower estimate of the digits, exact on
+# two sides and at least 2/3 of the true number on cubes: 33000x33000 (19,864
+# of 19,865 digits) and 297x297x297 (19,928 of 29,866) took about 0.1 s each
+COUNT_DIGIT_LIMIT = 20_000
 
 
 def _require_positive(name: str, value) -> None:
     if not _is_int(value) or value < 1:
         raise ValueError(f"{name} must be a positive integer")
+
+
+def _check_cells(shape: Shape, max_cells) -> None:
+    _require_positive("max_cells", max_cells)
+    if shape.cell_count > max_cells:
+        raise ShapeTooLargeError(shape.cell_count, max_cells)
 
 
 def _iter_left_ends(rows: _Box, top: int) -> Iterator[tuple[list[int], Sequence[int]]]:
@@ -180,9 +189,7 @@ def enumerate_maximal(
     serialized cell lists.  ``cap`` bounds how many grids the report keeps."""
     if cap is not None:
         _require_positive("cap", cap)
-    _require_positive("max_cells", max_cells)
-    if shape.cell_count > max_cells:
-        raise ShapeTooLargeError(shape.cell_count, max_cells)
+    _check_cells(shape, max_cells)
     dims = shape.dims
     if shape.d >= 2 and 1 in dims:
         # the size law gives the whole box, the one maximal grid
@@ -227,9 +234,7 @@ def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
     ``enumerate_maximal``'s.  Raises ValueError if the count has more digits
     than the interpreter prints (``sys.get_int_max_str_digits``)."""
     if max_cells is not None:
-        _require_positive("max_cells", max_cells)
-        if shape.cell_count > max_cells:
-            raise ShapeTooLargeError(shape.cell_count, max_cells)
+        _check_cells(shape, max_cells)
     try:
         return count_closed_form(shape)
     except PreconditionViolatedError:
@@ -241,13 +246,16 @@ def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
 
 
 def count_closed_form(shape: Shape) -> int:
-    """Number of maximal grids over ``shape`` by the closed forms.
+    """Number of maximal grids over ``shape`` by the closed forms: 1 with an
+    axis of 1, else MacMahon's box formula row by row on the sides ``w - 1``
+    of the axes above 2, padded with 1s (module docstring).
 
     Raises PreconditionViolatedError when more than three axes exceed 2 and
     no axis is 1, ValueError when the count has more digits than the
     interpreter prints (``sys.get_int_max_str_digits``; 0, or no such
-    function, means no limit), before any work if it surely has, and
-    ShapeTooLargeError past ``COUNT_DIGIT_LIMIT``, before any work.
+    function, means no limit), before any work if its estimate says so, and
+    ShapeTooLargeError when the estimate passes ``COUNT_DIGIT_LIMIT``, before
+    any work.
     """
     if 1 in shape.dims:
         return 1
@@ -257,48 +265,48 @@ def count_closed_form(shape: Shape) -> int:
             f"no closed form applies to shape {_brief.repr(shape.dims)}: "
             f"{len(sides)} axes exceed 2, the closed forms cover at most 3")
     a, b, c = [1] * (3 - len(sides)) + sides
-    # MacMahon: the product over i <= a, j <= b of (t + c) / t with
-    # t = i + j - 1, grouped by t; t = a + b - 1 gives the least of the a * b
-    # factors, and the margin of one digit dwarfs the float error
-    digits = a * b * math.log10((a + b + c - 1) / (a + b - 1))
+    # MacMahon row by row: the product over rows i < a of C(b + c + i, b) /
+    # C(b + i, b).  The rows fall as i grows, so a times the last row's log
+    # is a lower estimate of the digits, exact for a = 1; the margin of one
+    # digit dwarfs the float error
+    digits = a * (math.lgamma(a + b + c) - math.lgamma(a + b) - math.lgamma(a + c)
+                  + math.lgamma(a)) / math.log(10)
     limit = _print_limit()
     value = None
     if not limit or digits <= limit + 1:
         _check_budget(shape.dims, int(digits), "digits")
-        powers = [(t, min(t, a, b, a + b - t)) for t in range(1, a + b)]
-        value = (math.prod((t + c) ** k for t, k in powers)
-                 // math.prod(t**k for t, k in powers))
+        value = (math.prod(math.comb(b + c + i, b) for i in range(a))
+                 // math.prod(math.comb(b + i, b) for i in range(a)))
     return _printable(shape.dims, value)
 
 
-def _zeta_count(dims: Sequence[int], named: Sequence[int] | None = None) -> int:
+def _zeta_count(dims: Sequence[int]) -> int:
     """The slice zeta count over a box of sides all above 1, at least two of
-    them above 2.  A refusal names the box ``named``, whose count needs this
-    one."""
-    named = named or dims
+    them above 2."""
     *rest, a = sorted(dims)
     rest = [w for w in rest if w > 2]
-    states = COUNT_STATE_LIMIT + 1
     # a maximal chain of J(Q) alone has |Q| + 1 ideals
-    if math.prod(w - 1 for w in rest) < COUNT_STATE_LIMIT:
-        if len(rest) <= 3:
-            with suppress(ValueError):  # more digits than the interpreter prints
-                states = count_closed_form(Shape(tuple(rest)))
-        else:
-            # a subset of one rank of Q, with all of Q below that rank, is an
-            # ideal: 2 ** (the widest rank) of them spare the count of rest
-            # when it is surely past the budget
-            ranks = [1]
-            for n in (w - 1 for w in rest):
-                ranks = [sum(ranks[max(0, k - n + 1):k + 1]) for k in range(len(ranks) + n - 1)]
-            states = 2 ** max(ranks)
-            if states <= COUNT_STATE_LIMIT:
-                states = _zeta_count(rest, named)
-    _check_budget(named, states, "states")
+    states = min(math.prod(w - 1 for w in rest) + 1, COUNT_STATE_LIMIT + 1)
+    if states <= COUNT_STATE_LIMIT and len(rest) > 3:
+        # a subset of one rank of Q, with all of Q below that rank, is an
+        # ideal: 2 ** (the widest rank) of them spare the count of rest when
+        # it is surely past the budget
+        ranks = [1]
+        for n in (w - 1 for w in rest):
+            ranks = [sum(ranks[max(0, k - n + 1):k + 1]) for k in range(len(ranks) + n - 1)]
+        states = 2 ** max(ranks)
+    if states <= COUNT_STATE_LIMIT:
+        try:
+            states = count_maximal(Shape(tuple(rest)))
+        except (ShapeTooLargeError, ValueError):
+            # refused on its ideals, its work or its digits, the box rest has
+            # more maximal grids, the ideals of Q, than the budget
+            states = COUNT_STATE_LIMIT + 1
+    _check_budget(dims, states, "states")
     # every ideal but the empty one covers one, a check before the pairs
-    _check_budget(named, (a - 2) * (states - 1), "additions")
+    _check_budget(dims, (a - 2) * (states - 1), "additions")
     upper, lower = _covering_pairs(rest)
-    _check_budget(named, (a - 2) * len(upper), "additions")
+    _check_budget(dims, (a - 2) * len(upper), "additions")
     g = [1] * states
     for _ in range(a - 2):
         for i, j in zip(upper, lower):

@@ -126,8 +126,8 @@ def to_intervals(g: Grid) -> IntervalMap:
     Raises EmptyRowError or NonContiguousRowError for the lexicographically
     first offending row; either condition certifies that ``g`` is not maximal.
     The rows come from ``iter_rows`` and the bounds from a checked grid, so
-    the map skips its constructor's check, unless a bound is an ``int``
-    subclass (which ``Grid`` admits and ``IntervalMap`` does not).
+    the map skips its constructor's check; ``int`` subclass bounds (which
+    ``Grid`` admits and ``IntervalMap`` does not) are stored as ``int``.
     """
     by_row: dict[RowId, list[int]] = {}
     for cell in g.ones:
@@ -142,7 +142,7 @@ def to_intervals(g: Grid) -> IntervalMap:
             raise NonContiguousRowError(row)
         intervals[row] = (lo, hi)
     if not set(map(type, chain.from_iterable(intervals.values()))) <= {int}:
-        return IntervalMap(g.shape, intervals)
+        intervals = {row: (int(l), int(h)) for row, (l, h) in intervals.items()}
     return _trusted_map(g.shape, intervals)
 
 

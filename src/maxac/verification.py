@@ -17,8 +17,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _flood, is_maximal,
-                   max_size, weight)
+from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _brief, _flood,
+                   _is_int, is_maximal, max_size, weight)
 from .counting import extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -132,18 +132,19 @@ def check_equivalence(
 def check_counting(shape: Shape, grids: Sequence[Grid]) -> CheckResult:
     """The number of the shape's maximal grids ``grids``, listed in full,
     against ``count_maximal``, which takes the closed form wherever one
-    applies."""
+    applies, and against the binomial for d = 2 and ``min(w)`` for sides
+    of at most 2."""
     total = len(grids)
-    counted = count_maximal(shape)
-    if counted != total:
-        return CheckResult(
-            "counting", False, f"count_maximal gives {counted}, enumeration {total}"
-        )
-    notes = [f"enumerated {total}"]
+    forms = [("count_maximal", count_maximal(shape))]
     if shape.d == 2:
-        notes.append(f"binomial form agrees ({counted})")
+        w1, w2 = shape.dims
+        forms.append(("binomial form", math.comb(w1 + w2 - 2, w1 - 1)))
     if max(shape.dims) <= 2:
-        notes.append(f"min-dimension form agrees ({counted})")
+        forms.append(("min-dimension form", min(shape.dims)))
+    for form, counted in forms:
+        if counted != total:
+            return CheckResult("counting", False, f"{form} gives {counted}, enumeration {total}")
+    notes = [f"enumerated {total}"] + [f"{form} agrees ({total})" for form, _ in forms[1:]]
     return CheckResult("counting", True, "; ".join(notes))
 
 
@@ -178,13 +179,11 @@ def check_bijection(shape: Shape, grids: Sequence[Grid]) -> CheckResult:
         if back != g:
             return CheckResult(name, False, f"round trip failed for ones {g.ones}")
         images.append(image)
+    # with the forward round trip, equal image sets make the reverse one hold
     if sorted(images, key=lambda g: g.ones) != list(extended):
         return CheckResult(
             name, False, f"image set differs: {len(images)} vs {len(extended)} grids"
         )
-    for m in extended:
-        if extend_by_two(project_last(m)) != m:
-            return CheckResult(name, False, f"reverse round trip failed for ones {m.ones}")
     return CheckResult(
         name, True, f"{len(grids)} grids map bijectively onto the extended box"
     )
@@ -299,12 +298,15 @@ def verify_shape(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run the full per-shape suite; all-passed means the shape reproduces
-    every desk-scale claim.  More than ``VERIFY_SAMPLE_LIMIT`` samples or
-    ``VERIFY_TRIAL_LIMIT`` trials raise ValueError before any work."""
-    if samples > VERIFY_SAMPLE_LIMIT:
-        raise ValueError(f"samples must be at most {VERIFY_SAMPLE_LIMIT}, got {samples}")
-    if trials > VERIFY_TRIAL_LIMIT:
-        raise ValueError(f"trials must be at most {VERIFY_TRIAL_LIMIT}, got {trials}")
+    every desk-scale claim.  A count of samples or trials that is not a
+    non-negative ``int``, or more than ``VERIFY_SAMPLE_LIMIT`` samples or
+    ``VERIFY_TRIAL_LIMIT`` trials, raises ValueError before any work."""
+    for name, value, most in [("samples", samples, VERIFY_SAMPLE_LIMIT),
+                              ("trials", trials, VERIFY_TRIAL_LIMIT)]:
+        if not _is_int(value) or value < 0:
+            raise ValueError(f"{name} must be a non-negative integer, got {_brief.repr(value)}")
+        if value > most:
+            raise ValueError(f"{name} must be at most {most}, got {value}")
     grids = enumerate_maximal(shape).grids
     return [
         check_size_law(shape, grids),

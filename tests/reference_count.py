@@ -1,21 +1,34 @@
-"""The sliding-window transfer DP that counted maximal grids before the
-slice zeta transforms of ``maxac.enumeration``: a test-only oracle.
+"""Test-only counting oracles that share no code with ``maxac.enumeration``.
 
-It assigns the left ends of the interior rows in lexicographic order, but
-keeps only a dict from the *window*, the last ``span`` left ends assigned,
-to the number of partial assignments that end in it.  The predecessor
-``x - e_i`` lies ``stride_i`` rows back and the largest stride is ``span``,
-the product of the ``w_i - 1`` strictly between the first and the last
-axis, so the window holds every predecessor a row reads.  It shares no
-state list, no covering pair and no box layout with the zeta count, and
-runs in any axis order.
+``plane_partitions`` is MacMahon's box formula as a product of grouped
+exponents, the form the closed form took before its row-by-row binomial
+product.
+
+``_transfer_count`` is the sliding-window transfer DP that counted maximal
+grids before the slice zeta transforms.  It assigns the left ends of the
+interior rows in lexicographic order, but keeps only a dict from the
+*window*, the last ``span`` left ends assigned, to the number of partial
+assignments that end in it.  The predecessor ``x - e_i`` lies ``stride_i``
+rows back and the largest stride is ``span``, the product of the ``w_i - 1``
+strictly between the first and the last axis, so the window holds every
+predecessor a row reads.  It shares no state list, no covering pair and no
+box layout with the zeta count, and runs in any axis order.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from itertools import product
 from typing import Sequence
+
+
+def plane_partitions(a: int, b: int, c: int) -> int:
+    """Plane partitions in an a x b x c box: the product over i <= a, j <= b
+    of (t + c) / t with t = i + j - 1, grouped by t, which min(t, a, b,
+    a + b - t) of the pairs share."""
+    powers = [(t, min(t, a, b, a + b - t)) for t in range(1, a + b)]
+    return math.prod((t + c) ** k for t, k in powers) // math.prod(t**k for t, k in powers)
 
 
 def _transfer_count(dims: Sequence[int]) -> int:

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_count import plane_partitions
 
 from maxac import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, check_characterization
 from maxac.cli import build_parser, main
@@ -335,12 +336,6 @@ def test_count_formula_refuses_only_counts_too_long_to_print(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def _plane_partitions(n: int) -> int:
-    """MacMahon's box formula for an n x n x n box."""
-    pairs = [i + j for i in range(1, n + 1) for j in range(1, n + 1)]
-    return math.prod(s + n - 1 for s in pairs) // math.prod(s - 1 for s in pairs)
-
-
 def test_count_formula_refuses_only_cube_counts_too_long_to_print(capsys):
     limit = sys.get_int_max_str_digits()
     assert limit > 0
@@ -348,16 +343,16 @@ def test_count_formula_refuses_only_cube_counts_too_long_to_print(capsys):
     # `limit` digits; the count on the cube of side w is plane partitions in
     # a (w - 1)^3 box
     lo, hi = 1, 2
-    while _plane_partitions(hi) < 10**limit:
+    while plane_partitions(hi, hi, hi) < 10**limit:
         lo, hi = hi + 1, 2 * hi
     while lo < hi:
         mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if _plane_partitions(mid) >= 10**limit else (mid + 1, hi)
+        lo, hi = (lo, mid) if plane_partitions(mid, mid, mid) >= 10**limit else (mid + 1, hi)
     w = lo
 
     status, out, err = _formula(capsys, w, d=3)
     assert status == 0 and err == ""
-    assert json.loads(out)["count"] == _plane_partitions(w - 1)
+    assert json.loads(out)["count"] == plane_partitions(w - 1, w - 1, w - 1)
 
     for big in (w + 1, 1_000_000):
         start = time.perf_counter()
@@ -374,7 +369,7 @@ def test_count_formula_refuses_only_cube_counts_too_long_to_print(capsys):
     try:
         status, out, err = _formula(capsys, w + 1, d=3)
         assert status == 0 and err == ""
-        assert json.loads(out)["count"] == _plane_partitions(w)
+        assert json.loads(out)["count"] == plane_partitions(w, w, w)
     finally:
         sys.set_int_max_str_digits(limit)
 

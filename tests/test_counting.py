@@ -1,10 +1,12 @@
+import math
 import random
 import sys
 import time
+from itertools import permutations, product
 
 import pytest
 import reference_dominance
-from reference_count import _transfer_count
+from reference_count import _transfer_count, plane_partitions
 
 from maxac import (
     Grid,
@@ -83,6 +85,29 @@ def test_count_closed_form_refuses_counts_too_long_to_print():
         assert len(str(count_closed_form(Shape((121, 121, 121))))) > limit
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_the_row_product_is_macmahons_box_formula():
+    # sides 0 and 1 (box sides 1 and 2) among them, so a = 1 and a = b = 1,
+    # each in every axis order
+    for sides in product([0, 1, 2, 5, 13], [1, 3, 8, 40], [1, 2, 30, 1000]):
+        expected = plane_partitions(*sides) if 0 not in sides else 1
+        for order in set(permutations(sides)):
+            assert count_closed_form(Shape(tuple(w + 1 for w in order))) == expected, order
+
+
+def test_count_closed_form_refuses_past_the_print_limit_before_any_product(monkeypatch):
+    # the estimate is exact on two sides: C(14398, 7199) has 4,333 digits
+    def no_product(*args):
+        raise AssertionError("computed a product past the digit limit")
+
+    limit = sys.get_int_max_str_digits()
+    assert 0 < limit < 4331
+    shape = Shape((7200, 7200))
+    monkeypatch.setattr(math, "comb", no_product)
+    monkeypatch.setattr(math, "prod", no_product)
+    with pytest.raises(ValueError, match=rf"^the count for shape \(7200, 7200\) has more than {limit} "):
+        count_closed_form(shape)
 
 
 def test_extend_by_two_examples():

@@ -8,7 +8,7 @@ import pytest
 import reference_dominance
 import reference_enumerate
 from bitmask_search import search_maximal
-from reference_count import _transfer_count
+from reference_count import _transfer_count, plane_partitions
 
 from maxac import (
     COUNT_DIGIT_LIMIT,
@@ -200,12 +200,6 @@ def test_count_takes_the_closed_form_on_long_boxes():
         assert time.perf_counter() - start < 0.1, dims
 
 
-def plane_partitions(a: int, b: int, c: int) -> int:
-    """Plane partitions in an a x b x c box, by MacMahon's box formula."""
-    pairs = [(i, j) for i in range(1, a + 1) for j in range(1, b + 1)]
-    return math.prod(i + j + c - 1 for i, j in pairs) // math.prod(i + j - 1 for i, j in pairs)
-
-
 def _with_axes(dims, extra, at):
     """``dims`` with the sizes ``extra`` inserted at the positions ``at``."""
     rest, added = iter(dims), iter(extra)
@@ -347,12 +341,38 @@ def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
             count_maximal(Shape(dims))
 
 
+def test_a_refused_sub_count_refuses_on_states(monkeypatch):
+    # the ideals of Q number the count of the box less its largest side; when
+    # that count is refused, the box has more ideals than the budget
+    def refusal(dims):
+        return (f"counting shape {dims} takes at least {COUNT_STATE_LIMIT + 1} states, "
+                f"limit is {COUNT_STATE_LIMIT} (COUNT_STATE_LIMIT)")
+
+    monkeypatch.setattr(enumeration, "_covering_pairs", None)
+    # on its digits: 60^3's count has more than 1,000
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        with pytest.raises(ShapeTooLargeError) as info:
+            count_maximal(Shape((60,) * 4))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(info.value) == refusal((60,) * 4)
+    # on a budget of its own: 3^4 takes at least 19 additions
+    monkeypatch.setattr(enumeration, "COUNT_WORK_LIMIT", 10)
+    with pytest.raises(ShapeTooLargeError) as info:
+        count_maximal(Shape((3,) * 5))
+    assert str(info.value) == refusal((3,) * 5)
+
+
 def test_the_digit_budget_refuses_before_any_work_with_no_digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        for dims, digits in [((10**6, 10**6), 301_029), ((10**5, 10**5), 30_102),
-                             ((800, 800, 800), 112_474)]:
+        # the estimate is a times the log of MacMahon's last row, exact on two
+        # sides
+        for dims, digits in [((10**6, 10**6), 602_056), ((10**5, 10**5), 60_202),
+                             ((800, 800, 800), 145_122)]:
             for count in (count_maximal, count_closed_form):
                 start = time.perf_counter()
                 with pytest.raises(ShapeTooLargeError) as info:

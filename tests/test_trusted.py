@@ -23,11 +23,14 @@ from maxac import (
     check_characterization,
     convert_step,
     enumerate_maximal,
+    extend_by_two,
     find_pair,
+    is_maximal,
     iter_shapes,
     normalize,
     peel,
     play,
+    project_last,
     to_intervals,
     x_set,
 )
@@ -148,15 +151,38 @@ class Level(IntEnum):
     TWO = 2
 
 
-def test_to_intervals_keeps_rejecting_int_subclass_bounds():
+def test_to_intervals_stores_int_subclass_bounds_as_int():
     # Grid admits IntEnum coordinates and IntervalMap does not; to_intervals
-    # then builds through the public constructor and raises as it does
+    # stores those bounds as plain ints, as the public constructor needs
     g = Grid(Shape((2, 2)), [(1, Level.ONE), (1, Level.TWO), (2, 1)])
-    with pytest.raises(ValueError, match="must be integers"):
-        to_intervals(g)
+    m = to_intervals(g)
+    assert m == _public(m) == to_intervals(Grid(Shape((2, 2)), [(1, 1), (1, 2), (2, 1)]))
+    assert {type(x) for bounds in m.intervals.values() for x in bounds} == {int}
     # int subclasses in the row ids only: the rows come from iter_rows
     m = to_intervals(Grid(Shape((2, 2)), [(Level.ONE, 1), (1, 2), (Level.TWO, 1)]))
     assert m == _public(m)
+
+
+def test_int_subclass_grids_answer_as_plain_ones():
+    # is_maximal, extend_by_two and project_last read the row form of a grid
+    # whose coordinates are IntEnum members
+    def plain(g):
+        return Grid(Shape(tuple(g.shape.dims)), [tuple(map(int, c)) for c in g.ones])
+
+    boards = [Grid(Shape((2, 2)), [(Level.ONE, Level.ONE), (Level.ONE, Level.TWO),
+                                   (Level.TWO, Level.ONE)]),
+              Grid(Shape((2, 2)), [(Level.ONE, Level.TWO), (Level.TWO, Level.ONE)]),
+              Grid(Shape((3, 2)), [(Level.ONE, Level.TWO), (3, Level.ONE)])]
+    for g in boards:
+        assert is_maximal(g) == is_maximal(plain(g))
+    for g in (boards[0], Grid(Shape((2, 3)), [(Level.ONE, 3), (Level.TWO, Level.ONE),
+                                              (Level.TWO, Level.TWO), (Level.TWO, 3)])):
+        assert is_maximal(g)
+        image = extend_by_two(g)
+        assert image == extend_by_two(plain(g))
+        assert project_last(image) == g == plain(g)
+        lifted = Grid(image.shape, [c[:-1] + (Level(c[-1]),) for c in image.ones])
+        assert project_last(lifted) == project_last(plain(lifted)) == plain(g)
 
 
 def test_game_boards_equal_the_public_constructor():

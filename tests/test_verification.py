@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from maxac import (
@@ -8,10 +10,22 @@ from maxac import (
     Shape,
     enumerate_maximal,
     is_maximal,
+    normalize,
+    predict_loser,
     sample_non_maximal,
+    to_intervals,
     verify_shape,
+    x_set,
 )
 from maxac import counting, enumeration, rowform, verification
+
+# every check of the suite fails its doctored input with one detail; 3x3 has
+# 6 maximal grids of weight 5, and 3 of them need a convert step
+
+
+@pytest.fixture
+def grids():
+    return enumerate_maximal(Shape((3, 3))).grids
 
 
 def test_sample_non_maximal_enumerates_only_when_sampling(monkeypatch):
@@ -83,9 +97,92 @@ def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch
         assert result.detail.startswith("count_maximal gives 21, enumeration ")
 
 
+def test_check_counting_computes_the_forms_it_reports(monkeypatch, grids):
+    # count_maximal agrees with a short list, so the binomial and min(w)
+    # comparisons are the ones to fail it
+    monkeypatch.setattr(verification, "count_maximal", lambda shape: 5)
+    result = verification.check_counting(Shape((3, 3)), grids[1:])
+    assert (result.passed, result.detail) == (False, "binomial form gives 6, enumeration 5")
+    monkeypatch.setattr(verification, "count_maximal", lambda shape: 1)
+    shape = Shape((2, 2, 2))
+    result = verification.check_counting(shape, enumerate_maximal(shape).grids[1:])
+    assert (result.passed, result.detail) == (False, "min-dimension form gives 2, enumeration 1")
+
+
+def test_the_size_law_check_fails_a_light_grid(grids):
+    light = Grid(Shape((3, 3)), grids[0].ones[1:])
+    result = verification.check_size_law(Shape((3, 3)), [*grids, light])
+    assert (result.passed, result.detail) == (
+        False, "1 of 7 maximal grids deviate from weight 5")
+
+
+def test_the_brute_force_check_fails_a_short_list(grids):
+    result = verification.check_brute_force(Shape((3, 3)), grids[1:])
+    assert (result.passed, result.detail) == (False, "subset filter and search disagree")
+
+
+def test_the_bijection_check_fails_a_short_image_set(grids):
+    # each grid makes its round trip, but one image of the extended box is
+    # missing
+    result = verification.check_bijection(Shape((3, 3)), grids[1:])
+    assert (result.passed, result.detail) == (False, "image set differs: 5 vs 6 grids")
+
+
+def test_the_normalization_check_fails_a_miscounted_report(monkeypatch, grids):
+    def miscounted(m):
+        report = normalize(m)
+        return dataclasses.replace(report, steps=report.steps + 1)
+
+    monkeypatch.setattr(verification, "normalize", miscounted)
+    result = verification.check_normalization(Shape((3, 3)), grids)
+    assert (result.passed, result.detail) == (False, f"step count off for ones {grids[0].ones}")
+
+
+def test_the_normalization_check_fails_a_step_that_moves_nothing(monkeypatch, grids):
+    monkeypatch.setattr(verification, "convert_step", lambda m: m)
+    first = next(g for g in grids if x_set(to_intervals(g)))
+    result = verification.check_normalization(Shape((3, 3)), grids)
+    assert (result.passed, result.detail) == (
+        False, f"convert step broke an invariant for ones {first.ones}")
+
+
+def test_the_normalization_check_fails_a_report_off_its_own_trace(monkeypatch, grids):
+    # another grid's normal form: the right steps and pairs, and no
+    # obstruction left, but not where the steps lead
+    results = [normalize(to_intervals(g)).result for g in grids]
+    other = next(r for r in results if r != results[0])
+
+    def elsewhere(m):
+        return dataclasses.replace(normalize(m), result=other)
+
+    monkeypatch.setattr(verification, "normalize", elsewhere)
+    result = verification.check_normalization(Shape((3, 3)), grids)
+    assert (result.passed, result.detail) == (False, f"trace mismatch for ones {grids[0].ones}")
+
+
+def test_the_peel_check_fails_each_broken_telescope(monkeypatch, grids):
+    shape = Shape((3, 3))
+    for name, value, detail in [("peel", lambda m: m, "peel drop off"),
+                                ("check_characterization", lambda m: False,
+                                 "peel broke the characterization"),
+                                ("max_size", lambda shape: 0, "telescoped weight off")]:
+        with monkeypatch.context() as patch:
+            patch.setattr(verification, name, value)
+            result = verification.check_peel_recurrence(shape, grids)
+        assert (result.passed, result.detail) == (False, f"{detail} for ones {grids[0].ones}")
+
+
+def test_the_game_check_fails_a_wrong_loser(monkeypatch):
+    shape = Shape((3, 3))
+    monkeypatch.setattr(verification, "predict_loser", lambda shape, m: -1)
+    result = verification.check_game(shape, trials=1, players=(2,))
+    assert (result.passed, result.detail) == (
+        False, f"m=2, trial 0: loser {predict_loser(shape, 2)}, expected -1")
+
+
 def test_the_bijection_check_reads_each_image_once(monkeypatch):
-    # one row-form pass per grid on each side of each round trip: 6 on 3x3 and
-    # 6 on 3x3x2 forward, and as many back
+    # one row-form pass per grid on each side of its round trip: 6 on 3x3 and
+    # 6 on 3x3x2
     calls = []
 
     def counted(g):
@@ -97,7 +194,7 @@ def test_the_bijection_check_reads_each_image_once(monkeypatch):
     monkeypatch.setattr(counting, "maximal_row_form", counted)
     shape = Shape((3, 3))
     assert verification.check_bijection(shape, enumerate_maximal(shape).grids).passed
-    assert calls.count((3, 3, 2)) == calls.count((3, 3)) == 12 and len(calls) == 24
+    assert calls.count((3, 3, 2)) == calls.count((3, 3)) == 6 and len(calls) == 12
 
 
 def test_the_bijection_check_fails_a_non_maximal_image(monkeypatch):
@@ -122,3 +219,17 @@ def test_verify_shape_refuses_work_above_its_limits(monkeypatch):
         verify_shape(Shape((2, 2)), samples=VERIFY_SAMPLE_LIMIT + 1)
     with pytest.raises(ValueError, match=f"trials must be at most {VERIFY_TRIAL_LIMIT}"):
         verify_shape(Shape((2, 2)), trials=VERIFY_TRIAL_LIMIT + 1)
+
+
+def test_verify_shape_refuses_counts_that_are_not_non_negative_ints(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a bad count")
+
+    monkeypatch.setattr(verification, "enumerate_maximal", no_work)
+    for name in ("samples", "trials"):
+        for value, shown in [(-3, "-3"), (2.5, "2.5"), (True, "True"), ("5", "'5'")]:
+            with pytest.raises(ValueError, match=(
+                    rf"^{name} must be a non-negative integer, got {shown}$")):
+                verify_shape(Shape((2, 2)), **{name: value})
+    monkeypatch.undo()
+    assert all(r.passed for r in verify_shape(Shape((2, 2)), samples=0, trials=0))
