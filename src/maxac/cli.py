@@ -13,7 +13,8 @@ import argparse
 import json
 import sys
 
-from .core import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, max_size
+from .core import (GAME_CELL_LIMIT, VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape,
+                   _brief, _require_int, max_size)
 from .errors import BoxError
 
 # Each verb reaches its callees as attributes of this copy of the package,
@@ -32,17 +33,12 @@ def _shape_arg(text: str) -> Shape:
         raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
 
 
-def _count_arg(text: str, positive: bool = False, most: int | None = None) -> int:
+def _count_arg(text: str, name: str, least: int = 0, most: int | None = None) -> int:
+    # int's and _require_int's refusals both become usage errors
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}: not an integer") from None
-    if value < 0 or (positive and value == 0):
-        least = "positive" if positive else "non-negative"
-        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be {least}")
-    if most is not None and value > most:
-        raise argparse.ArgumentTypeError(f"bad count {text!r}: must be at most {most}")
-    return value
+        return _require_int(name, int(text), least, most)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad count {_brief.repr(text)}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,20 +58,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", parents=[common], help="number of maximal grids")
     p.add_argument("--w", type=_shape_arg, required=True, metavar="W1,W2,...")
-    p.add_argument("--method", choices=("enumerate", "formula"), default="enumerate")
+    p.add_argument("--method", choices=("enumerate", "formula"), default="enumerate",
+                   help="'enumerate' (the default) runs count_maximal, listing no grid")
 
     p = sub.add_parser("enumerate", parents=[common], help="list all maximal grids")
     p.add_argument("--w", type=_shape_arg, required=True, metavar="W1,W2,...")
-    p.add_argument("--cap", type=lambda text: _count_arg(text, positive=True),
+    p.add_argument("--cap", type=lambda t: _count_arg(t, "cap", 1),
                    default=1000, help="max grids to keep (default 1000)")
 
     p = sub.add_parser("verify", parents=[common],
                        help="run the per-shape verification suite")
     p.add_argument("--w", type=_shape_arg, required=True, metavar="W1,W2,...")
-    p.add_argument("--samples", type=lambda text: _count_arg(text, most=VERIFY_SAMPLE_LIMIT),
+    p.add_argument("--samples", type=lambda t: _count_arg(t, "samples", 0, VERIFY_SAMPLE_LIMIT),
                    default=1000, help="non-maximal grids to sample "
                    f"(default 1000, at most {VERIFY_SAMPLE_LIMIT})")
-    p.add_argument("--trials", type=lambda text: _count_arg(text, most=VERIFY_TRIAL_LIMIT),
+    p.add_argument("--trials", type=lambda t: _count_arg(t, "trials", 0, VERIFY_TRIAL_LIMIT),
                    default=100, help="seeded games per player count "
                    f"(default 100, at most {VERIFY_TRIAL_LIMIT})")
     p.add_argument("--seed", type=int, default=0)
@@ -197,7 +194,8 @@ def _run(args) -> tuple[object, str, int]:
 
     if args.verb == "game":
         names = args.strategy.split(",")
-        _package.game._check_players(args.players)  # before the strategy list is built
+        # before the strategy list is built; play checks the same bounds
+        _require_int("players", args.players, 2, GAME_CELL_LIMIT + 1)
         if len(names) == 1:
             names = names * args.players
         transcript = _package.play(args.w, args.players, names, seed=args.seed)

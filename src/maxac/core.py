@@ -27,10 +27,10 @@ Cell = tuple[int, ...]
 # rejected outright; everything downstream may then use exact arithmetic
 _MAX_CELLS = 2**64 - 1
 
-# per-run bounds of verification.verify_shape (and so of `maxac verify`): the
-# sampled non-maximal grids are all held at once, and every trial plays three
-# games.  They live here so the CLI parser reads them without importing
-# verification.
+# per-run bounds of verification.verify_shape (and so of `maxac verify`) and
+# of its sample_non_maximal and check_game: the sampled non-maximal grids are
+# all held at once, and every trial plays three games.  They live here so the
+# CLI parser reads them without importing verification.
 VERIFY_SAMPLE_LIMIT = 10_000
 VERIFY_TRIAL_LIMIT = 10_000
 
@@ -40,6 +40,20 @@ _package = sys.modules[__package__]
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_int(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """``value`` if it is an ``int``, not a ``bool``, in ``[least, most]``
+    (None leaves that side open), else ValueError naming ``name``: the one
+    check of every scalar argument at the library's and the CLI's
+    boundaries, made before any work."""
+    if not _is_int(value):
+        raise ValueError(f"{name} must be an int, got {_brief.repr(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {_brief.repr(value)}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {_brief.repr(value)}")
+    return value
 
 
 def _digit_count(x: int) -> int:

@@ -97,7 +97,7 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .core import (Cell, Grid, Shape, _box, _Box, _brief, _flood, _flood_box,
-                   _is_int, _print_limit, _printable, _trusted, comparable)
+                   _print_limit, _printable, _require_int, _trusted, comparable)
 from .errors import AlreadyContainsError, PreconditionViolatedError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -114,14 +114,8 @@ COUNT_WORK_LIMIT = 10_000_000
 COUNT_DIGIT_LIMIT = 20_000
 
 
-def _require_positive(name: str, value) -> None:
-    if not _is_int(value) or value < 1:
-        raise ValueError(f"{name} must be a positive integer")
-
-
 def _check_cells(shape: Shape, max_cells) -> None:
-    _require_positive("max_cells", max_cells)
-    if shape.cell_count > max_cells:
+    if shape.cell_count > _require_int("max_cells", max_cells, 1):
         raise ShapeTooLargeError(shape.cell_count, max_cells)
 
 
@@ -186,9 +180,12 @@ def enumerate_maximal(
     max_cells: int = DEFAULT_CELL_LIMIT,
 ) -> EnumerationReport:
     """All maximal grids over ``shape``, each exactly once, sorted by their
-    serialized cell lists.  ``cap`` bounds how many grids the report keeps."""
+    serialized cell lists.  ``cap`` bounds how many grids the report keeps.
+    A ``cap`` or ``max_cells`` that is not an ``int`` of at least 1 raises
+    ValueError, and a box of more than ``max_cells`` cells
+    ShapeTooLargeError, both before any work."""
     if cap is not None:
-        _require_positive("cap", cap)
+        _require_int("cap", cap, 1)
     _check_cells(shape, max_cells)
     dims = shape.dims
     if shape.d >= 2 and 1 in dims:
@@ -231,8 +228,9 @@ def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
     """Number of maximal grids over ``shape``: ``count_closed_form`` where it
     applies, else by slice zeta transforms, under the count budgets (module
     docstring).  ``max_cells``, if given, is a budget in cells like
-    ``enumerate_maximal``'s.  Raises ValueError if the count has more digits
-    than the interpreter prints (``sys.get_int_max_str_digits``)."""
+    ``enumerate_maximal``'s, checked as there.  Raises ValueError if the
+    count has more digits than the interpreter prints
+    (``sys.get_int_max_str_digits``)."""
     if max_cells is not None:
         _check_cells(shape, max_cells)
     try:
@@ -399,8 +397,9 @@ def random_maximal(shape: Shape, seed: int) -> Grid:
     """Maximal grid obtained by greedy completion over a seed-shuffled cell
     order, within the same cell budget.  Deterministic for a fixed seed, but
     not uniform over the maximal grids: over seeds 0-5999 on 4x4 one of the
-    20 grids came out 105 times and another 873 times."""
-    rng = random.Random(seed)
+    20 grids came out 105 times and another 873 times.  A ``seed`` that is
+    not an ``int``, or is a ``bool``, raises ValueError before any work."""
+    rng = random.Random(_require_int("seed", seed))
     cells = list(_flood_box(shape).cells)
     rng.shuffle(cells)
     return complete_to_maximal(Grid(shape, ()), cells)

@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _brief, _flood_box, _is_int, _trusted,
+from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _flood_box, _require_int, _trusted,
                    _turn_on, flip_creates_containment, max_size)
 from .errors import StrategyReturnedNonZeroCellError, StrategyReturnedOutOfRangeError
 
@@ -79,7 +79,7 @@ def predict_loser(shape: Shape, players: int) -> int:
     """The player who runs out of safe moves: max_size(shape) mod players.
     ``players`` must be an ``int`` (not a ``bool``) of at least 2, else
     ValueError; unlike ``play``, it has no upper bound."""
-    _check_players(players, bounded=False)
+    _require_int("players", players, 2)
     return max_size(shape) % players
 
 
@@ -107,11 +107,15 @@ def play(
     drives all random players), and a callable may return any zero cell --
     including an unsafe one, losing on the spot.  Built-ins flip the first
     zero cell once no safe move remains.  Boxes of more than
-    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError``; a ``players``
-    that is not an ``int`` or is a ``bool``, and fewer than two or more than
-    ``GAME_CELL_LIMIT + 1`` players, raise ``ValueError``.
+    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError``.  A ``players``
+    or ``seed`` that is not an ``int`` or is a ``bool``, and fewer than two
+    or more than ``GAME_CELL_LIMIT + 1`` players, raise ``ValueError`` before
+    any work; a game within the cell budget ends after at most
+    ``GAME_CELL_LIMIT + 1`` moves, so more players never move.  Any ``int``
+    seed is valid, negative included.
     """
-    _check_players(players)
+    _require_int("players", players, 2, GAME_CELL_LIMIT + 1)
+    _require_int("seed", seed)
     if len(strategies) != players:
         raise ValueError(f"expected {players} strategies, got {len(strategies)}")
     for s in strategies:
@@ -179,16 +183,6 @@ def play(
     # full clean board: the player to move cannot move at all
     return Transcript(final_state=_state(shape, players, moves),
                       loser=len(moves) % players, terminal_cell=None, forced=True)
-
-
-def _check_players(players: int, bounded: bool = True) -> None:
-    if not _is_int(players):
-        raise ValueError(f"the number of players must be an int, got {_brief.repr(players)}")
-    if players < 2:
-        raise ValueError("the game needs at least two players")
-    if bounded and players > GAME_CELL_LIMIT + 1:
-        # a game within the cell budget ends after at most GAME_CELL_LIMIT + 1 moves
-        raise ValueError(f"the game takes at most {GAME_CELL_LIMIT + 1} players")
 
 
 def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]]) -> GameState:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _brief, _flood,
-                   _is_int, is_maximal, max_size, weight)
+                   _print_limit, _require_int, _too_long, is_maximal, max_size, weight)
 from .counting import extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -42,7 +42,11 @@ class CheckResult:
 
 def iter_shapes(max_cells: int, max_d: int) -> Iterator[Shape]:
     """Every shape with at most ``max_d`` dimensions and ``max_cells`` cells,
-    in lexicographic order by dimension vector."""
+    in lexicographic order by dimension vector.  A bound that is not a
+    non-negative ``int`` raises ValueError at the call, before the first
+    shape is asked for."""
+    _require_int("max_cells", max_cells, 0)
+    _require_int("max_d", max_d, 0)
 
     def rec(prefix: tuple[int, ...], prod: int) -> Iterator[Shape]:
         if prefix:
@@ -54,7 +58,14 @@ def iter_shapes(max_cells: int, max_d: int) -> Iterator[Shape]:
             yield from rec(prefix + (w,), prod * w)
             w += 1
 
-    yield from rec((), 1)
+    return rec((), 1)
+
+
+def _require_sample(name: str, count: int, seed: int) -> None:
+    # the seed names the sample's stream as text, so it must print
+    _require_int(name, count, 0, VERIFY_SAMPLE_LIMIT)
+    if _too_long(_require_int("seed", seed), limit := _print_limit()):
+        raise ValueError(f"seed must have at most {limit} digits, got {_brief.repr(seed)}")
 
 
 def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
@@ -62,9 +73,14 @@ def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
 
     Mixes arbitrary random subsets (usually containing the forbidden pair)
     with punctured maximal grids (clean but unsaturated), so both failure
-    modes of the characterization get exercised.
+    modes of the characterization get exercised.  A ``count`` that is not an
+    ``int`` in ``[0, VERIFY_SAMPLE_LIMIT]`` (all samples are held at once),
+    and a ``seed`` that is not an ``int`` or has more digits than the
+    interpreter prints (``sys.get_int_max_str_digits``), raise ValueError
+    before any work.  A ``bool`` is not an ``int`` here.
     """
-    if count < 1:
+    _require_sample("count", count, seed)
+    if count == 0:
         return []
     rng = random.Random(f"{shape.dims}:{seed}")
     cells = list(shape.iter_cells())
@@ -108,7 +124,10 @@ def check_equivalence(
 ) -> CheckResult:
     """Maximal, by the flood (``core._flood``; ``is_maximal`` reads the row
     form under test), iff to_intervals(g) succeeds and the characterization
-    holds, over all maximal grids plus a seeded non-maximal sample."""
+    holds, over all maximal grids plus a seeded non-maximal sample.
+    ``samples`` and ``seed`` are checked as ``sample_non_maximal``'s, also
+    for d = 1."""
+    _require_sample("samples", samples, seed)
     name = "characterization-equivalence"
     if shape.d < 2:
         return CheckResult(name, True, "d = 1: characterization not applicable")
@@ -262,7 +281,11 @@ def check_game(
     seed: int = 0,
 ) -> CheckResult:
     """Random safe play always loses for player max_size mod m, after exactly
-    max_size safe moves."""
+    max_size safe moves.  A ``trials`` that is not an ``int`` in
+    ``[0, VERIFY_TRIAL_LIMIT]``, or a ``seed`` that is not an ``int``, raises
+    ValueError before any game."""
+    _require_int("trials", trials, 0, VERIFY_TRIAL_LIMIT)
+    _require_int("seed", seed)
     name = "game-loser"
     if trials == 0:
         return CheckResult(name, True, "skipped: 0 trials requested")
@@ -298,15 +321,11 @@ def verify_shape(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run the full per-shape suite; all-passed means the shape reproduces
-    every desk-scale claim.  A count of samples or trials that is not a
-    non-negative ``int``, or more than ``VERIFY_SAMPLE_LIMIT`` samples or
-    ``VERIFY_TRIAL_LIMIT`` trials, raises ValueError before any work."""
-    for name, value, most in [("samples", samples, VERIFY_SAMPLE_LIMIT),
-                              ("trials", trials, VERIFY_TRIAL_LIMIT)]:
-        if not _is_int(value) or value < 0:
-            raise ValueError(f"{name} must be a non-negative integer, got {_brief.repr(value)}")
-        if value > most:
-            raise ValueError(f"{name} must be at most {most}, got {value}")
+    every desk-scale claim.  ``samples`` and ``seed`` are checked as
+    ``sample_non_maximal``'s and ``trials`` as ``check_game``'s, all before
+    any work."""
+    _require_sample("samples", samples, seed)
+    _require_int("trials", trials, 0, VERIFY_TRIAL_LIMIT)
     grids = enumerate_maximal(shape).grids
     return [
         check_size_law(shape, grids),

@@ -480,7 +480,7 @@ def test_usage_errors_exit_2(capsys):
             with pytest.raises(SystemExit) as exc:
                 main(["verify", "--w", "2,2", flag, bad])
             assert exc.value.code == 2
-    assert "must be non-negative" in capsys.readouterr().err
+    assert "bad count '-5': trials must be at least 0, got -5" in capsys.readouterr().err
     # only parsed: a count above the limit must stop before any work
     for flag, limit in (("--samples", VERIFY_SAMPLE_LIMIT), ("--trials", VERIFY_TRIAL_LIMIT)):
         argv = ["verify", "--w", "2,2", flag]
@@ -493,10 +493,19 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(["enumerate", "--w", "2,2", "--cap", bad])
         assert exc.value.code == 2
-    assert "must be positive" in capsys.readouterr().err
+    assert "bad count '-1': cap must be at least 1, got -1" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--w", "2,2", "--max-cells", "30"])  # no work budget override
     assert exc.value.code == 2
+
+
+def test_a_huge_count_gives_a_short_usage_error(capsys):
+    for flag, verb in (("--cap", "enumerate"), ("--samples", "verify"), ("--trials", "verify")):
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--w", "2,2", flag, "9" * 5000])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "bad count '99999" in err and len(err.splitlines()[-1]) < 400
 
 
 def test_bad_json_input(capsys, monkeypatch):

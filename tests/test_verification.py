@@ -227,9 +227,9 @@ def test_verify_shape_refuses_counts_that_are_not_non_negative_ints(monkeypatch)
 
     monkeypatch.setattr(verification, "enumerate_maximal", no_work)
     for name in ("samples", "trials"):
-        for value, shown in [(-3, "-3"), (2.5, "2.5"), (True, "True"), ("5", "'5'")]:
-            with pytest.raises(ValueError, match=(
-                    rf"^{name} must be a non-negative integer, got {shown}$")):
+        for value, shown in [(-3, "at least 0, got -3"), (2.5, "an int, got 2.5"),
+                             (True, "an int, got True"), ("5", "an int, got '5'")]:
+            with pytest.raises(ValueError, match=rf"^{name} must be {shown}$"):
                 verify_shape(Shape((2, 2)), **{name: value})
     monkeypatch.undo()
     assert all(r.passed for r in verify_shape(Shape((2, 2)), samples=0, trials=0))
