@@ -30,7 +30,15 @@ def _shape_arg(text: str) -> Shape:
         dims = tuple(int(part) for part in text.split(","))
         return Shape(dims)
     except (ValueError, OverflowError) as exc:
-        raise argparse.ArgumentTypeError(f"bad shape {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad shape {_brief.repr(text)}: {exc}") from None
+
+
+def _int_arg(text: str, name: str) -> int:
+    # argparse's own refusal of type=int would quote the whole text
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad {name} {_brief.repr(text)}: {exc}") from None
 
 
 def _count_arg(text: str, name: str, least: int = 0, most: int | None = None) -> int:
@@ -75,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=lambda t: _count_arg(t, "trials", 0, VERIFY_TRIAL_LIMIT),
                    default=100, help="seeded games per player count "
                    f"(default 100, at most {VERIFY_TRIAL_LIMIT})")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=lambda t: _int_arg(t, "seed"), default=0)
 
     for verb, blurb in (
         ("normalize", "drain a maximal grid's obstruction set"),
@@ -89,11 +97,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("game", parents=[common], help="play one exclusion game")
     p.add_argument("--w", type=_shape_arg, required=True, metavar="W1,W2,...")
-    p.add_argument("--players", type=int, default=2)
+    p.add_argument("--players", type=lambda t: _int_arg(t, "players"), default=2)
     p.add_argument("--strategy", default="lex",
                    help="comma-separated per-player strategies from {lex,random}; "
                         "a single name applies to everyone")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=lambda t: _int_arg(t, "seed"), default=0)
 
     return parser
 

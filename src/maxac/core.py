@@ -289,6 +289,12 @@ class _Box:
         return tuple(inner)
 
     @cached_property
+    def lifted(self) -> tuple[int, ...]:
+        """The inner cells' diagonal successors x + (1, ..., 1), ascending:
+        the cells above 1 on every axis."""
+        return tuple(i + self.diag for i in self.inner)
+
+    @cached_property
     def chunks(self) -> tuple[tuple[slice, slice], ...]:
         """The (previous, current) slice pairs that fold each coordinate value
         into the next, along every axis but the last."""
@@ -404,6 +410,10 @@ def is_maximal(g: Grid) -> bool:
     """Avoids the forbidden configuration, and every zero flip would create
     it: ``rowform.maximal_row_form``, which rejects a wrong weight in O(1)
     and otherwise costs O(|ones| + rows d) over the row box."""
+    # by attribute, not by class: a harness that imports the package afresh
+    # hands one copy's shapes and grids to the other copy's functions
+    if not hasattr(g, "ones"):
+        raise TypeError(f"is_maximal takes a Grid, got {type(g).__name__}")
     return _package.rowform.maximal_row_form(g) is not None
 
 
@@ -413,4 +423,6 @@ def max_size(s: Shape) -> int:
     Equivalently, the number of cells with at least one coordinate equal to 1
     (and also the number with at least one coordinate equal to its w_i).
     """
+    if not hasattr(s, "dims"):  # not isinstance, as in is_maximal
+        raise TypeError(f"max_size takes a Shape, got {type(s).__name__}")
     return math.prod(s.dims) - math.prod(w - 1 for w in s.dims)

@@ -25,8 +25,14 @@ checked map thus sweeps once, and on a maximal map the work is small:
   obstruction set and adds nothing.  ``normalize`` therefore reads the set
   once, ascending, off the row box that ``check_characterization`` sweeps
   (``core._box`` of the first d - 1 axes, shared by every level of a
-  chain), drains it on one list of l and one of h, and builds one
-  IntervalMap at the end.
+  chain), drains it on a copy of the map's flat lists of l and of h, and
+  builds one IntervalMap at the end.
+* The bounds travel as those flat lists, in row-box order: every map that
+  ``to_intervals``, ``normalize``, ``convert_step`` and ``peel`` build is
+  handed its lists (``IntervalMap._bounds``), so a level reads them once and
+  no step of a chain reads a row of the ``intervals`` dict.  ``peel`` keeps
+  the l list as it is (no row that loses its top cell has l = w_d) and
+  builds the new h list in one pass.
 * h is order-reversing, so the top-touching rows form a down-set.  The
   lexicographically first top-touching row strictly above x is then
   x + (1,...,1) if any is, and the first one at or above x other than x is
@@ -55,10 +61,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Shape, _Box, _trusted
+from .core import Shape, _Box, _box, _trusted
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
-from .rowform import (IntervalMap, RowId, _bounds, _obstructed, _trusted_map,
-                      check_characterization, x_set)
+from .rowform import IntervalMap, RowId, _obstructed, _trusted_map, check_characterization
 
 
 @dataclass(frozen=True)
@@ -144,7 +149,8 @@ def find_pair(m: IntervalMap) -> tuple[RowId, RowId]:
     if top < 2:
         # every interval is (1, 1); no weight can move anywhere
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    ls, hs = _bounds(m, box.cells)
+    # the first pair alone leaves the map's own lists untouched
+    ls, hs = m._bounds
     return next(_walk(ls, hs, box, top, pending[:1]))
 
 
@@ -154,12 +160,12 @@ def convert_step(m: IntervalMap) -> IntervalMap:
     Preserves weight and the characterization, and removes exactly x from
     the obstruction set.
     """
-    x, x_prime = find_pair(m)
-    top = m.top
-    fixed = dict(m.intervals)
-    fixed[x] = (fixed[x][0], top - 1)
-    fixed[x_prime] = (top - 1, fixed[x_prime][1])
-    return _trusted_map(m.shape, fixed, maximal=True)
+    x, _ = find_pair(m)
+    box = _box(m.shape.dims[:-1])
+    i = sum((c - 1) * s for c, s in zip(x, box.strides))
+    ls, hs = map(list.copy, m._bounds)
+    hs[i] = ls[i - box.diag] = m.top - 1
+    return _trusted_map(m.shape, box.cells, ls, hs, maximal=True)
 
 
 def normalize(m: IntervalMap) -> NormalizeReport:
@@ -177,10 +183,10 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     top = m.top
     if top < 2:
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    ls, hs = _bounds(m, box.cells)
+    ls, hs = map(list.copy, m._bounds)
     pairs = tuple(_walk(ls, hs, box, top, pending))
     return NormalizeReport(
-        result=_trusted_map(m.shape, dict(zip(box.cells, zip(ls, hs))), maximal=True),
+        result=_trusted_map(m.shape, box.cells, ls, hs, maximal=True),
         steps=len(pairs),
         pairs=pairs,
     )
@@ -200,8 +206,11 @@ def peel(m: IntervalMap) -> IntervalMap:
     top = m.top
     if top < 2:
         raise BottomedOutError("last dimension is already 1")
-    if _obstructed(m)[1]:
-        raise XSetNonEmptyError(x_set(m))
-    fixed = {row: (l, h - 1) if h == top else (l, h) for row, (l, h) in m.intervals.items()}
+    box, pending = _obstructed(m)
+    if pending:
+        raise XSetNonEmptyError({box.cells[i] for i in pending})
+    # l < w_d on every row that loses its top cell, so ls carries over as is
+    ls, hs = m._bounds
     shape = _trusted(Shape, dims=m.shape.dims[:-1] + (top - 1,))
-    return _trusted_map(shape, fixed, maximal=True)
+    return _trusted_map(shape, box.cells, ls, [h - 1 if h == top else h for h in hs],
+                        maximal=True)

@@ -20,16 +20,24 @@ a closed suffix maximum of h at x + (1,...,1).  Both are separable running
 folds, one axis at a time, over the flat row indices of the row box: the
 layout ``core._box`` of the first d - 1 axes, memoised by them, so
 ``normalize`` and ``peel`` read the same one at every level of a chain,
-which shrinks only the last axis.  A passing check leaves its verdict on
-the map (``_maximal``, not a dataclass field), which ``normalize`` reads
-instead of sweeping the same map again.
+which shrinks only the last axis.  The bounds travel in that layout too: a
+map carries them as two flat lists ``(ls, hs)`` by row index (``_bounds``,
+not a dataclass field), which ``to_intervals``, ``normalize``,
+``convert_step`` and ``peel`` hand to every map they build, so a chain
+reads no row of the ``intervals`` dict; a map from the public constructor
+or ``dataclasses.replace`` reads its dict once, on first use.  A passing
+check leaves its verdict on the map (``_maximal``, also not a field),
+which ``normalize`` reads instead of sweeping the same map again.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections import Counter
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from types import MappingProxyType
 
 from .core import Grid, Shape, _Box, _box, _brief, _is_int, _trusted, max_size
@@ -55,6 +63,15 @@ class IntervalMap:
     # the maximality verdict, not a field: True only on a map that passed
     # check_characterization or was derived from one by normalize or peel
     _maximal = False
+
+    @cached_property
+    def _bounds(self) -> tuple[list[int], list[int]]:
+        """The l and the h of every row, in ascending row order, the order of
+        the row box ``core._box(dims[:-1])``; not a field.  The maps the
+        library builds are given these lists; they may share them with the
+        map they were built from, so no one mutates them."""
+        bounds = list(map(self.intervals.__getitem__, self.shape.iter_rows()))
+        return [l for l, _ in bounds], [h for _, h in bounds]
 
     def __post_init__(self):
         if not isinstance(self.intervals, Mapping):
@@ -120,39 +137,68 @@ class IntervalMap:
         return cls(Shape(tuple(obj["w"])), intervals)
 
 
+# a cell's row: all its coordinates but the last
+_row_of = itemgetter(slice(None, -1))
+
+
 def to_intervals(g: Grid) -> IntervalMap:
     """Read off each row's [min, max] one-coordinates.
 
     Raises EmptyRowError or NonContiguousRowError for the lexicographically
     first offending row; either condition certifies that ``g`` is not maximal.
-    The rows come from ``iter_rows`` and the bounds from a checked grid, so
-    the map skips its constructor's check; ``int`` subclass bounds (which
-    ``Grid`` admits and ``IntervalMap`` does not) are stored as ``int``.
+    The cells are sorted, so each row's cells form one run, and the runs come
+    in row order: the first and last cells of a run give l and h, and a run
+    is contiguous when it spans h - l + 1 cells.  The rows come from
+    ``iter_rows`` and the bounds from a checked grid, so the map skips its
+    constructor's check; ``int`` subclass bounds (which ``Grid`` admits and
+    ``IntervalMap`` does not) are stored as ``int``.
     """
-    by_row: dict[RowId, list[int]] = {}
-    for cell in g.ones:
-        by_row.setdefault(cell[:-1], []).append(cell[-1])
-    intervals = {}
-    for row in g.shape.iter_rows():
-        ys = by_row.get(row)
-        if not ys:
-            raise EmptyRowError(row)
-        lo, hi = min(ys), max(ys)
-        if hi - lo + 1 != len(ys):
-            raise NonContiguousRowError(row)
-        intervals[row] = (lo, hi)
-    if not set(map(type, chain.from_iterable(intervals.values()))) <= {int}:
-        intervals = {row: (int(l), int(h)) for row, (l, h) in intervals.items()}
-    return _trusted_map(g.shape, intervals)
+    if not hasattr(g, "ones"):  # not isinstance, as in core.is_maximal
+        raise TypeError(f"to_intervals takes a Grid, got {type(g).__name__}")
+    ones = g.ones
+    runs = Counter(map(_row_of, ones))
+    ls, hs = [], []
+    end = 0
+    for n in runs.values():
+        lo = ones[end][-1]
+        end += n
+        hi = ones[end - 1][-1]
+        if hi - lo + 1 != n:
+            break
+        ls.append(lo)
+        hs.append(hi)
+    shape = g.shape
+    if len(ls) != shape.cell_count // shape.dims[-1]:
+        raise _first_bad_row(shape, ones, runs)
+    if not set(map(type, chain(ls, hs))) <= {int}:
+        ls, hs = list(map(int, ls)), list(map(int, hs))
+    return _trusted_map(shape, shape.iter_rows(), ls, hs)
 
 
-def _trusted_map(shape: Shape, intervals: dict, maximal: bool = False) -> IntervalMap:
-    """An IntervalMap over ``intervals``, a fresh dict that nothing else
-    holds, without the constructor's check: only for maps valid by
-    construction.  ``maximal`` gives it the verdict, for maps derived from a
-    maximal map by steps that preserve the characterization."""
-    return _trusted(IntervalMap, shape=shape, intervals=MappingProxyType(intervals),
-                    _maximal=maximal)
+def _first_bad_row(shape: Shape, ones, runs: Counter) -> EmptyRowError | NonContiguousRowError:
+    """The error for the first row, ascending, that ``runs`` (the run length
+    of each row of the sorted ``ones``) leaves empty or finds gapped."""
+    end = 0
+    for row in shape.iter_rows():
+        n = runs.get(row)
+        if not n:
+            return EmptyRowError(row)
+        if ones[end + n - 1][-1] - ones[end][-1] + 1 != n:
+            return NonContiguousRowError(row)
+        end += n
+    raise AssertionError("every row is nonempty and contiguous")
+
+
+def _trusted_map(shape: Shape, rows: Iterable[RowId], ls: list[int], hs: list[int],
+                 maximal: bool = False) -> IntervalMap:
+    """The IntervalMap whose ``rows``, in ascending order, have the bounds
+    ``ls`` and ``hs``, without the constructor's check: only for maps valid
+    by construction.  The map keeps the two lists as its ``_bounds``.
+    ``maximal`` gives it the verdict, for maps derived from a maximal map by
+    steps that preserve the characterization."""
+    return _trusted(IntervalMap, shape=shape,
+                    intervals=MappingProxyType(dict(zip(rows, zip(ls, hs)))),
+                    _bounds=(ls, hs), _maximal=maximal)
 
 
 def from_intervals(m: IntervalMap) -> Grid:
@@ -185,12 +231,6 @@ class CharacterizationReport:
             f"row {self.row} violates the {self.rule}-rule: "
             f"expected {self.expected}, found {self.actual}"
         )
-
-
-def _bounds(m: IntervalMap, rows) -> tuple[list[int], list[int]]:
-    """The l and the h of every row of ``m``, in the order of ``rows``."""
-    bounds = list(map(m.intervals.__getitem__, rows))
-    return [l for l, _ in bounds], [h for _, h in bounds]
 
 
 def _prefix_min(a: list[int], chunks, w: int) -> None:
@@ -226,7 +266,7 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
     pre = m.shape.dims[:-1]
     box = _box(pre)
     rows, inner, diag = box.cells, box.inner, box.diag
-    ls, hs = _bounds(m, rows)
+    ls, hs = m._bounds
     n = len(rows)
 
     low = ls.copy()
@@ -278,8 +318,7 @@ def x_set(m: IntervalMap) -> set[RowId]:
 
 def _obstructed(m: IntervalMap) -> tuple[_Box, list[int]]:
     """The row box of ``m`` and its obstruction rows' flat indices, ascending:
-    the rows with ancestors are the inner rows' diagonal successors."""
+    the rows with ancestors are the box's lifted rows."""
     box = _box(m.shape.dims[:-1])
-    rows, diag = box.cells, box.diag
-    intervals, top = m.intervals, m.top
-    return box, [i + diag for i in box.inner if intervals[rows[i + diag]][1] == top]
+    hs, top = m._bounds[1], m.top
+    return box, [i for i in box.lifted if hs[i] == top]

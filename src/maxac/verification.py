@@ -17,8 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _brief, _flood,
-                   _print_limit, _require_int, _too_long, is_maximal, max_size, weight)
+from .core import (GAME_CELL_LIMIT, VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape,
+                   _brief, _flood, _print_limit, _require_int, _too_long, is_maximal, max_size,
+                   weight)
 from .counting import extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -282,10 +283,16 @@ def check_game(
 ) -> CheckResult:
     """Random safe play always loses for player max_size mod m, after exactly
     max_size safe moves.  A ``trials`` that is not an ``int`` in
-    ``[0, VERIFY_TRIAL_LIMIT]``, or a ``seed`` that is not an ``int``, raises
-    ValueError before any game."""
+    ``[0, VERIFY_TRIAL_LIMIT]``, a ``seed`` that is not an ``int``, no
+    ``players`` at all, or an entry of ``players`` that ``play`` refuses
+    raises ValueError before any game."""
     _require_int("trials", trials, 0, VERIFY_TRIAL_LIMIT)
     _require_int("seed", seed)
+    players = tuple(players)
+    if not players:
+        raise ValueError("players must name at least one player count")
+    for m in players:
+        _require_int("players", m, 2, GAME_CELL_LIMIT + 1)
     name = "game-loser"
     if trials == 0:
         return CheckResult(name, True, "skipped: 0 trials requested")
@@ -310,7 +317,7 @@ def check_game(
     return CheckResult(
         name,
         True,
-        f"loser = {expected_len} mod m over {trials} seeded games for m in {tuple(players)}",
+        f"loser = {expected_len} mod m over {trials} seeded games for m in {players}",
     )
 
 

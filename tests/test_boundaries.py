@@ -6,7 +6,9 @@ value must raise ValueError before any worker runs: the workers are patched
 to raise AssertionError, and the valid call must reach one of them, so no row
 passes vacuously.  Bad values are ``True``, ``2.5`` and ``"x"``; ``-1``
 where negatives are invalid; and an int too long to print where the
-parameter has an upper bound.
+parameter has an upper bound.  A second table holds calls given a value of
+the wrong type where a ``Shape`` or ``Grid`` belongs: each raises a
+TypeError that names the type it takes.
 """
 
 import inspect
@@ -120,6 +122,22 @@ def test_a_bad_scalar_is_refused_before_any_work(monkeypatch, function, param, c
         assert message.startswith(f"{param} must ") and shown in message
         if value is HUGE:
             assert message.endswith("got <int with 5001 digits>")
+
+
+# (call given the wrong type, the message it raises)
+WRONG_TYPES = [
+    (lambda: maxac.max_size((3, 3)), "max_size takes a Shape, got tuple"),
+    (lambda: maxac.is_maximal([(1, 1)]), "is_maximal takes a Grid, got list"),
+    (lambda: maxac.to_intervals([(1, 1)]), "to_intervals takes a Grid, got list"),
+]
+
+
+@pytest.mark.parametrize("call, message", WRONG_TYPES,
+                         ids=["max_size", "is_maximal", "to_intervals"])
+def test_a_wrong_type_raises_type_error_naming_the_type_it_takes(call, message):
+    with pytest.raises(TypeError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_the_bounds_are_the_documented_ones(monkeypatch):

@@ -508,6 +508,28 @@ def test_a_huge_count_gives_a_short_usage_error(capsys):
         assert "bad count '99999" in err and len(err.splitlines()[-1]) < 400
 
 
+def test_a_long_shape_or_seed_gives_a_short_usage_error(capsys):
+    for argv, quoted in [(["size", "--w", "1," * 50_000 + "x"], "bad shape '1,1,"),
+                         (["verify", "--w", "2,2", "--seed", "9" * 6000], "bad seed '999"),
+                         (["game", "--w", "2,2", "--seed", "9" * 6000], "bad seed '999"),
+                         (["game", "--w", "2,2", "--players", "9" * 6000], "bad players '999")]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert quoted in err and len(err.splitlines()[-1]) < 400 and len(err) < 1000
+
+
+def test_every_int_seed_still_parses(capsys):
+    for seed in ("-5", "+7", " 3 ", "1_000", "-" + "9" * 4000):
+        status, out, _ = run(capsys, "game", "--w", "2,2", "--strategy", "random",
+                             "--seed", seed, "--json")
+        assert status == 0 and json.loads(out)["loser"] in (0, 1)
+    status, _, _ = run(capsys, "verify", "--w", "2,2", "--samples", "2", "--trials", "1",
+                       "--seed", "-3", "--json")
+    assert status == 0
+
+
 def test_bad_json_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
     status, _, err = run(capsys, "normalize", "--json")

@@ -125,6 +125,21 @@ def test_is_maximal_keeps_deciding_through_its_own_copy_of_the_row_form():
     assert out.splitlines()[-1] == "True False 2"
 
 
+def test_one_copys_shapes_and_grids_pass_the_other_copys_type_checks():
+    # max_size, is_maximal and to_intervals test the attributes, not the class
+    out = _fresh("import sys\n"
+                 "import maxac\n"
+                 "old = maxac\n"
+                 "for name in [n for n in sys.modules if n.split('.')[0] == 'maxac']:\n"
+                 "    del sys.modules[name]\n"
+                 "import maxac\n"
+                 "shape = old.Shape((2, 2))\n"
+                 "g = old.Grid(shape, [(1, 1), (1, 2), (2, 1)])\n"
+                 "print(maxac.max_size(shape), maxac.is_maximal(g),"
+                 " dict(maxac.to_intervals(g).intervals))")
+    assert out.splitlines()[-1] == "3 True {(1,): (1, 2), (2,): (1, 1)}"
+
+
 def test_the_readme_quick_start_gives_what_its_comments_say():
     readme = (SRC.parent / "README.md").read_text()
     block = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)[1]

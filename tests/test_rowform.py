@@ -2,6 +2,7 @@ import random
 
 import pytest
 import reference_dominance
+import reference_intervals
 import reference_normalize as ref
 from reference_normalize import ancestor_rows, descendant_rows
 
@@ -15,6 +16,8 @@ from maxac import (
     enumerate_maximal,
     from_intervals,
     is_maximal,
+    iter_shapes,
+    sample_non_maximal,
     to_intervals,
     weight,
     x_set,
@@ -43,6 +46,31 @@ def test_to_intervals_reports_first_bad_row():
     with pytest.raises(EmptyRowError) as err:
         to_intervals(g)
     assert err.value.row == (1, 2)
+
+
+def _read(read, g):
+    """The map ``read`` gives for ``g``, or its error class and row."""
+    try:
+        return read(g)
+    except (EmptyRowError, NonContiguousRowError) as exc:
+        return type(exc), exc.row
+
+
+def test_to_intervals_agrees_with_the_cell_by_cell_reader():
+    # every maximal grid of every small shape, and 200 non-maximal ones each:
+    # the run-counting reader gives the same map, or raises the same error
+    # for the same row, and the map's flat bounds are its rows' bounds
+    maps = errors = 0
+    for k, shape in enumerate(iter_shapes(25, 4)):
+        for g in [*enumerate_maximal(shape).grids, *sample_non_maximal(shape, 200, k)]:
+            got, want = _read(to_intervals, g), _read(reference_intervals.to_intervals, g)
+            assert got == want, g.ones
+            if isinstance(got, IntervalMap):
+                maps += 1
+                assert got._bounds == IntervalMap(shape, dict(got.intervals))._bounds
+            else:
+                errors += 1
+    assert maps > 5_000 and errors > 50_000
 
 
 def test_from_intervals_examples():

@@ -76,8 +76,10 @@ def _public(m: IntervalMap) -> IntervalMap:
 
 def _assert_derived(m: IntervalMap) -> None:
     """A map normalize, convert_step or peel built: what the public
-    constructor builds from its rows, and maximal as its verdict says."""
+    constructor builds from its rows, with the flat bounds the public map
+    reads off them, and maximal as its verdict says."""
     assert m == _public(m)
+    assert m._bounds == _public(m)._bounds
     assert m._maximal
     assert check_characterization(_public(m))
 
@@ -85,8 +87,11 @@ def _assert_derived(m: IntervalMap) -> None:
 def _check_chain(m: IntervalMap, every_step: bool) -> None:
     """Every level of the normalize/peel chain from ``m``; with
     ``every_step``, also every convert step between the levels, else only
-    the first."""
+    the first.  Maps share bound lists with the maps they were built from,
+    so at the end every map of the chain must still hold its own bounds."""
     assert m == _public(m)
+    assert m._bounds == _public(m)._bounds
+    built = [m]
     while m.top > 1:
         report = normalize(m)
         _assert_derived(report.result)
@@ -94,12 +99,16 @@ def _check_chain(m: IntervalMap, every_step: bool) -> None:
         while x_set(stepped):
             stepped = convert_step(stepped)
             _assert_derived(stepped)
+            built.append(stepped)
             if not every_step:
                 break
         if every_step:
             assert stepped == report.result
         m = peel(report.result)
         _assert_derived(m)
+        built += [report.result, m]
+    for m in built:
+        assert m._bounds == _public(m)._bounds
 
 
 def _maximal_grids(dims):
@@ -158,6 +167,7 @@ def test_to_intervals_stores_int_subclass_bounds_as_int():
     m = to_intervals(g)
     assert m == _public(m) == to_intervals(Grid(Shape((2, 2)), [(1, 1), (1, 2), (2, 1)]))
     assert {type(x) for bounds in m.intervals.values() for x in bounds} == {int}
+    assert {type(x) for bounds in m._bounds for x in bounds} == {int}
     # int subclasses in the row ids only: the rows come from iter_rows
     m = to_intervals(Grid(Shape((2, 2)), [(Level.ONE, 1), (1, 2), (Level.TWO, 1)]))
     assert m == _public(m)
@@ -227,6 +237,8 @@ def test_replace_on_a_derived_map_is_checked_afresh():
     assert derived._maximal
     bad = dataclasses.replace(derived, intervals=NOT_MAXIMAL_33)
     assert not bad._maximal
+    # the flat bounds are read afresh off the new rows, not carried over
+    assert bad._bounds == ([1, 1, 1], [3, 2, 2]) != derived._bounds
     for op in (normalize, find_pair, convert_step, peel):
         with pytest.raises(NotMaximalError):
             op(bad)

@@ -1,8 +1,10 @@
 import dataclasses
+import re
 
 import pytest
 
 from maxac import (
+    GAME_CELL_LIMIT,
     VERIFY_SAMPLE_LIMIT,
     VERIFY_TRIAL_LIMIT,
     CharacterizationReport,
@@ -11,6 +13,7 @@ from maxac import (
     enumerate_maximal,
     is_maximal,
     normalize,
+    play,
     predict_loser,
     sample_non_maximal,
     to_intervals,
@@ -178,6 +181,29 @@ def test_the_game_check_fails_a_wrong_loser(monkeypatch):
     result = verification.check_game(shape, trials=1, players=(2,))
     assert (result.passed, result.detail) == (
         False, f"m=2, trial 0: loser {predict_loser(shape, 2)}, expected -1")
+
+
+def test_the_game_check_refuses_bad_players_before_any_game(monkeypatch):
+    games = []
+
+    def counted(*args, **kwargs):
+        games.append(args)
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "play", counted)
+    shape = Shape((2, 2))
+    for players, message in [((2, 1), "players must be at least 2, got 1"),
+                             ((2, 2.5), "players must be an int, got 2.5"),
+                             ((True,), "players must be an int, got True"),
+                             ((3, GAME_CELL_LIMIT + 2), "players must be at most "),
+                             ((), "players must name at least one player count")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            verification.check_game(shape, trials=3, players=players)
+    assert games == []
+    # a list is as good as a tuple, and the detail names the counts played
+    result = verification.check_game(shape, trials=3, players=[2, 3])
+    assert result.passed and result.detail.endswith("for m in (2, 3)")
+    assert len(games) == 6
 
 
 def test_the_bijection_check_reads_each_image_once(monkeypatch):
