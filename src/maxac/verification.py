@@ -8,6 +8,12 @@ loser law.  The checks that read the shape's maximal grids take them as an
 argument, so ``verify_shape`` (the CLI's ``verify`` verb) builds the
 shape's grids once (``check_counting`` only counts them) and the acceptance
 suite runs the same checks over its sweeps.
+
+The equivalence check samples seeded candidate grids (``_draws``) and keeps
+those the flood (``core._flood``) calls non-maximal.  The flood shares no
+code with the row form under test, so a fault of the row form cannot keep
+its own counterexamples out of the sample.  Each distinct grid is decided
+once, by both sides.
 """
 
 from __future__ import annotations
@@ -15,11 +21,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import filterfalse, islice
 from typing import Iterator, Sequence
 
-from .core import (GAME_CELL_LIMIT, VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape,
-                   _brief, _flood, _print_limit, _require_int, _too_long, is_maximal, max_size,
-                   weight)
+from .core import (GAME_CELL_LIMIT, VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _box,
+                   _brief, _flood, _print_limit, _require_int, _too_long, _trusted, is_maximal,
+                   max_size, weight)
 from .counting import extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -69,36 +76,47 @@ def _require_sample(name: str, count: int, seed: int) -> None:
         raise ValueError(f"seed must have at most {limit} digits, got {_brief.repr(seed)}")
 
 
-def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
-    """Deterministic sample of non-maximal grids over ``shape``.
+def _require_shape(name: str, shape) -> None:
+    # by attribute, not by class, as in core.is_maximal
+    if not hasattr(shape, "dims"):
+        raise TypeError(f"{name} takes a Shape, got {type(shape).__name__}")
 
-    Mixes arbitrary random subsets (usually containing the forbidden pair)
-    with punctured maximal grids (clean but unsaturated), so both failure
-    modes of the characterization get exercised.  A ``count`` that is not an
+
+def _draws(shape: Shape, seed: int) -> Iterator[Grid]:
+    """The seeded candidate grids over ``shape``, without end.  Each is, with
+    even odds, a punctured maximal grid (clean but unsaturated) or a random
+    subset of the box at a random density (usually containing the forbidden
+    pair), so both failure modes of the characterization get exercised.  A
+    candidate's cells come sorted from the box or from a maximal grid, so it
+    skips the checking constructor."""
+    maximal = enumerate_maximal(shape).grids
+    rng = random.Random(f"{shape.dims}:{seed}")
+    cells = _box(shape.dims).cells
+    while True:
+        if maximal and rng.random() < 0.5:
+            ones = rng.choice(maximal).ones
+            drop = rng.randrange(1, len(ones) + 1)
+            ones = tuple(sorted(rng.sample(ones, len(ones) - drop)))
+        else:
+            density = rng.random()
+            ones = tuple([c for c in cells if rng.random() < density])
+        yield _trusted(Grid, shape=shape, ones=ones)
+
+
+def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
+    """The first ``count`` seeded candidates over ``shape`` (``_draws``) that
+    ``is_maximal`` rejects, duplicates included.
+
+    A ``shape`` without ``dims`` raises TypeError.  A ``count`` that is not an
     ``int`` in ``[0, VERIFY_SAMPLE_LIMIT]`` (all samples are held at once),
     and a ``seed`` that is not an ``int`` or has more digits than the
     interpreter prints (``sys.get_int_max_str_digits``), raise ValueError
     before any work.  A ``bool`` is not an ``int`` here.
     """
+    _require_shape("sample_non_maximal", shape)
     _require_sample("count", count, seed)
-    if count == 0:
-        return []
-    rng = random.Random(f"{shape.dims}:{seed}")
-    cells = list(shape.iter_cells())
-    maximal = enumerate_maximal(shape).grids
-    out: list[Grid] = []
-    while len(out) < count:
-        if maximal and rng.random() < 0.5:
-            g = rng.choice(maximal)
-            drop = rng.randrange(1, len(g.ones) + 1)
-            ones = rng.sample(g.ones, len(g.ones) - drop)
-        else:
-            density = rng.random()
-            ones = [c for c in cells if rng.random() < density]
-        candidate = Grid(shape, ones)
-        if not is_maximal(candidate):
-            out.append(candidate)
-    return out
+    # islice stops before the first draw when count is 0, so nothing is enumerated
+    return list(islice(filterfalse(is_maximal, _draws(shape, seed)), count))
 
 
 def _interval_weight(m: IntervalMap) -> int:
@@ -125,25 +143,47 @@ def check_equivalence(
 ) -> CheckResult:
     """Maximal, by the flood (``core._flood``; ``is_maximal`` reads the row
     form under test), iff to_intervals(g) succeeds and the characterization
-    holds, over all maximal grids plus a seeded non-maximal sample.
-    ``samples`` and ``seed`` are checked as ``sample_non_maximal``'s, also
-    for d = 1."""
+    holds, over ``grids`` and then the seeded candidates (``_draws``) up to
+    the ``samples``-th one the flood calls non-maximal.  So the sample's
+    filter is the independent side, not the row form, and the candidates the
+    flood calls maximal are checked on the way.  Each distinct grid is
+    decided once; its duplicates still count toward ``samples``.  A
+    ``shape`` without ``dims`` raises TypeError; ``samples`` and ``seed``
+    are checked as ``sample_non_maximal``'s, also for d = 1."""
+    _require_shape("check_equivalence", shape)
     _require_sample("samples", samples, seed)
     name = "characterization-equivalence"
     if shape.d < 2:
         return CheckResult(name, True, "d = 1: characterization not applicable")
-    pool = list(grids) + sample_non_maximal(shape, samples, seed)
-    for g in pool:
-        flood = _flood(g)
-        direct = flood is not None and not any(flood[1])
-        try:
-            local = bool(check_characterization(to_intervals(g)))
-        except (EmptyRowError, NonContiguousRowError):
-            local = False
-        if direct != local:
-            return CheckResult(
-                name, False, f"disagreement on grid with ones {g.ones}"
-            )
+    # ones -> the flood's verdict, or None where the row form disagrees
+    verdicts: dict[tuple, bool | None] = {}
+
+    def decide(g: Grid) -> bool | None:
+        if g.ones not in verdicts:
+            flood = _flood(g)
+            direct = flood is not None and not any(flood[1])
+            try:
+                local = bool(check_characterization(to_intervals(g)))
+            except (EmptyRowError, NonContiguousRowError):
+                local = False
+            verdicts[g.ones] = direct if direct == local else None
+        return verdicts[g.ones]
+
+    def disagreement(g: Grid) -> CheckResult:
+        return CheckResult(name, False, f"disagreement on grid with ones {g.ones}")
+
+    for g in grids:
+        if decide(g) is None:
+            return disagreement(g)
+    left = samples
+    for g in _draws(shape, seed) if samples else ():
+        maximal = decide(g)
+        if maximal is None:
+            return disagreement(g)
+        if not maximal:
+            left -= 1
+            if not left:
+                break
     return CheckResult(
         name, True, f"{len(grids)} maximal + {samples} sampled grids agree"
     )
@@ -328,9 +368,10 @@ def verify_shape(
     seed: int = 0,
 ) -> list[CheckResult]:
     """Run the full per-shape suite; all-passed means the shape reproduces
-    every desk-scale claim.  ``samples`` and ``seed`` are checked as
-    ``sample_non_maximal``'s and ``trials`` as ``check_game``'s, all before
-    any work."""
+    every desk-scale claim.  A ``shape`` without ``dims`` raises TypeError,
+    ``samples`` and ``seed`` are checked as ``sample_non_maximal``'s and
+    ``trials`` as ``check_game``'s, all before any work."""
+    _require_shape("verify_shape", shape)
     _require_sample("samples", samples, seed)
     _require_int("trials", trials, 0, VERIFY_TRIAL_LIMIT)
     grids = enumerate_maximal(shape).grids

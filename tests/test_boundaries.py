@@ -59,10 +59,10 @@ TABLE = [
     ("iter_shapes", "max_d", lambda max_d=2: next(verification.iter_shapes(4, max_d)),
      True, False, ["verification.Shape"]),
     ("sample_non_maximal", "count", lambda count=3: verification.sample_non_maximal(S22, count),
-     True, True, ["verification.enumerate_maximal", "verification.Grid"]),
+     True, True, ["verification._draws", "verification.enumerate_maximal"]),
     ("sample_non_maximal", "seed",
      lambda seed=0: verification.sample_non_maximal(S22, 3, seed),
-     False, True, ["verification.enumerate_maximal", "verification.Grid"]),
+     False, True, ["verification._draws", "verification.enumerate_maximal"]),
     ("verify_shape", "samples", lambda samples=3: verification.verify_shape(S22, samples=samples),
      True, True, ["verification.enumerate_maximal"]),
     ("verify_shape", "trials", lambda trials=3: verification.verify_shape(S22, trials=trials),
@@ -75,10 +75,10 @@ TABLE = [
      False, False, ["verification.play", "verification.predict_loser", "verification.max_size"]),
     ("check_equivalence", "samples",
      lambda samples=3: verification.check_equivalence(S33, (), samples=samples),
-     True, True, ["verification.sample_non_maximal", "verification._flood"]),
+     True, True, ["verification._draws", "verification._flood"]),
     ("check_equivalence", "seed",
      lambda seed=0: verification.check_equivalence(S33, (), seed=seed),
-     False, True, ["verification.sample_non_maximal", "verification._flood"]),
+     False, True, ["verification._draws", "verification._flood"]),
 ]
 
 
@@ -129,11 +129,16 @@ WRONG_TYPES = [
     (lambda: maxac.max_size((3, 3)), "max_size takes a Shape, got tuple"),
     (lambda: maxac.is_maximal([(1, 1)]), "is_maximal takes a Grid, got list"),
     (lambda: maxac.to_intervals([(1, 1)]), "to_intervals takes a Grid, got list"),
+    (lambda: maxac.sample_non_maximal((3, 3), 2), "sample_non_maximal takes a Shape, got tuple"),
+    (lambda: maxac.verify_shape((3, 3)), "verify_shape takes a Shape, got tuple"),
+    (lambda: verification.check_equivalence((3, 3), (), samples=2),
+     "check_equivalence takes a Shape, got tuple"),
 ]
 
 
 @pytest.mark.parametrize("call, message", WRONG_TYPES,
-                         ids=["max_size", "is_maximal", "to_intervals"])
+                         ids=["max_size", "is_maximal", "to_intervals", "sample_non_maximal",
+                              "verify_shape", "check_equivalence"])
 def test_a_wrong_type_raises_type_error_naming_the_type_it_takes(call, message):
     with pytest.raises(TypeError) as err:
         call()

@@ -8,6 +8,7 @@ import ast
 import dataclasses
 import random
 from enum import IntEnum
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -32,6 +33,7 @@ from maxac import (
     play,
     project_last,
     to_intervals,
+    verification,
     x_set,
 )
 
@@ -47,6 +49,7 @@ TRUSTED_SITES = {
     ("normalize", "normalize"),
     ("normalize", "peel"),
     ("game", "_state"),
+    ("verification", "_draws"),
 }
 
 
@@ -153,6 +156,15 @@ def test_trusted_builds_equal_the_public_constructors_on_every_ladder_grid():
 def test_trusted_chain_equals_the_public_constructor_on_huge_maps(dims, seed):
     m = ref.seeded_maximal_map(dims, random.Random(seed))
     _check_chain(m, every_step=False)
+
+
+def test_drawn_grids_equal_the_public_constructor():
+    # the candidates of sample_non_maximal and check_equivalence: punctured
+    # maximal grids and random subsets of the box, built sorted and unchecked
+    for shape in iter_shapes(16, 4):
+        for seed in range(3):
+            for g in islice(verification._draws(shape, seed), 100):
+                assert g == Grid(Shape(tuple(shape.dims)), g.ones)
 
 
 class Level(IntEnum):

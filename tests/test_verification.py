@@ -1,7 +1,9 @@
 import dataclasses
 import re
+from itertools import islice
 
 import pytest
+import reference_verification as ref
 
 from maxac import (
     GAME_CELL_LIMIT,
@@ -12,6 +14,8 @@ from maxac import (
     Shape,
     enumerate_maximal,
     is_maximal,
+    iter_shapes,
+    max_size,
     normalize,
     play,
     predict_loser,
@@ -20,7 +24,7 @@ from maxac import (
     verify_shape,
     x_set,
 )
-from maxac import counting, enumeration, rowform, verification
+from maxac import counting, core, enumeration, rowform, verification
 
 # every check of the suite fails its doctored input with one detail; 3x3 has
 # 6 maximal grids of weight 5, and 3 of them need a convert step
@@ -65,6 +69,93 @@ def test_the_equivalence_check_decides_maximality_apart_from_the_row_form(monkey
     bad = Grid(shape, [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3)])
     result = verification.check_equivalence(shape, [bad], samples=0)
     assert (result.passed, result.detail) == (False, f"disagreement on grid with ones {bad.ones}")
+
+
+def test_the_equivalence_check_samples_by_the_flood_not_by_the_row_form(monkeypatch):
+    # a characterization that passes every map of full weight, wherever it
+    # is read: is_maximal then calls every full-weight grid with contiguous
+    # rows maximal, so a sample filtered by is_maximal never holds the grids
+    # on which the two sides disagree
+    def full_weight_holds(m):
+        if verification._interval_weight(m) == max_size(m.shape):
+            return CharacterizationReport(True)
+        return check(m)
+
+    check = rowform.check_characterization
+    shape = Shape((3, 3))
+    grids = enumerate_maximal(shape).grids
+    with monkeypatch.context() as patch:
+        patch.setattr(rowform, "check_characterization", full_weight_holds)
+        patch.setattr(verification, "check_characterization", full_weight_holds)
+        result = verification.check_equivalence(shape, grids)
+        assert not result.passed
+        named = next(g for g in islice(verification._draws(shape, 0), 10_000)
+                     if result.detail == f"disagreement on grid with ones {g.ones}")
+        assert is_maximal(named)  # so is_maximal would drop it from the sample
+    # the grid named has the full weight and contiguous rows, but is not maximal
+    assert len(named.ones) == max_size(shape) and not is_maximal(named)
+    assert not check(to_intervals(named))
+
+
+def test_the_equivalence_check_decides_each_distinct_grid_once(monkeypatch):
+    floods, row_forms = [], []
+
+    def flood(g):
+        floods.append(g.ones)
+        return core._flood(g)
+
+    def row_form(g):
+        row_forms.append(g.ones)
+        return to_intervals(g)
+
+    monkeypatch.setattr(verification, "_flood", flood)
+    monkeypatch.setattr(verification, "to_intervals", row_form)
+    for dims, distinct in [((2, 2, 2), 220), ((3, 3), 269), ((4, 4), 702)]:
+        shape = Shape(dims)
+        grids = enumerate_maximal(shape).grids
+        # the draws the check walks: up to the 1000th that is not maximal
+        walked, left = list(grids), 1000
+        for g in verification._draws(shape, 0):
+            walked.append(g)
+            left -= not is_maximal(g)
+            if not left:
+                break
+        assert verification.check_equivalence(shape, grids).passed
+        assert sorted(floods) == sorted(row_forms) == sorted({g.ones for g in walked})
+        # of the 1002, 1006 and 1020 maximal and sampled grids, duplicates included
+        assert len(floods) == distinct
+        floods.clear()
+        row_forms.clear()
+
+
+def _compare_with_the_reference(shapes, seeds, samples):
+    for shape in shapes:
+        grids = enumerate_maximal(shape).grids
+        for seed in seeds:
+            assert (verification.check_equivalence(shape, grids, samples, seed)
+                    == ref.check_equivalence(shape, grids, samples, seed)), (shape, seed)
+
+
+def test_the_equivalence_check_gives_the_reference_result():
+    _compare_with_the_reference(iter_shapes(12, 4), (0, 1), samples=100)
+    shape = Shape((3, 3))
+    grids = enumerate_maximal(shape).grids
+    # a doctored grid fails both at the same grid
+    bad = Grid(shape, [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3)])
+    assert verification.check_equivalence(shape, [*grids, bad]) == ref.check_equivalence(
+        shape, [*grids, bad])
+
+
+@pytest.mark.slow
+def test_the_equivalence_check_gives_the_reference_result_on_every_small_shape():
+    _compare_with_the_reference(iter_shapes(25, 4), (0, 1), samples=1000)
+
+
+def test_sample_non_maximal_gives_the_reference_sample():
+    for shape in iter_shapes(12, 4):
+        for seed in range(3):
+            assert sample_non_maximal(shape, 100, seed) == ref.sample_non_maximal(
+                shape, 100, seed), (shape, seed)
 
 
 def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
