@@ -17,6 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
+from operator import mul
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, ShapeTooLargeError
@@ -54,6 +55,15 @@ def _require_int(name: str, value, least: int | None = None, most: int | None = 
     if most is not None and value > most:
         raise ValueError(f"{name} must be at most {most}, got {_brief.repr(value)}")
     return value
+
+
+def _require_type(name: str, value, attr: str, kind: str) -> None:
+    """TypeError naming ``name`` and ``kind`` (with its article, as "a
+    Shape") unless ``value`` has ``kind``'s attribute ``attr``.  By
+    attribute, not by class: a harness that imports the package afresh hands
+    one copy's values to the other copy's functions."""
+    if not hasattr(value, attr):
+        raise TypeError(f"{name} takes {kind}, got {type(value).__name__}")
 
 
 def _digit_count(x: int) -> int:
@@ -266,7 +276,9 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
 class _Box:
     """The box [w_1] x ... x [w_d] in flat row-major, that is lexicographic,
     order: cell i is ``cells[i]``, and a unit step along axis k adds
-    ``strides[k]`` to its index.  The flood fills the box of a grid, and
+    ``strides[k]`` to its index.  It owns the conversion of coordinates to
+    flat indices: ``index`` is the library's one formula for it, and
+    ``cells`` the way back.  The flood fills the box of a grid, and
     ``rowform``, ``normalize`` and ``enumeration`` walk the box of its rows,
     the first d - 1 axes.  Each part is built on first use, so the row sweep
     (``is_maximal`` too) and the search never build a flood table.  No
@@ -278,6 +290,10 @@ class _Box:
         # the flat offset of (1, ..., 1): x - (1, ..., 1) is cell i - diag
         self.diag = sum(self.strides)
         self.dims = dims
+
+    def index(self, cell: Cell) -> int:
+        """The flat index of the in-box ``cell``: ``cells[index(cell)] == cell``."""
+        return sum(map(mul, cell, self.strides)) - self.diag
 
     @cached_property
     def inner(self) -> tuple[int, ...]:
@@ -387,20 +403,19 @@ def _turn_on(steps: tuple, alive: bytearray, j: int) -> list[int]:
     return killed
 
 
-def _flood(g: Grid, cells: Iterable[Cell] = ()) -> tuple[list[Cell], bytearray] | None:
-    """Turn on the one-cells of ``g``, then each cell of ``cells`` still
-    alive, by ``_turn_on``: the cells turned on and the alive flags after,
-    or None if a one-cell of ``g`` is dead when reached (comparable to an
-    earlier one).  With no ``cells``, ``g`` is maximal iff it floods and
-    leaves none alive."""
+def _flood(g: Grid, order: Iterable[int] = ()) -> tuple[list[Cell], bytearray] | None:
+    """Turn on the one-cells of ``g``, then each cell of ``order`` (flat
+    indices into the box's layout) still alive, by ``_turn_on``: the cells
+    turned on, as the layout's tuples, and the alive flags after, or None if
+    a one-cell of ``g`` is dead when reached (comparable to an earlier one).
+    With no ``order``, ``g`` is maximal iff it floods and leaves none alive."""
     box = _flood_box(g.shape)
     alive = bytearray(b"\x01") * len(box.cells)
     ones = []
-    for k, cell in enumerate(chain(g.ones, cells)):
-        j = sum((c - 1) * s for c, s in zip(cell, box.strides))
+    for k, j in enumerate(chain(map(box.index, g.ones), order)):
         if alive[j]:
             _turn_on(box.steps, alive, j)
-            ones.append(cell)
+            ones.append(box.cells[j])
         elif k < len(g.ones):
             return None
     return ones, alive
@@ -410,10 +425,7 @@ def is_maximal(g: Grid) -> bool:
     """Avoids the forbidden configuration, and every zero flip would create
     it: ``rowform.maximal_row_form``, which rejects a wrong weight in O(1)
     and otherwise costs O(|ones| + rows d) over the row box."""
-    # by attribute, not by class: a harness that imports the package afresh
-    # hands one copy's shapes and grids to the other copy's functions
-    if not hasattr(g, "ones"):
-        raise TypeError(f"is_maximal takes a Grid, got {type(g).__name__}")
+    _require_type("is_maximal", g, "ones", "a Grid")
     return _package.rowform.maximal_row_form(g) is not None
 
 
@@ -423,6 +435,5 @@ def max_size(s: Shape) -> int:
     Equivalently, the number of cells with at least one coordinate equal to 1
     (and also the number with at least one coordinate equal to its w_i).
     """
-    if not hasattr(s, "dims"):  # not isinstance, as in is_maximal
-        raise TypeError(f"max_size takes a Shape, got {type(s).__name__}")
+    _require_type("max_size", s, "dims", "a Shape")
     return math.prod(s.dims) - math.prod(w - 1 for w in s.dims)

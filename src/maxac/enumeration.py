@@ -380,26 +380,30 @@ def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
     every cell whose flip keeps the grid clean; maximal grids come back
     unchanged.  A box of more than ``GAME_CELL_LIMIT`` cells raises
     ShapeTooLargeError, an ``order`` that is not a permutation of the box's
-    cells ValueError, a grid with the forbidden pair AlreadyContainsError."""
+    cells ValueError, a grid with the forbidden pair AlreadyContainsError.
+    The flood walks the checked order as flat indices of the box's layout,
+    so the result holds the layout's plain ``int`` cells."""
     shape = g.shape
-    cells = _flood_box(shape).cells
+    box = _flood_box(shape)
     if order is not None:
         order = list(order)
         if not (all(map(shape.contains_cell, order))
                 and len(order) == len(set(order)) == shape.cell_count):
             raise ValueError("order must be a permutation of the box's cells")
-    if (flood := _flood(g, cells if order is None else order)) is None:
+    order = range(len(box.cells)) if order is None else map(box.index, order)
+    if (flood := _flood(g, order)) is None:
         raise AlreadyContainsError()
     return Grid(shape, flood[0])
 
 
 def random_maximal(shape: Shape, seed: int) -> Grid:
-    """Maximal grid obtained by greedy completion over a seed-shuffled cell
-    order, within the same cell budget.  Deterministic for a fixed seed, but
-    not uniform over the maximal grids: over seeds 0-5999 on 4x4 one of the
-    20 grids came out 105 times and another 873 times.  A ``seed`` that is
-    not an ``int``, or is a ``bool``, raises ValueError before any work."""
+    """Maximal grid obtained by greedy completion over a seed-shuffled order
+    of the box's flat indices, within the same cell budget.  Deterministic
+    for a fixed seed, but not uniform over the maximal grids: over seeds
+    0-5999 on 4x4 one of the 20 grids came out 105 times and another 873
+    times.  A ``seed`` that is not an ``int``, or is a ``bool``, raises
+    ValueError before any work."""
     rng = random.Random(_require_int("seed", seed))
-    cells = list(_flood_box(shape).cells)
-    rng.shuffle(cells)
-    return complete_to_maximal(Grid(shape, ()), cells)
+    order = list(range(len(_flood_box(shape).cells)))
+    rng.shuffle(order)
+    return Grid(shape, _flood(Grid(shape, ()), order)[0])  # the empty grid floods

@@ -25,8 +25,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _flood_box, _require_int, _trusted,
-                   _turn_on, flip_creates_containment, max_size)
+from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _brief, _flood_box, _require_int,
+                   _trusted, _turn_on, flip_creates_containment, max_size)
 from .errors import StrategyReturnedNonZeroCellError, StrategyReturnedOutOfRangeError
 
 # built-in strategy names, or a callable mapping the state to a zero cell
@@ -120,10 +120,10 @@ def play(
         raise ValueError(f"expected {players} strategies, got {len(strategies)}")
     for s in strategies:
         if not callable(s) and s not in BUILTIN_STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
+            raise ValueError(f"unknown strategy {_brief.repr(s)}")
     box = _flood_box(shape)
     n = shape.cell_count
-    cells, strides, steps = box.cells, box.strides, box.steps
+    cells, steps = box.cells, box.steps
     alive = bytearray(b"\x01") * n
     # the first alive cell only moves forward, so lex resumes from its last
     # pick; fenwick[1..n] counts the alive cells for random picks
@@ -158,7 +158,7 @@ def play(
                 raise StrategyReturnedOutOfRangeError(player, cell)
             if cell in one_set:
                 raise StrategyReturnedNonZeroCellError(player, cell)
-            j = sum((c - 1) * s for c, s in zip(cell, strides))
+            j = box.index(cell)
         else:
             if not size:
                 j = next(i for i in range(n) if cells[i] not in one_set)

@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Shape, _Box, _box, _trusted
+from .core import Shape, _Box, _box, _require_type, _trusted
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
 from .rowform import IntervalMap, RowId, _obstructed, _trusted_map, check_characterization
 
@@ -85,6 +85,7 @@ class NormalizeReport:
 def _require_maximal(m: IntervalMap, verb: str) -> None:
     """Entry check of the convert machinery: d >= 2 and the characterization,
     swept only on a map that does not carry the verdict."""
+    _require_type(verb, m, "intervals", "an IntervalMap")
     if m.shape.d < 2:
         raise ValueError(f"{verb} applies to d >= 2 only")
     if not m._maximal:
@@ -160,12 +161,13 @@ def convert_step(m: IntervalMap) -> IntervalMap:
     Preserves weight and the characterization, and removes exactly x from
     the obstruction set.
     """
+    _require_type("convert_step", m, "intervals", "an IntervalMap")
     x, _ = find_pair(m)
     box = _box(m.shape.dims[:-1])
-    i = sum((c - 1) * s for c, s in zip(x, box.strides))
+    i = box.index(x)
     ls, hs = map(list.copy, m._bounds)
     hs[i] = ls[i - box.diag] = m.top - 1
-    return _trusted_map(m.shape, box.cells, ls, hs, maximal=True)
+    return _trusted_map(m.shape, ls, hs, maximal=True)
 
 
 def normalize(m: IntervalMap) -> NormalizeReport:
@@ -186,7 +188,7 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     ls, hs = map(list.copy, m._bounds)
     pairs = tuple(_walk(ls, hs, box, top, pending))
     return NormalizeReport(
-        result=_trusted_map(m.shape, box.cells, ls, hs, maximal=True),
+        result=_trusted_map(m.shape, ls, hs, maximal=True),
         steps=len(pairs),
         pairs=pairs,
     )
@@ -212,5 +214,4 @@ def peel(m: IntervalMap) -> IntervalMap:
     # l < w_d on every row that loses its top cell, so ls carries over as is
     ls, hs = m._bounds
     shape = _trusted(Shape, dims=m.shape.dims[:-1] + (top - 1,))
-    return _trusted_map(shape, box.cells, ls, [h - 1 if h == top else h for h in hs],
-                        maximal=True)
+    return _trusted_map(shape, ls, [h - 1 if h == top else h for h in hs], maximal=True)

@@ -22,25 +22,25 @@ layout ``core._box`` of the first d - 1 axes, memoised by them, so
 ``normalize`` and ``peel`` read the same one at every level of a chain,
 which shrinks only the last axis.  The bounds travel in that layout too: a
 map carries them as two flat lists ``(ls, hs)`` by row index (``_bounds``,
-not a dataclass field), which ``to_intervals``, ``normalize``,
-``convert_step`` and ``peel`` hand to every map they build, so a chain
-reads no row of the ``intervals`` dict; a map from the public constructor
-or ``dataclasses.replace`` reads its dict once, on first use.  A passing
-check leaves its verdict on the map (``_maximal``, also not a field),
-which ``normalize`` reads instead of sweeping the same map again.
+not a dataclass field), set at construction by one of two builders.  The
+public constructor (so also ``dataclasses.replace``) fills them in the loop
+that checks the rows; ``_trusted_map``, through which ``to_intervals``,
+``normalize``, ``convert_step`` and ``peel`` build every map, is handed
+them, so a chain reads no row of the ``intervals`` dict.  A passing check
+leaves its verdict on the map (``_maximal``, also not a field), which
+``normalize`` reads instead of sweeping the same map again.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from types import MappingProxyType
 
-from .core import Grid, Shape, _Box, _box, _brief, _is_int, _trusted, max_size
+from .core import Grid, Shape, _Box, _box, _brief, _is_int, _require_type, _trusted, max_size
 from .errors import EmptyRowError, NonContiguousRowError
 
 RowId = tuple[int, ...]
@@ -64,15 +64,6 @@ class IntervalMap:
     # check_characterization or was derived from one by normalize or peel
     _maximal = False
 
-    @cached_property
-    def _bounds(self) -> tuple[list[int], list[int]]:
-        """The l and the h of every row, in ascending row order, the order of
-        the row box ``core._box(dims[:-1])``; not a field.  The maps the
-        library builds are given these lists; they may share them with the
-        map they were built from, so no one mutates them."""
-        bounds = list(map(self.intervals.__getitem__, self.shape.iter_rows()))
-        return [l for l, _ in bounds], [h for _, h in bounds]
-
     def __post_init__(self):
         if not isinstance(self.intervals, Mapping):
             raise ValueError("intervals must be a mapping from row ids to (l, h) pairs")
@@ -88,7 +79,7 @@ class IntervalMap:
             bad = next(row for row in fixed if any(type(x) is not int for x in row))
             raise ValueError(f"row id {_brief.repr(bad)} must have integer coordinates")
         top = self.shape.dims[-1]
-        seen = 0
+        ls, hs = [], []
         for row in self.shape.iter_rows():
             if row not in fixed:
                 raise ValueError(f"missing interval for row {row}")
@@ -98,10 +89,15 @@ class IntervalMap:
                                  "must be integers")
             if not 1 <= l <= h <= top:
                 raise ValueError(f"row {row}: interval ({l}, {h}) violates 1 <= l <= h <= {top}")
-            seen += 1
-        if seen != len(fixed):
+            ls.append(l)
+            hs.append(h)
+        if len(ls) != len(fixed):
             raise ValueError("intervals given for rows outside the box")
         object.__setattr__(self, "intervals", MappingProxyType(fixed))
+        # not a field: the l and h of every row in ascending row order, the
+        # row box's; _trusted_map is handed them, maybe shared with the map
+        # they came from, so no one mutates them
+        object.__setattr__(self, "_bounds", (ls, hs))
 
     @property
     def top(self) -> int:
@@ -148,13 +144,12 @@ def to_intervals(g: Grid) -> IntervalMap:
     first offending row; either condition certifies that ``g`` is not maximal.
     The cells are sorted, so each row's cells form one run, and the runs come
     in row order: the first and last cells of a run give l and h, and a run
-    is contiguous when it spans h - l + 1 cells.  The rows come from
-    ``iter_rows`` and the bounds from a checked grid, so the map skips its
-    constructor's check; ``int`` subclass bounds (which ``Grid`` admits and
-    ``IntervalMap`` does not) are stored as ``int``.
+    is contiguous when it spans h - l + 1 cells.  The bounds come from a
+    checked grid, so the map skips its constructor's check; ``int`` subclass
+    bounds (which ``Grid`` admits and ``IntervalMap`` does not) are stored
+    as ``int``.
     """
-    if not hasattr(g, "ones"):  # not isinstance, as in core.is_maximal
-        raise TypeError(f"to_intervals takes a Grid, got {type(g).__name__}")
+    _require_type("to_intervals", g, "ones", "a Grid")
     ones = g.ones
     runs = Counter(map(_row_of, ones))
     ls, hs = [], []
@@ -172,7 +167,7 @@ def to_intervals(g: Grid) -> IntervalMap:
         raise _first_bad_row(shape, ones, runs)
     if not set(map(type, chain(ls, hs))) <= {int}:
         ls, hs = list(map(int, ls)), list(map(int, hs))
-    return _trusted_map(shape, shape.iter_rows(), ls, hs)
+    return _trusted_map(shape, ls, hs)
 
 
 def _first_bad_row(shape: Shape, ones, runs: Counter) -> EmptyRowError | NonContiguousRowError:
@@ -189,13 +184,14 @@ def _first_bad_row(shape: Shape, ones, runs: Counter) -> EmptyRowError | NonCont
     raise AssertionError("every row is nonempty and contiguous")
 
 
-def _trusted_map(shape: Shape, rows: Iterable[RowId], ls: list[int], hs: list[int],
+def _trusted_map(shape: Shape, ls: list[int], hs: list[int],
                  maximal: bool = False) -> IntervalMap:
-    """The IntervalMap whose ``rows``, in ascending order, have the bounds
-    ``ls`` and ``hs``, without the constructor's check: only for maps valid
-    by construction.  The map keeps the two lists as its ``_bounds``.
+    """The IntervalMap whose rows, those of the row box in its order, have
+    the bounds ``ls`` and ``hs``, without the constructor's check: only for
+    maps valid by construction.  The map keeps them as its ``_bounds``.
     ``maximal`` gives it the verdict, for maps derived from a maximal map by
     steps that preserve the characterization."""
+    rows = _box(shape.dims[:-1]).cells
     return _trusted(IntervalMap, shape=shape,
                     intervals=MappingProxyType(dict(zip(rows, zip(ls, hs)))),
                     _bounds=(ls, hs), _maximal=maximal)
@@ -259,6 +255,7 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
     first row violating the earliest rule.  A pass is recorded on ``m``
     (``_maximal``); the sweep runs on every call all the same.
     """
+    _require_type("check_characterization", m, "intervals", "an IntervalMap")
     if m.shape.d < 2:
         raise ValueError("the characterization applies to d >= 2 only; "
                          "use contains_forbidden for d = 1")
@@ -310,6 +307,7 @@ def x_set(m: IntervalMap) -> set[RowId]:
     This is the obstruction set that the convert step drains; rows without
     ancestors (some coordinate equal to 1) are expected to reach the top.
     """
+    _require_type("x_set", m, "intervals", "an IntervalMap")
     if m.shape.d < 2:
         raise ValueError("x_set applies to d >= 2 only")
     box, pending = _obstructed(m)

@@ -25,8 +25,8 @@ from itertools import filterfalse, islice
 from typing import Iterator, Sequence
 
 from .core import (GAME_CELL_LIMIT, VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _box,
-                   _brief, _flood, _print_limit, _require_int, _too_long, _trusted, is_maximal,
-                   max_size, weight)
+                   _brief, _flood, _print_limit, _require_int, _require_type, _too_long, _trusted,
+                   is_maximal, max_size, weight)
 from .counting import extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -76,12 +76,6 @@ def _require_sample(name: str, count: int, seed: int) -> None:
         raise ValueError(f"seed must have at most {limit} digits, got {_brief.repr(seed)}")
 
 
-def _require_shape(name: str, shape) -> None:
-    # by attribute, not by class, as in core.is_maximal
-    if not hasattr(shape, "dims"):
-        raise TypeError(f"{name} takes a Shape, got {type(shape).__name__}")
-
-
 def _draws(shape: Shape, seed: int) -> Iterator[Grid]:
     """The seeded candidate grids over ``shape``, without end.  Each is, with
     even odds, a punctured maximal grid (clean but unsaturated) or a random
@@ -113,7 +107,7 @@ def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
     interpreter prints (``sys.get_int_max_str_digits``), raise ValueError
     before any work.  A ``bool`` is not an ``int`` here.
     """
-    _require_shape("sample_non_maximal", shape)
+    _require_type("sample_non_maximal", shape, "dims", "a Shape")
     _require_sample("count", count, seed)
     # islice stops before the first draw when count is 0, so nothing is enumerated
     return list(islice(filterfalse(is_maximal, _draws(shape, seed)), count))
@@ -150,7 +144,7 @@ def check_equivalence(
     decided once; its duplicates still count toward ``samples``.  A
     ``shape`` without ``dims`` raises TypeError; ``samples`` and ``seed``
     are checked as ``sample_non_maximal``'s, also for d = 1."""
-    _require_shape("check_equivalence", shape)
+    _require_type("check_equivalence", shape, "dims", "a Shape")
     _require_sample("samples", samples, seed)
     name = "characterization-equivalence"
     if shape.d < 2:
@@ -371,7 +365,7 @@ def verify_shape(
     every desk-scale claim.  A ``shape`` without ``dims`` raises TypeError,
     ``samples`` and ``seed`` are checked as ``sample_non_maximal``'s and
     ``trials`` as ``check_game``'s, all before any work."""
-    _require_shape("verify_shape", shape)
+    _require_type("verify_shape", shape, "dims", "a Shape")
     _require_sample("samples", samples, seed)
     _require_int("trials", trials, 0, VERIFY_TRIAL_LIMIT)
     grids = enumerate_maximal(shape).grids

@@ -7,8 +7,8 @@ to raise AssertionError, and the valid call must reach one of them, so no row
 passes vacuously.  Bad values are ``True``, ``2.5`` and ``"x"``; ``-1``
 where negatives are invalid; and an int too long to print where the
 parameter has an upper bound.  A second table holds calls given a value of
-the wrong type where a ``Shape`` or ``Grid`` belongs: each raises a
-TypeError that names the type it takes.
+the wrong type where a ``Shape``, ``Grid`` or ``IntervalMap`` belongs: each
+raises a TypeError that names the function and the type it takes.
 """
 
 import inspect
@@ -133,12 +133,20 @@ WRONG_TYPES = [
     (lambda: maxac.verify_shape((3, 3)), "verify_shape takes a Shape, got tuple"),
     (lambda: verification.check_equivalence((3, 3), (), samples=2),
      "check_equivalence takes a Shape, got tuple"),
+    (lambda: maxac.normalize((3, 3)), "normalize takes an IntervalMap, got tuple"),
+    (lambda: maxac.peel((3, 3)), "peel takes an IntervalMap, got tuple"),
+    (lambda: maxac.find_pair((3, 3)), "find_pair takes an IntervalMap, got tuple"),
+    (lambda: maxac.convert_step((3, 3)), "convert_step takes an IntervalMap, got tuple"),
+    (lambda: maxac.check_characterization((3, 3)),
+     "check_characterization takes an IntervalMap, got tuple"),
+    (lambda: maxac.x_set((3, 3)), "x_set takes an IntervalMap, got tuple"),
 ]
 
 
 @pytest.mark.parametrize("call, message", WRONG_TYPES,
                          ids=["max_size", "is_maximal", "to_intervals", "sample_non_maximal",
-                              "verify_shape", "check_equivalence"])
+                              "verify_shape", "check_equivalence", "normalize", "peel",
+                              "find_pair", "convert_step", "check_characterization", "x_set"])
 def test_a_wrong_type_raises_type_error_naming_the_type_it_takes(call, message):
     with pytest.raises(TypeError) as err:
         call()

@@ -520,6 +520,12 @@ def test_a_long_shape_or_seed_gives_a_short_usage_error(capsys):
         assert quoted in err and len(err.splitlines()[-1]) < 400 and len(err) < 1000
 
 
+def test_a_long_strategy_name_gives_a_short_domain_error(capsys):
+    status, _, err = run(capsys, "game", "--w", "2,2", "--strategy", "x" * 100_000)
+    assert status == 1 and len(err) < 1000
+    assert json.loads(err)["detail"].startswith("unknown strategy 'xxx")
+
+
 def test_every_int_seed_still_parses(capsys):
     for seed in ("-5", "+7", " 3 ", "1_000", "-" + "9" * 4000):
         status, out, _ = run(capsys, "game", "--w", "2,2", "--strategy", "random",

@@ -111,6 +111,13 @@ def test_one_layout_per_box_with_shared_step_tuples():
         assert [full for _, _, full in _box(dims).steps] == [None, None]
 
 
+def test_the_box_alone_turns_a_cell_into_its_flat_index():
+    # every shape with at most 4 axes and 64 cells, d = 1 and size-1 axes included
+    for shape in iter_shapes(64, 4):
+        box = _box(shape.dims)
+        assert [box.index(c) for c in box.cells] == list(range(len(box.cells)))
+
+
 def _forbid(monkeypatch, *parts):
     """Make reading any of ``parts`` of a box layout raise, cached or not."""
     def built(self):
@@ -139,8 +146,9 @@ def _holds_only_the_row_box(dims):
     """Whether the layout cache, cleared before, holds just ``dims[:-1]``."""
     if _box.cache_info().currsize != 1:
         return False
+    misses = _box.cache_info().misses
     _box(dims[:-1])
-    return _box.cache_info()[:2] == (1, 1)  # (hits, misses)
+    return _box.cache_info().misses == misses
 
 
 def test_a_grid_of_the_wrong_weight_adds_no_box():
@@ -158,11 +166,12 @@ def test_a_maximal_grid_adds_only_its_row_box():
         _box.cache_clear()
         assert is_maximal(g)
         assert _holds_only_the_row_box(dims)
-    # d = 1: the size law decides, and there is no row box
+    # d = 1: the size law decides, and the row box is the one empty row
+    # that the row form is laid out on
     _box.cache_clear()
     assert is_maximal(Grid(Shape((5,)), [(3,)]))
     assert not is_maximal(Grid(Shape((5,)), [(3,), (4,)]))
-    assert _box.cache_info().currsize == 0
+    assert _holds_only_the_row_box((5,))
 
 
 def test_is_maximal_on_a_million_cells_builds_no_layout_of_the_box(monkeypatch):

@@ -164,7 +164,8 @@ ONE_D_NON_MAXIMAL = [(), ((2,), (3,)), ((1,), (4,))]
 
 def test_a_one_dimensional_grid_is_decided_by_its_row_form():
     # by the size law a maximal 1-d grid has one one-cell, so extend needs
-    # no layout of the box, however long
+    # no layout of the box, however long: only its row box, one empty row
+    _box(())
     before = _box.cache_info()
     for ones in ONE_D_NON_MAXIMAL:
         with pytest.raises(NotMaximalError):

@@ -496,6 +496,17 @@ def test_complete_to_maximal_matches_the_pairwise_oracle():
                         impl(dirty, order)
 
 
+def test_random_maximal_floods_the_box_cells_in_seeded_shuffle_order():
+    # pins the permutation and the flood together: the shuffle draws depend
+    # only on the length, so shuffling flat indices or cells picks one order
+    for shape in iter_shapes(16, 4):
+        for seed in range(5):
+            order = list(_box(shape.dims).cells)
+            random.Random(seed).shuffle(order)
+            want = reference_dominance.complete_to_maximal(Grid(shape), order)
+            assert random_maximal(shape, seed) == want, (shape, seed)
+
+
 def test_completion_always_yields_maximal_grids():
     for dims in [(2, 2), (3, 3), (2, 2, 2), (4,)]:
         shape = Shape(dims)

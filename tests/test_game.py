@@ -139,8 +139,12 @@ def test_custom_strategy_contract_violations():
 def test_play_validates_arguments():
     with pytest.raises(ValueError):
         play(Shape((2, 2)), 2, ["lex"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown strategy 'greedy'$"):
         play(Shape((2, 2)), 2, ["lex", "greedy"])
+    # an unknown name is quoted in short
+    with pytest.raises(ValueError) as err:
+        play(Shape((2, 2)), 2, ["lex", "y" * 100_000])
+    assert len(str(err.value)) < 100
     with pytest.raises(ValueError):
         play(Shape((2, 2)), 1, ["lex"])
     # a game within the cell budget has at most GAME_CELL_LIMIT + 1 moves

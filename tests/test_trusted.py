@@ -22,6 +22,7 @@ from maxac import (
     NotMaximalError,
     Shape,
     check_characterization,
+    complete_to_maximal,
     convert_step,
     enumerate_maximal,
     extend_by_two,
@@ -180,9 +181,23 @@ def test_to_intervals_stores_int_subclass_bounds_as_int():
     assert m == _public(m) == to_intervals(Grid(Shape((2, 2)), [(1, 1), (1, 2), (2, 1)]))
     assert {type(x) for bounds in m.intervals.values() for x in bounds} == {int}
     assert {type(x) for bounds in m._bounds for x in bounds} == {int}
-    # int subclasses in the row ids only: the rows come from iter_rows
+    # int subclasses in the row ids only: the rows come from the row box
     m = to_intervals(Grid(Shape((2, 2)), [(Level.ONE, 1), (1, 2), (Level.TWO, 1)]))
     assert m == _public(m)
+
+
+def test_completion_answers_with_the_layout_cells():
+    # the flood walks flat indices, so IntEnum cells in the grid or the order
+    # come back as the box layout's plain int tuples, with equal values
+    shape = Shape((2, 3))
+    cells = sorted(shape.iter_cells(), reverse=True)
+    order = [tuple(Level(x) if x <= 2 else x for x in c) for c in cells]
+    for g in (Grid(shape, [(Level.ONE, Level.TWO)]), Grid(shape, [(1, 2)])):
+        for o in (order, None):
+            done = complete_to_maximal(g, o)
+            assert done == Grid(shape, [tuple(map(int, c)) for c in done.ones])
+            assert {type(x) for c in done.ones for x in c} == {int}
+        assert complete_to_maximal(g, order).ones == ((1, 2), (1, 3), (2, 1), (2, 2))
 
 
 def test_int_subclass_grids_answer_as_plain_ones():
