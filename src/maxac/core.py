@@ -251,6 +251,7 @@ def comparable(a: Cell, b: Cell) -> bool:
 
 def contains_forbidden(g: Grid) -> bool:
     """Whether some one-cell strictly dominates another."""
+    _require_type("contains_forbidden", g, "ones", "a Grid")
     ones = g.ones
     # ones are sorted, so dominance can only point forward
     for i, p in enumerate(ones):
@@ -262,6 +263,7 @@ def contains_forbidden(g: Grid) -> bool:
 
 def weight(g: Grid) -> int:
     """Number of one-cells."""
+    _require_type("weight", g, "ones", "a Grid")
     return len(g.ones)
 
 

@@ -20,7 +20,7 @@ the zero cells.
 
 from __future__ import annotations
 
-from .core import Grid, Shape
+from .core import Grid, Shape, _require_type
 from .errors import NotMaximalError
 from .rowform import maximal_row_form
 
@@ -33,6 +33,7 @@ def extend_by_two(n: Grid) -> Grid:
     below l (dominated) go on layer 2 and cells above h (dominating) on
     layer 1.
     """
+    _require_type("extend_by_two", n, "ones", "a Grid")
     if (m := maximal_row_form(n)) is None:
         raise NotMaximalError()
     top = n.shape.dims[-1]
@@ -46,6 +47,7 @@ def extend_by_two(n: Grid) -> Grid:
 def project_last(m: Grid) -> Grid:
     """Drop a size-2 last axis from a maximal grid: keep the rows filled on
     both layers, i.e. whose interval is [1, 2].  Inverse of ``extend_by_two``."""
+    _require_type("project_last", m, "ones", "a Grid")
     if m.shape.d < 2 or m.shape.dims[-1] != 2:
         raise ValueError("the shape must end with a dimension of size 2")
     if (form := maximal_row_form(m)) is None:

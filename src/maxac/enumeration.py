@@ -97,7 +97,8 @@ from operator import mul
 from typing import Iterator, Sequence
 
 from .core import (Cell, Grid, Shape, _box, _Box, _brief, _flood, _flood_box,
-                   _print_limit, _printable, _require_int, _trusted, comparable)
+                   _print_limit, _printable, _require_int, _require_type, _trusted,
+                   comparable)
 from .errors import AlreadyContainsError, PreconditionViolatedError, ShapeTooLargeError
 
 DEFAULT_CELL_LIMIT = 25
@@ -184,6 +185,7 @@ def enumerate_maximal(
     A ``cap`` or ``max_cells`` that is not an ``int`` of at least 1 raises
     ValueError, and a box of more than ``max_cells`` cells
     ShapeTooLargeError, both before any work."""
+    _require_type("enumerate_maximal", shape, "dims", "a Shape")
     if cap is not None:
         _require_int("cap", cap, 1)
     _check_cells(shape, max_cells)
@@ -231,6 +233,7 @@ def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
     ``enumerate_maximal``'s, checked as there.  Raises ValueError if the
     count has more digits than the interpreter prints
     (``sys.get_int_max_str_digits``)."""
+    _require_type("count_maximal", shape, "dims", "a Shape")
     if max_cells is not None:
         _check_cells(shape, max_cells)
     try:
@@ -255,6 +258,7 @@ def count_closed_form(shape: Shape) -> int:
     ShapeTooLargeError when the estimate passes ``COUNT_DIGIT_LIMIT``, before
     any work.
     """
+    _require_type("count_closed_form", shape, "dims", "a Shape")
     if 1 in shape.dims:
         return 1
     sides = sorted(w - 1 for w in shape.dims if w > 2)
@@ -357,6 +361,7 @@ def brute_force_maximal(shape: Shape) -> tuple[Grid, ...]:
     in it exactly when no cell of it is comparable to that cell.
     Exponential, so bounded by ``BRUTE_FORCE_CELL_LIMIT``; for cross-checking
     the search only."""
+    _require_type("brute_force_maximal", shape, "dims", "a Shape")
     n = shape.cell_count
     if n > BRUTE_FORCE_CELL_LIMIT:
         raise ShapeTooLargeError(n, BRUTE_FORCE_CELL_LIMIT)
@@ -382,7 +387,9 @@ def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
     ShapeTooLargeError, an ``order`` that is not a permutation of the box's
     cells ValueError, a grid with the forbidden pair AlreadyContainsError.
     The flood walks the checked order as flat indices of the box's layout,
-    so the result holds the layout's plain ``int`` cells."""
+    so the result holds the layout's plain ``int`` cells, sorted, and skips
+    the constructor's check: the flood turns each cell on once."""
+    _require_type("complete_to_maximal", g, "ones", "a Grid")
     shape = g.shape
     box = _flood_box(shape)
     if order is not None:
@@ -393,7 +400,7 @@ def complete_to_maximal(g: Grid, order: Sequence[Cell] | None = None) -> Grid:
     order = range(len(box.cells)) if order is None else map(box.index, order)
     if (flood := _flood(g, order)) is None:
         raise AlreadyContainsError()
-    return Grid(shape, flood[0])
+    return _trusted(Grid, shape=shape, ones=tuple(sorted(flood[0])))
 
 
 def random_maximal(shape: Shape, seed: int) -> Grid:
@@ -402,8 +409,10 @@ def random_maximal(shape: Shape, seed: int) -> Grid:
     for a fixed seed, but not uniform over the maximal grids: over seeds
     0-5999 on 4x4 one of the 20 grids came out 105 times and another 873
     times.  A ``seed`` that is not an ``int``, or is a ``bool``, raises
-    ValueError before any work."""
+    ValueError before any work.  Built as ``complete_to_maximal`` builds."""
+    _require_type("random_maximal", shape, "dims", "a Shape")
     rng = random.Random(_require_int("seed", seed))
     order = list(range(len(_flood_box(shape).cells)))
     rng.shuffle(order)
-    return Grid(shape, _flood(Grid(shape, ()), order)[0])  # the empty grid floods
+    ones = _flood(Grid(shape, ()), order)[0]  # the empty grid floods
+    return _trusted(Grid, shape=shape, ones=tuple(sorted(ones)))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _brief, _flood_box, _require_int,
-                   _trusted, _turn_on, flip_creates_containment, max_size)
+                   _require_type, _trusted, _turn_on, flip_creates_containment, max_size)
 from .errors import StrategyReturnedNonZeroCellError, StrategyReturnedOutOfRangeError
 
 # built-in strategy names, or a callable mapping the state to a zero cell
@@ -114,6 +114,7 @@ def play(
     ``GAME_CELL_LIMIT + 1`` moves, so more players never move.  Any ``int``
     seed is valid, negative included.
     """
+    _require_type("play", shape, "dims", "a Shape")
     _require_int("players", players, 2, GAME_CELL_LIMIT + 1)
     _require_int("seed", seed)
     if len(strategies) != players:

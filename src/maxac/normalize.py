@@ -25,12 +25,19 @@ checked map thus sweeps once, and on a maximal map the work is small:
   obstruction set and adds nothing.  ``normalize`` therefore reads the set
   once, ascending, off the row box that ``check_characterization`` sweeps
   (``core._box`` of the first d - 1 axes, shared by every level of a
-  chain), drains it on a copy of the map's flat lists of l and of h, and
-  builds one IntervalMap at the end.
+  chain).  Every row of the set is then converted exactly once, paired
+  with x' = x - (1,...,1), and every write sets a bound to w_d - 1, so the
+  result does not depend on the order of the pairs: ``normalize`` writes it
+  straight from the set, h(x) = l(x') = w_d - 1 for each row x of it, on a
+  copy of the map's flat lists of l and of h, with one step per row.  The
+  pairs are walked only when the report's ``pairs`` is first read, from
+  the input map's own lists.  The result carries a second verdict,
+  ``_drained``, so ``peel`` does not scan its obstruction set again.
 * The bounds travel as those flat lists, in row-box order: every map that
   ``to_intervals``, ``normalize``, ``convert_step`` and ``peel`` build is
-  handed its lists (``IntervalMap._bounds``), so a level reads them once and
-  no step of a chain reads a row of the ``intervals`` dict.  ``peel`` keeps
+  handed its lists (``IntervalMap._bounds``) and builds its ``intervals``
+  dict only when it is first read, so a level reads the lists once and no
+  step of a chain builds or reads a row of that dict.  ``peel`` keeps
   the l list as it is (no row that loses its top cell has l = w_d) and
   builds the new h list in one pass.
 * h is order-reversing, so the top-touching rows form a down-set.  The
@@ -50,10 +57,10 @@ checked map thus sweeps once, and on a maximal map the work is small:
   the pending row, and then the diagonal now ends at x' = s - (1,...,1),
   where stage 2 starts afresh.  Once the pending row itself is converted,
   the walk starts anew from the next pending row still in the set.  Every
-  row the climb enters is converted before it is left, so a whole
-  normalization costs O(1) per diagonal step of each pending row plus O(d)
-  per convert step (one addition per step on flat indices), instead of a
-  walk from the pending row on every step.
+  row the climb enters is converted before it is left, so the pairs of a
+  whole normalization cost O(1) per diagonal step of each pending row plus
+  O(d) per convert step (one addition per step on flat indices), instead
+  of a walk from the pending row on every step.
 """
 
 from __future__ import annotations
@@ -68,11 +75,25 @@ from .rowform import IntervalMap, RowId, _obstructed, _trusted_map, check_charac
 
 @dataclass(frozen=True)
 class NormalizeReport:
-    """Result of a full normalization plus the trace of applied pairs."""
+    """Result of a full normalization plus the trace of applied pairs.
+
+    ``normalize`` builds the report without its pairs; they are walked from
+    the input map on first read and kept.
+    """
 
     result: IntervalMap
     steps: int
     pairs: tuple[tuple[RowId, RowId], ...]
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the pairs of a
+        # report normalize built, until first read
+        if name != "pairs":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        m, box, pending = self._walk_from
+        ls, hs = map(list.copy, m._bounds)
+        pairs = self.__dict__["pairs"] = tuple(_walk(ls, hs, box, m.top, pending))
+        return pairs
 
     def to_json_obj(self) -> dict:
         return {
@@ -85,7 +106,7 @@ class NormalizeReport:
 def _require_maximal(m: IntervalMap, verb: str) -> None:
     """Entry check of the convert machinery: d >= 2 and the characterization,
     swept only on a map that does not carry the verdict."""
-    _require_type(verb, m, "intervals", "an IntervalMap")
+    _require_type(verb, m, "_bounds", "an IntervalMap")
     if m.shape.d < 2:
         raise ValueError(f"{verb} applies to d >= 2 only")
     if not m._maximal:
@@ -161,7 +182,7 @@ def convert_step(m: IntervalMap) -> IntervalMap:
     Preserves weight and the characterization, and removes exactly x from
     the obstruction set.
     """
-    _require_type("convert_step", m, "intervals", "an IntervalMap")
+    _require_type("convert_step", m, "_bounds", "an IntervalMap")
     x, _ = find_pair(m)
     box = _box(m.shape.dims[:-1])
     i = box.index(x)
@@ -176,22 +197,26 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     Each step removes one row from the set, so the step count equals the
     initial obstruction-set size; weight is untouched throughout.  Requires
     the characterization to hold (else NotMaximalError); a map whose set is
-    already empty is returned unchanged.
+    already empty is returned unchanged.  The report's pairs are walked on
+    their first read (module docstring).
     """
     _require_maximal(m, "normalize")
     box, pending = _obstructed(m)
     if not pending:
+        object.__setattr__(m, "_drained", True)
         return NormalizeReport(result=m, steps=0, pairs=())
     top = m.top
     if top < 2:
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
+    # each pending row x is converted once, with x' = x - (1,...,1), and
+    # every write is top - 1: the result does not depend on the pairs' order
     ls, hs = map(list.copy, m._bounds)
-    pairs = tuple(_walk(ls, hs, box, top, pending))
-    return NormalizeReport(
-        result=_trusted_map(m.shape, ls, hs, maximal=True),
-        steps=len(pairs),
-        pairs=pairs,
-    )
+    diag = box.diag
+    for i in pending:
+        hs[i] = ls[i - diag] = top - 1
+    result = _trusted_map(m.shape, ls, hs, maximal=True, drained=True)
+    return _trusted(NormalizeReport, result=result, steps=len(pending),
+                    _walk_from=(m, box, pending))
 
 
 def peel(m: IntervalMap) -> IntervalMap:
@@ -202,15 +227,17 @@ def peel(m: IntervalMap) -> IntervalMap:
     those loses its top cell and the box loses its last layer.  The weight
     therefore drops by prod(w_i, i < d) - prod(w_i - 1, i < d), and the
     characterization still holds on the smaller box.  Requires the
-    characterization to hold (else NotMaximalError).
+    characterization to hold (else NotMaximalError).  A map ``normalize``
+    returned is known to be drained, and its set is not scanned again.
     """
     _require_maximal(m, "peel")
     top = m.top
     if top < 2:
         raise BottomedOutError("last dimension is already 1")
-    box, pending = _obstructed(m)
-    if pending:
-        raise XSetNonEmptyError({box.cells[i] for i in pending})
+    if not m._drained:
+        box, pending = _obstructed(m)
+        if pending:
+            raise XSetNonEmptyError({box.cells[i] for i in pending})
     # l < w_d on every row that loses its top cell, so ls carries over as is
     ls, hs = m._bounds
     shape = _trusted(Shape, dims=m.shape.dims[:-1] + (top - 1,))

@@ -26,9 +26,18 @@ not a dataclass field), set at construction by one of two builders.  The
 public constructor (so also ``dataclasses.replace``) fills them in the loop
 that checks the rows; ``_trusted_map``, through which ``to_intervals``,
 ``normalize``, ``convert_step`` and ``peel`` build every map, is handed
-them, so a chain reads no row of the ``intervals`` dict.  A passing check
+them and stores nothing else.  Such a map builds its ``intervals`` dict
+from the lists and the row box only on first read, so a chain, which reads
+only the lists, builds none.  ``normalize`` writes its result's lists
+straight from the obstruction set: each row x of the set is converted once,
+with x - (1,...,1), and every write is w_d - 1, so the order of the convert
+pairs does not matter, and it walks them only when its report's ``pairs``
+is first read.  The lists are ascending by row, so ``to_json_obj`` and
+``from_intervals`` read them in order and sort nothing.  A passing check
 leaves its verdict on the map (``_maximal``, also not a field), which
-``normalize`` reads instead of sweeping the same map again.
+``normalize`` reads instead of sweeping the same map again; a map that
+``normalize`` returns also carries ``_drained``, so ``peel`` does not scan
+its obstruction set again.
 """
 
 from __future__ import annotations
@@ -63,6 +72,9 @@ class IntervalMap:
     # the maximality verdict, not a field: True only on a map that passed
     # check_characterization or was derived from one by normalize or peel
     _maximal = False
+    # also not a field: True only on a map normalize returned, whose
+    # obstruction set is empty, so peel need not scan it
+    _drained = False
 
     def __post_init__(self):
         if not isinstance(self.intervals, Mapping):
@@ -95,9 +107,22 @@ class IntervalMap:
             raise ValueError("intervals given for rows outside the box")
         object.__setattr__(self, "intervals", MappingProxyType(fixed))
         # not a field: the l and h of every row in ascending row order, the
-        # row box's; _trusted_map is handed them, maybe shared with the map
-        # they came from, so no one mutates them
+        # row box's.  A map _trusted_map builds holds only these, maybe shared
+        # with the map they came from, so no one mutates them; its intervals
+        # are built from them on first read (__getattr__).  normalize writes
+        # them from the obstruction set alone, as every convert write is
+        # w_d - 1 and the order of the pairs does not matter
         object.__setattr__(self, "_bounds", (ls, hs))
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the intervals of
+        # a map _trusted_map built, until first read
+        if name != "intervals":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ls, hs = self._bounds
+        rows = _box(self.shape.dims[:-1]).cells
+        intervals = self.__dict__["intervals"] = MappingProxyType(dict(zip(rows, zip(ls, hs))))
+        return intervals
 
     @property
     def top(self) -> int:
@@ -105,12 +130,10 @@ class IntervalMap:
         return self.shape.dims[-1]
 
     def to_json_obj(self) -> dict:
+        rows = _box(self.shape.dims[:-1]).cells
         return {
             "w": list(self.shape.dims),
-            "rows": [
-                {"x": list(row), "l": l, "h": h}
-                for row, (l, h) in sorted(self.intervals.items())
-            ],
+            "rows": [{"x": list(row), "l": l, "h": h} for row, l, h in zip(rows, *self._bounds)],
         }
 
     @classmethod
@@ -185,25 +208,23 @@ def _first_bad_row(shape: Shape, ones, runs: Counter) -> EmptyRowError | NonCont
 
 
 def _trusted_map(shape: Shape, ls: list[int], hs: list[int],
-                 maximal: bool = False) -> IntervalMap:
+                 maximal: bool = False, drained: bool = False) -> IntervalMap:
     """The IntervalMap whose rows, those of the row box in its order, have
     the bounds ``ls`` and ``hs``, without the constructor's check: only for
-    maps valid by construction.  The map keeps them as its ``_bounds``.
-    ``maximal`` gives it the verdict, for maps derived from a maximal map by
-    steps that preserve the characterization."""
-    rows = _box(shape.dims[:-1]).cells
-    return _trusted(IntervalMap, shape=shape,
-                    intervals=MappingProxyType(dict(zip(rows, zip(ls, hs)))),
-                    _bounds=(ls, hs), _maximal=maximal)
+    maps valid by construction.  The map keeps them as its ``_bounds``
+    and builds its ``intervals`` from them on first read.  ``maximal`` gives
+    it the verdict, for maps derived from a maximal map by steps that
+    preserve the characterization; ``drained`` says that its obstruction set
+    is empty, for the maps ``normalize`` returns."""
+    return _trusted(IntervalMap, shape=shape, _bounds=(ls, hs), _maximal=maximal,
+                    _drained=drained)
 
 
 def from_intervals(m: IntervalMap) -> Grid:
     """Grid whose row x has ones exactly on [l(x), h(x)]."""
-    ones = [
-        row + (y,)
-        for row, (l, h) in m.intervals.items()
-        for y in range(l, h + 1)
-    ]
+    _require_type("from_intervals", m, "_bounds", "an IntervalMap")
+    rows = _box(m.shape.dims[:-1]).cells
+    ones = [row + (y,) for row, l, h in zip(rows, *m._bounds) for y in range(l, h + 1)]
     return Grid(m.shape, ones)
 
 
@@ -255,7 +276,7 @@ def check_characterization(m: IntervalMap) -> CharacterizationReport:
     first row violating the earliest rule.  A pass is recorded on ``m``
     (``_maximal``); the sweep runs on every call all the same.
     """
-    _require_type("check_characterization", m, "intervals", "an IntervalMap")
+    _require_type("check_characterization", m, "_bounds", "an IntervalMap")
     if m.shape.d < 2:
         raise ValueError("the characterization applies to d >= 2 only; "
                          "use contains_forbidden for d = 1")
@@ -307,7 +328,7 @@ def x_set(m: IntervalMap) -> set[RowId]:
     This is the obstruction set that the convert step drains; rows without
     ancestors (some coordinate equal to 1) are expected to reach the top.
     """
-    _require_type("x_set", m, "intervals", "an IntervalMap")
+    _require_type("x_set", m, "_bounds", "an IntervalMap")
     if m.shape.d < 2:
         raise ValueError("x_set applies to d >= 2 only")
     box, pending = _obstructed(m)

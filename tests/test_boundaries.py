@@ -140,13 +140,29 @@ WRONG_TYPES = [
     (lambda: maxac.check_characterization((3, 3)),
      "check_characterization takes an IntervalMap, got tuple"),
     (lambda: maxac.x_set((3, 3)), "x_set takes an IntervalMap, got tuple"),
+    (lambda: maxac.count_maximal((3, 3)), "count_maximal takes a Shape, got tuple"),
+    (lambda: maxac.enumerate_maximal((3, 3)), "enumerate_maximal takes a Shape, got tuple"),
+    (lambda: maxac.count_closed_form((3, 3)), "count_closed_form takes a Shape, got tuple"),
+    (lambda: maxac.random_maximal((3, 3), 0), "random_maximal takes a Shape, got tuple"),
+    (lambda: maxac.play((3, 3), 2, ["lex"] * 2), "play takes a Shape, got tuple"),
+    (lambda: maxac.brute_force_maximal((3, 3)), "brute_force_maximal takes a Shape, got tuple"),
+    (lambda: maxac.contains_forbidden([(1, 1)]), "contains_forbidden takes a Grid, got list"),
+    (lambda: maxac.weight([(1, 1)]), "weight takes a Grid, got list"),
+    (lambda: maxac.extend_by_two([(1, 1)]), "extend_by_two takes a Grid, got list"),
+    (lambda: maxac.project_last([(1, 1)]), "project_last takes a Grid, got list"),
+    (lambda: maxac.complete_to_maximal([(1, 1)]), "complete_to_maximal takes a Grid, got list"),
+    (lambda: maxac.from_intervals((3, 3)), "from_intervals takes an IntervalMap, got tuple"),
 ]
 
 
 @pytest.mark.parametrize("call, message", WRONG_TYPES,
                          ids=["max_size", "is_maximal", "to_intervals", "sample_non_maximal",
                               "verify_shape", "check_equivalence", "normalize", "peel",
-                              "find_pair", "convert_step", "check_characterization", "x_set"])
+                              "find_pair", "convert_step", "check_characterization", "x_set",
+                              "count_maximal", "enumerate_maximal", "count_closed_form",
+                              "random_maximal", "play", "brute_force_maximal",
+                              "contains_forbidden", "weight", "extend_by_two", "project_last",
+                              "complete_to_maximal", "from_intervals"])
 def test_a_wrong_type_raises_type_error_naming_the_type_it_takes(call, message):
     with pytest.raises(TypeError) as err:
         call()

@@ -1,4 +1,6 @@
+import importlib
 import random
+from collections import Counter
 
 import pytest
 import reference_normalize as ref
@@ -231,13 +233,11 @@ def test_a_whole_chain_builds_one_row_layout():
     assert check_characterization(m)
     levels = _chain(normalize, m)
     assert len(levels) == 5 and sum(r.steps for r, _ in levels) > 0
-    # one miss for the whole chain, at the row form; then one hit for the
-    # check, and per normalize and per peel one for its obstruction set and
-    # one for the rows of the map it builds (normalize builds none when the
-    # set is empty)
+    # one miss for the whole chain, at the check (the maps are built with
+    # no layout, as nothing reads their intervals); then one hit per
+    # normalize, for its obstruction set, which peel does not scan again
     info = _box.cache_info()
-    built = len(levels) + sum(1 for r, _ in levels if r.steps)
-    assert (info.misses, info.hits) == (1, 1 + 2 * len(levels) + built)
+    assert (info.misses, info.hits) == (1, len(levels))
 
 
 def test_find_pair_and_convert_step_resume_where_normalize_does():
@@ -263,12 +263,11 @@ def _large_map_id(v):
     return "x".join(map(str, v)) if isinstance(v, tuple) else f"seed{v}"
 
 
-@pytest.mark.parametrize(
-    "dims, seed",
-    [((30, 30), 1), ((12, 12, 12), 2), ((6, 6, 6, 6), 3), ((3, 3, 3, 3, 3), 4),
-     ((50, 40), 5), ((9, 7, 5), 6), ((4, 5, 6, 3), 7), ((2, 9, 2, 9), 8)],
-    ids=_large_map_id,
-)
+LARGE_MAPS = [((30, 30), 1), ((12, 12, 12), 2), ((6, 6, 6, 6), 3), ((3, 3, 3, 3, 3), 4),
+              ((50, 40), 5), ((9, 7, 5), 6), ((4, 5, 6, 3), 7), ((2, 9, 2, 9), 8)]
+
+
+@pytest.mark.parametrize("dims, seed", LARGE_MAPS, ids=_large_map_id)
 def test_normalize_matches_reference_on_large_maps(dims, seed):
     m = ref.seeded_maximal_map(dims, random.Random(seed))
     assert ref.check_characterization(m)
@@ -277,6 +276,53 @@ def test_normalize_matches_reference_on_large_maps(dims, seed):
     assert levels == _chain(ref.normalize_restarting, m, ref.peel)
     assert levels == _chain(ref.normalize, m, ref.peel)
     assert len(levels) == dims[-1] - 1 and sum(r.steps for r, _ in levels) > 0
+
+
+def test_the_written_result_and_the_later_pairs_match_the_resumed_walk():
+    # normalize writes its result from the obstruction set, with no walk;
+    # the pairs, read only once the whole chain is built, are still the walk's
+    maps = [to_intervals(g) for shape in iter_shapes(25, 4) if shape.d >= 2
+            for g in enumerate_maximal(shape).grids]
+    maps += [ref.seeded_maximal_map(dims, random.Random(seed)) for dims, seed in LARGE_MAPS]
+    levels = 0
+    for m in maps:
+        reports, wants = [], []
+        while m.top > 1:
+            report, want = normalize(m), ref.normalize_resumed(m)
+            assert (report.steps, report.result._bounds) == (want.steps, want.result._bounds)
+            assert dict(report.result.intervals) == dict(want.result.intervals)
+            reports.append(report)
+            wants.append(want)
+            m = peel(report.result)
+        assert [r.pairs for r in reports] == [w.pairs for w in wants]
+        levels += len(reports)
+    assert levels == 4495 + sum(dims[-1] - 1 for dims, _ in LARGE_MAPS)
+
+
+def test_a_chain_walks_no_pairs_and_scans_each_level_once(monkeypatch):
+    module = importlib.import_module("maxac.normalize")
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted("_walk")
+    counted("_obstructed")
+    m = ref.seeded_maximal_map((12, 12, 12), random.Random(2))
+    assert check_characterization(m)
+    levels = _chain(normalize, m)
+    assert len(levels) == 11 and calls == Counter(_obstructed=11)
+    report = levels[0][0]
+    pairs = report.pairs
+    assert calls["_walk"] == 1 and len(pairs) == report.steps > 0
+    assert report.pairs is pairs and calls["_walk"] == 1
+    assert pairs == ref.normalize_resumed(m).pairs
 
 
 # size-2 axes, where a stride step along a short axis crosses a row of the

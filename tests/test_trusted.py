@@ -33,6 +33,7 @@ from maxac import (
     peel,
     play,
     project_last,
+    random_maximal,
     to_intervals,
     verification,
     x_set,
@@ -44,6 +45,8 @@ SRC = Path(maxac.__file__).parent
 # a new one joins this list only together with an oracle in this module
 TRUSTED_SITES = {
     ("enumeration", "enumerate_maximal"),
+    ("enumeration", "complete_to_maximal"),
+    ("enumeration", "random_maximal"),
     ("rowform", "to_intervals"),
     ("rowform", "_trusted_map"),
     ("normalize", "convert_step"),
@@ -168,6 +171,26 @@ def test_drawn_grids_equal_the_public_constructor():
                 assert g == Grid(Shape(tuple(shape.dims)), g.ones)
 
 
+def test_completed_grids_equal_the_public_constructor():
+    # random_maximal and complete_to_maximal sort the flood's layout cells
+    # and build unchecked; completions from half a seeded grid, in a seeded
+    # order and in the default one
+    grids = 0
+    for shape in iter_shapes(16, 4):
+        public = Shape(tuple(shape.dims))
+        cells = list(shape.iter_cells())
+        for seed in range(5):
+            g = random_maximal(shape, seed)
+            assert g == Grid(public, g.ones) and is_maximal(g)
+            order = cells.copy()
+            random.Random(seed).shuffle(order)
+            for o in (order, None):
+                done = complete_to_maximal(Grid(shape, g.ones[::2]), o)
+                assert done == Grid(public, done.ones) and is_maximal(done)
+            grids += 1
+    assert grids == 5 * len(list(iter_shapes(16, 4)))
+
+
 class Level(IntEnum):
     ONE = 1
     TWO = 2
@@ -275,8 +298,11 @@ def test_replace_on_a_derived_map_is_checked_afresh():
 
 def test_the_verdict_is_no_field_and_leaves_repr_and_equality_alone():
     derived = normalize(M33).result
+    # the derived map builds its intervals on first read, for _public here
+    assert "intervals" not in vars(derived)
     public = _public(derived)
-    assert "_maximal" not in {f.name for f in dataclasses.fields(IntervalMap)}
+    assert {"_maximal", "_drained"}.isdisjoint(f.name for f in dataclasses.fields(IntervalMap))
     assert derived._maximal and not public._maximal
+    assert derived._drained and not public._drained
     assert derived == public and repr(derived) == repr(public)
-    assert "_maximal" not in repr(derived)
+    assert "_maximal" not in repr(derived) and "_drained" not in repr(derived)
