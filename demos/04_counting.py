@@ -1,8 +1,8 @@
 """Counting maximal grids.
 
-One reduction gives every closed-form count (``count_closed_form``), each
-cross-checked here against the enumeration, and ``count_maximal`` takes it
-wherever it applies:
+``count_maximal`` gives every closed-form count by one reduction, each
+cross-checked here against the enumeration; ``count_closed_form`` is the
+same count, refused where no closed form applies:
 
 * a size-1 axis (d >= 2) leaves a single maximal grid;
 * appending a dimension of size 2 changes nothing: maximal grids over

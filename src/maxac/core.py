@@ -272,6 +272,7 @@ def flip_creates_containment(g: Grid, cell: Cell) -> bool:
 
     Assumes ``g`` itself avoids it and ``cell`` is currently off.
     """
+    _require_type("flip_creates_containment", g, "ones", "a Grid")
     return any(comparable(p, cell) for p in g.ones)
 
 

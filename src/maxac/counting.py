@@ -2,7 +2,7 @@
 
 Appending a size-2 axis neither creates nor destroys maximal grids:
 ``extend_by_two`` and ``project_last`` realize the bijection, which is why
-size-2 axes drop out of ``enumeration.count_closed_form``.
+size-2 axes drop out of the closed form in ``enumeration.count_maximal``.
 
 Both directions of the bijection read the row-interval form.  In a maximal
 grid, a zero cell (x, y) of row x with y < l(x) lies strictly below some

@@ -46,18 +46,19 @@ from ``count_maximal``.
 The count is the number of antichains, or order ideals, of the product of
 chains ``P = [w_1 - 1] x ... x [w_d - 1]``: order-reversing maps
 ``P -> [1, k]`` correspond to order ideals of ``P x [k - 1]`` (Stanley,
-*Enumerative Combinatorics* vol. 1, ch. 3).  ``count_maximal`` takes one
-route.  Where a closed form applies, it is ``count_closed_form``: 1 for a
-size-1 axis (d >= 2); size-2 axes drop out (the bijection of ``counting``);
-what is left, the sides ``a <= b <= c`` of ``P`` padded with 1s, is
-MacMahon's box formula row by row, the product over rows ``i < a`` of
+*Enumerative Combinatorics* vol. 1, ch. 3).  ``count_maximal`` routes by
+the box.  It answers 1 for a size-1 axis (d >= 2).  Size-2 axes drop out
+(the bijection of ``counting``), and with at most three axes above 2 what
+is left, the sides ``a <= b <= c`` of ``P`` padded with 1s, is MacMahon's
+box formula row by row, the product over rows ``i < a`` of
 ``C(b + c + i, b) / C(b + i, b)``: ``w`` for one axis and the binomial for
-two.  Past three axes above 2 it counts by slice zeta transforms.  With
-``P = [a - 1] x Q`` for a largest side ``a``, the ideals of ``P`` are the
-multichains ``I_1 >= ... >= I_{a-1}`` in ``J(Q)``, the ideals of ``Q``, so
-the count is ``sum(zeta^(a-2) 1)``, where ``zeta g(I)`` sums ``g`` over the
-ideals inside ``I``.  One ``zeta`` is a fast zeta
-transform on a distributive lattice (Bjorklund, Husfeldt, Kaski, Koivisto,
+two.  ``count_closed_form`` is the same count on these boxes alone, and
+refuses the others.  Past three axes above 2 ``count_maximal`` counts by
+slice zeta transforms.  With ``P = [a - 1] x Q`` for a largest side
+``a``, the ideals of ``P`` are the multichains ``I_1 >= ... >= I_{a-1}`` in
+``J(Q)``, the ideals of ``Q``, so the count is ``sum(zeta^(a-2) 1)``, where
+``zeta g(I)`` sums ``g`` over the ideals inside ``I``.  One ``zeta`` is a
+fast zeta transform on a distributive lattice (Bjorklund, Husfeldt, Kaski, Koivisto,
 Nederlof and Parviainen, SODA 2012): for each element ``q`` of ``Q`` in
 lexicographic order, ``g[I] += g[I - {q}]`` for every ideal ``I`` in which
 ``q`` is maximal, one addition per covering pair of ``J(Q)``.  The ideals
@@ -109,7 +110,7 @@ BRUTE_FORCE_CELL_LIMIT = 16
 # costs 0.1-0.3 us: 3x3x3x312502, 10 million of them, took 1.1 s.
 COUNT_STATE_LIMIT = 250_000
 COUNT_WORK_LIMIT = 10_000_000
-# count_closed_form's budget on its lower estimate of the digits, exact on
+# the closed form's budget on its lower estimate of the digits, exact on
 # two sides and at least 2/3 of the true number on cubes: 33000x33000 (19,864
 # of 19,865 digits) and 297x297x297 (19,928 of 29,866) took about 0.1 s each
 COUNT_DIGIT_LIMIT = 20_000
@@ -227,45 +228,26 @@ def enumerate_maximal(
 
 
 def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
-    """Number of maximal grids over ``shape``: ``count_closed_form`` where it
-    applies, else by slice zeta transforms, under the count budgets (module
-    docstring).  ``max_cells``, if given, is a budget in cells like
-    ``enumerate_maximal``'s, checked as there.  Raises ValueError if the
-    count has more digits than the interpreter prints
-    (``sys.get_int_max_str_digits``)."""
+    """Number of maximal grids over ``shape``: 1 with an axis of 1, MacMahon's
+    box formula row by row where at most three axes exceed 2 (on the sides
+    ``w - 1`` of those axes, padded with 1s), else by slice zeta transforms,
+    under the count budgets (module docstring).  ``max_cells``, if given, is
+    a budget in cells like ``enumerate_maximal``'s, checked as there.  Raises
+    ValueError if the count has more digits than the interpreter prints
+    (``sys.get_int_max_str_digits``; 0, or no such function, means no
+    limit), on the closed form before any work if its estimate says so."""
     _require_type("count_maximal", shape, "dims", "a Shape")
     if max_cells is not None:
         _check_cells(shape, max_cells)
-    try:
-        return count_closed_form(shape)
-    except PreconditionViolatedError:
+    if 1 in shape.dims:
+        return 1
+    sides = sorted(w - 1 for w in shape.dims if w > 2)
+    if len(sides) > 3:
         # A multichain is a multiset of a - 1 of the S ideals, so the count is
         # at most C(a + S - 2, S - 1), about 1,900 digits with (a - 2)(S - 1)
         # within COUNT_WORK_LIMIT: under the default limit, 4,300, but not a
         # lowered one.
         return _printable(shape.dims, _zeta_count(shape.dims))
-
-
-def count_closed_form(shape: Shape) -> int:
-    """Number of maximal grids over ``shape`` by the closed forms: 1 with an
-    axis of 1, else MacMahon's box formula row by row on the sides ``w - 1``
-    of the axes above 2, padded with 1s (module docstring).
-
-    Raises PreconditionViolatedError when more than three axes exceed 2 and
-    no axis is 1, ValueError when the count has more digits than the
-    interpreter prints (``sys.get_int_max_str_digits``; 0, or no such
-    function, means no limit), before any work if its estimate says so, and
-    ShapeTooLargeError when the estimate passes ``COUNT_DIGIT_LIMIT``, before
-    any work.
-    """
-    _require_type("count_closed_form", shape, "dims", "a Shape")
-    if 1 in shape.dims:
-        return 1
-    sides = sorted(w - 1 for w in shape.dims if w > 2)
-    if len(sides) > 3:
-        raise PreconditionViolatedError(
-            f"no closed form applies to shape {_brief.repr(shape.dims)}: "
-            f"{len(sides)} axes exceed 2, the closed forms cover at most 3")
     a, b, c = [1] * (3 - len(sides)) + sides
     # MacMahon row by row: the product over rows i < a of C(b + c + i, b) /
     # C(b + i, b).  The rows fall as i grows, so a times the last row's log
@@ -280,6 +262,18 @@ def count_closed_form(shape: Shape) -> int:
         value = (math.prod(math.comb(b + c + i, b) for i in range(a))
                  // math.prod(math.comb(b + i, b) for i in range(a)))
     return _printable(shape.dims, value)
+
+
+def count_closed_form(shape: Shape) -> int:
+    """``count_maximal`` where a closed form applies, with an axis of 1 or at
+    most three axes above 2; PreconditionViolatedError elsewhere."""
+    _require_type("count_closed_form", shape, "dims", "a Shape")
+    above = sum(w > 2 for w in shape.dims)
+    if above > 3 and 1 not in shape.dims:
+        raise PreconditionViolatedError(
+            f"no closed form applies to shape {_brief.repr(shape.dims)}: "
+            f"{above} axes exceed 2, the closed forms cover at most 3")
+    return count_maximal(shape)
 
 
 def _zeta_count(dims: Sequence[int]) -> int:

@@ -79,6 +79,7 @@ def predict_loser(shape: Shape, players: int) -> int:
     """The player who runs out of safe moves: max_size(shape) mod players.
     ``players`` must be an ``int`` (not a ``bool``) of at least 2, else
     ValueError; unlike ``play``, it has no upper bound."""
+    _require_type("predict_loser", shape, "dims", "a Shape")
     _require_int("players", players, 2)
     return max_size(shape) % players
 
@@ -86,6 +87,7 @@ def predict_loser(shape: Shape, players: int) -> int:
 def safe_moves(state: GameState) -> set[Cell]:
     """Zero cells whose flip keeps the board clean; empty iff the board is
     maximal."""
+    _require_type("safe_moves", state, "board", "a GameState")
     board = state.board
     return {
         c

@@ -5,9 +5,12 @@ size law, the equivalence of maximality with the interval characterization,
 the count of ``count_maximal`` (the closed forms where they apply), the
 append-a-layer bijection, the normalize/peel recurrences, and the game's
 loser law.  The checks that read the shape's maximal grids take them as an
-argument, so ``verify_shape`` (the CLI's ``verify`` verb) builds the
-shape's grids once (``check_counting`` only counts them) and the acceptance
-suite runs the same checks over its sweeps.
+argument, so ``verify_shape`` (the CLI's ``verify`` verb) enumerates the
+shape once for all of them (``check_counting`` only counts them) and the
+acceptance suite runs the same checks over its sweeps.  Two checks
+enumerate again: when it samples, the equivalence check's candidates
+(``_draws``) list the shape's grids a second time, and the bijection check
+lists the box with a size-2 axis appended.
 
 The equivalence check samples seeded candidate grids (``_draws``) and keeps
 those the flood (``core._flood``) calls non-maximal.  The flood shares no

@@ -45,7 +45,7 @@ TABLE = [
      True, False, ["enumeration._box", "enumeration._iter_left_ends"]),
     ("count_maximal", "max_cells",
      lambda max_cells=25: enumeration.count_maximal(S22, max_cells=max_cells),
-     True, False, ["enumeration.count_closed_form", "enumeration._zeta_count"]),
+     True, False, ["enumeration._check_budget", "enumeration._zeta_count"]),
     ("random_maximal", "seed", lambda seed=0: enumeration.random_maximal(S22, seed),
      False, False, ["enumeration._flood_box", "enumeration.complete_to_maximal"]),
     ("play", "players", lambda players=2: game.play(S22, players, ["lex"] * 2),
@@ -152,6 +152,10 @@ WRONG_TYPES = [
     (lambda: maxac.project_last([(1, 1)]), "project_last takes a Grid, got list"),
     (lambda: maxac.complete_to_maximal([(1, 1)]), "complete_to_maximal takes a Grid, got list"),
     (lambda: maxac.from_intervals((3, 3)), "from_intervals takes an IntervalMap, got tuple"),
+    (lambda: maxac.flip_creates_containment((3, 3), (1, 1)),
+     "flip_creates_containment takes a Grid, got tuple"),
+    (lambda: maxac.safe_moves((3, 3)), "safe_moves takes a GameState, got tuple"),
+    (lambda: maxac.predict_loser((3, 3), 2), "predict_loser takes a Shape, got tuple"),
 ]
 
 
@@ -162,7 +166,8 @@ WRONG_TYPES = [
                               "count_maximal", "enumerate_maximal", "count_closed_form",
                               "random_maximal", "play", "brute_force_maximal",
                               "contains_forbidden", "weight", "extend_by_two", "project_last",
-                              "complete_to_maximal", "from_intervals"])
+                              "complete_to_maximal", "from_intervals",
+                              "flip_creates_containment", "safe_moves", "predict_loser"])
 def test_a_wrong_type_raises_type_error_naming_the_type_it_takes(call, message):
     with pytest.raises(TypeError) as err:
         call()

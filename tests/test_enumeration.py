@@ -394,6 +394,27 @@ def test_the_digit_budget_refuses_before_any_work_with_no_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def test_a_count_checks_its_argument_once(monkeypatch):
+    # on each route: the size-1 answer, the closed form, and the slice zeta,
+    # which counts the box less its largest side (3^3) through count_maximal
+    checks, counts = [], []
+    require, count = enumeration._require_type, enumeration.count_maximal
+
+    def counted_check(name, *args):
+        checks.append(name)
+        return require(name, *args)
+
+    def counted_count(shape, **kwargs):
+        counts.append(shape.dims)
+        return count(shape, **kwargs)
+
+    monkeypatch.setattr(enumeration, "_require_type", counted_check)
+    monkeypatch.setattr(enumeration, "count_maximal", counted_count)
+    assert [counted_count(Shape(dims)) for dims in [(1, 4), (3, 3), (3, 3, 3, 3)]] == [1, 6, 168]
+    assert counts == [(1, 4), (3, 3), (3, 3, 3, 3), (3, 3, 3)]
+    assert checks == ["count_maximal"] * 4
+
+
 def test_the_work_budget_counts_the_covering_pairs_once_listed():
     # J([2]^3) has 20 ideals and 32 covering pairs: 400,000 passes pass the
     # first check (7.6 million) and fail the exact one (12.8 million)

@@ -132,6 +132,10 @@ def test_custom_strategy_may_lose_on_purpose():
 def test_custom_strategy_contract_violations():
     with pytest.raises(StrategyReturnedOutOfRangeError):
         play(Shape((2, 2)), 2, ["lex", lambda state: (9, 9)])
+    # a value that is not a cell at all
+    with pytest.raises(StrategyReturnedOutOfRangeError,
+                       match=r"^player 1 returned out-of-range cell 5$"):
+        play(Shape((2, 2)), 2, ["lex", lambda state: 5])
     with pytest.raises(StrategyReturnedNonZeroCellError):
         play(Shape((2, 2)), 2, ["lex", lambda state: (1, 1)])
 

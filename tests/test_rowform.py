@@ -301,3 +301,5 @@ def test_interval_map_json_rejects_malformed_input():
         bad_rows = [dict(rows[0], x=bad_x), rows[1]]
         with pytest.raises(ValueError):
             IntervalMap.from_json_obj({"w": [2, 2], "rows": bad_rows})
+    with pytest.raises(ValueError, match="^duplicate row in interval-map JSON$"):
+        IntervalMap.from_json_obj({"w": [2, 2], "rows": [rows[0], rows[0], rows[1]]})

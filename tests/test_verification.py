@@ -24,7 +24,7 @@ from maxac import (
     verify_shape,
     x_set,
 )
-from maxac import counting, core, enumeration, rowform, verification
+from maxac import counting, core, rowform, verification
 
 # every check of the suite fails its doctored input with one detail; 3x3 has
 # 6 maximal grids of weight 5, and 3 of them need a convert step
@@ -175,7 +175,7 @@ def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
     assert (result.passed, result.detail) == (False, "count_maximal gives 6, enumeration 5")
 
 
-def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch):
+def test_check_counting_compares_the_closed_form_wherever_it_applies():
     for dims, detail in [((3, 3), "enumerated 6; binomial form agrees (6)"),
                          ((2, 2, 2), "enumerated 2; min-dimension form agrees (2)"),
                          ((1, 2), "enumerated 1; binomial form agrees (1); "
@@ -183,12 +183,6 @@ def test_check_counting_compares_the_closed_form_wherever_it_applies(monkeypatch
                          ((3, 3, 2), "enumerated 6"), ((2, 3, 4), "enumerated 10")]:
         grids = enumerate_maximal(Shape(dims)).grids
         assert verification.check_counting(Shape(dims), grids).detail == detail
-    # count_maximal takes the closed form on each of these
-    monkeypatch.setattr(enumeration, "count_closed_form", lambda shape: 21)
-    for dims in [(3, 3), (2, 2, 2), (2, 3, 4)]:
-        result = verification.check_counting(Shape(dims), enumerate_maximal(Shape(dims)).grids)
-        assert not result.passed
-        assert result.detail.startswith("count_maximal gives 21, enumeration ")
 
 
 def test_check_counting_computes_the_forms_it_reports(monkeypatch, grids):
@@ -325,6 +319,23 @@ def test_the_bijection_check_fails_a_non_maximal_image(monkeypatch):
     result = verification.check_bijection(shape, grids)
     assert (result.passed, result.detail) == (
         False, f"round trip failed for ones {grids[0].ones}")
+
+
+def test_verify_shape_says_which_checks_do_not_apply_or_are_skipped():
+    # 17 cells pass the subset filter's 16 and, doubled, the enumeration's
+    # 25; with w_d = 1 no interval can move
+    for dims, details in [
+        ((17,), {"characterization-equivalence": "d = 1: characterization not applicable",
+                 "brute-force-cross-check": "skipped: 17 cells exceed the oracle budget",
+                 "append-layer-bijection": "skipped: extended box exceeds the enumeration budget",
+                 "normalization": "d = 1: not applicable",
+                 "peel-recurrence": "d = 1: not applicable"}),
+        ((3, 1), {"normalization": "w_d = 1: convert steps not defined",
+                  "peel-recurrence": "1 grids telescoped to the closed form"}),
+    ]:
+        results = {r.name: r for r in verify_shape(Shape(dims))}
+        assert all(r.passed for r in results.values()), dims
+        assert {name: results[name].detail for name in details} == details
 
 
 def test_verify_shape_refuses_work_above_its_limits(monkeypatch):
