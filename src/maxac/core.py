@@ -188,6 +188,7 @@ class Grid:
     ones: tuple[Cell, ...] = field(default=())
 
     def __post_init__(self):
+        _require_type("Grid", self.shape, "dims", "a Shape")
         cells = tuple(sorted(map(tuple, self.ones)))
         object.__setattr__(self, "ones", cells)
         dims = self.shape.dims

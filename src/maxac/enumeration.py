@@ -34,14 +34,18 @@ interior rows), a predecessor ``x - e_i`` is ``stride_i`` slots back, and
 ``h`` reads the slot ``diag`` back (``x - (1, ..., 1)``), or the ``w_d``
 slot when ``x`` has a coordinate equal to 1.
 
-Consecutive leaves share most of their rows.  A row's cells are the run
-from ``l`` to ``h`` of its own cells, so they read two slots of the left-end
-vector, and an odometer step changes only the slot it bumps and the slots
-it resets from above 1.  So the enumerator keeps each row's run as a slice
-of the box's cell tuple (``core._box``, which the flood shares),
-refreshes only the rows that read a changed slot, and joins the runs into
-each kept leaf.  It stops at ``cap``: if a leaf is left, the count comes
-from ``count_maximal``.
+The enumerator runs the odometer itself, in place, with no generator
+between it and the leaves.  A row's cells are the run from ``l`` to ``h``
+of its own cells, so they read two slots of the left-end vector, and a
+step moves only the slot it bumps and the slots it resets from above 1.
+So the enumerator keeps each row's run as a slice of the box's cell tuple
+(``core._box``, which the flood shares).  Each inner slot's entry in the
+step order holds its predecessors and the rows that read it, and a move
+recuts exactly those rows.  Each pass joins the runs into the current
+leaf's grid, then steps.  After the ``cap``-th grid one more step decides:
+if it lands on a leaf, the count comes from ``count_maximal``.
+``_iter_left_ends`` is the same odometer as a generator of bare left-end
+vectors, for the slice zeta's ideals.
 
 The count is the number of antichains, or order ideals, of the product of
 chains ``P = [w_1 - 1] x ... x [w_d - 1]``: order-reversing maps
@@ -63,8 +67,8 @@ Nederlof and Parviainen, SODA 2012): for each element ``q`` of ``Q`` in
 lexicographic order, ``g[I] += g[I - {q}]`` for every ideal ``I`` in which
 ``q`` is maximal, one addition per covering pair of ``J(Q)``.  The ideals
 are the left-end vectors of the box without axis ``a`` (row ``x`` holds
-``(x, y)`` for ``y < l(x)``), listed once by the odometer; size-2 axes add
-nothing to ``Q``.  For ``3^d`` the count is the Dedekind number M(d) (OEIS
+``(x, y)`` for ``y < l(x)``), listed once by ``_iter_left_ends``; size-2
+axes add nothing to ``Q``.  For ``3^d`` the count is the Dedekind number M(d) (OEIS
 A000372: 3, 6, 20, 168, 7581, 7828354); the tests use it and the closed
 forms as oracles.
 
@@ -93,7 +97,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -121,34 +125,43 @@ def _check_cells(shape: Shape, max_cells) -> None:
         raise ShapeTooLargeError(shape.cell_count, max_cells)
 
 
-def _iter_left_ends(rows: _Box, top: int) -> Iterator[tuple[list[int], Sequence[int]]]:
+def _step_order(rows: _Box) -> list[tuple[int, int, tuple[int, ...]]]:
+    """The odometer's slots over the row box ``rows``, last first: per inner
+    row, its slot, the slot of its first predecessor ``x - e_i`` and those of
+    the others.  A row with no predecessor reads the ``top`` slot ``n``
+    instead.  Its left end may rise to the least ``l`` over these slots."""
+    n = len(rows.cells)
+    order = []
+    for j in reversed(rows.inner):
+        p, *others = [j - s for c, s in zip(rows.cells[j], rows.strides) if c > 1] or [n]
+        order.append((j, p, tuple(others)))
+    return order
+
+
+def _iter_left_ends(rows: _Box, top: int) -> Iterator[list[int]]:
     """Yield every order-reversing left-end vector over the row box ``rows``
     into ``[1, top]``, in ascending lexicographic order, as one list updated
-    in place (read it before advancing), with the slots whose value changed
-    since the last vector: every slot for the first.
+    in place (read it before advancing).
 
     Slot ``n``, past the rows, holds ``top``; the boundary rows stay 1.  An
     odometer over the inner rows, last first: bump the last one still below
-    the minimum over its predecessors (or ``top``, with none) and reset the
-    ones after it to 1.  A slot's bound reads only earlier slots, which the
-    bump leaves alone, and 1 is always allowed, so every step lands on a leaf.
+    the minimum over its predecessors and reset the ones after it to 1.  A
+    slot's bound reads only earlier slots, which the bump leaves alone, and
+    1 is always allowed, so every step lands on a leaf.
     """
-    n = len(rows.cells)
-    order = [(i, tuple(i - s for c, s in zip(rows.cells[i], rows.strides) if c > 1) or (n,))
-             for i in reversed(rows.inner)]
-    l = [1] * n + [top]
-    changed = range(len(l))
+    order = _step_order(rows)
+    l = [1] * len(rows.cells) + [top]
     while True:
-        yield l, changed
-        changed = []
-        for j, bound in order:
-            if l[j] < min([l[p] for p in bound]):
+        yield l
+        for j, p, others in order:
+            bound = l[p]
+            for q in others:
+                if l[q] < bound:
+                    bound = l[q]
+            if l[j] < bound:
                 l[j] += 1
-                changed.append(j)
                 break
-            if l[j] > 1:
-                l[j] = 1
-                changed.append(j)
+            l[j] = 1
         else:
             return
 
@@ -194,37 +207,56 @@ def enumerate_maximal(
     if shape.d >= 2 and 1 in dims:
         # the size law gives the whole box, the one maximal grid
         whole = tuple(shape.iter_cells())
-        return EnumerationReport(shape=shape, grids=(_trusted(Grid, shape=shape, ones=whole),),
-                                 count=1, truncated=False)
+        return _trusted(EnumerationReport, shape=shape,
+                        grids=(_trusted(Grid, shape=shape, ones=whole),), count=1,
+                        truncated=False)
     cells = _box(dims).cells
     rows = _box(dims[:-1])
     n, top = len(rows.cells), dims[-1]
     # Per slot, the rows that read it: row r, at flat offset r * w_d into
     # the box, reads l at slot r and h at slot r - diag or n.  For d = 1 the
-    # one row () is its own x - (1, ..., 1), so h = l.
+    # one row () is its own x - (1, ..., 1), so h = l.  Per row, its run of
+    # cells in the current leaf, from the first leaf's l: 1 but at slot n.
+    l = [1] * n + [top]
     readers = [[] for _ in range(n + 1)]
+    parts = []
     for r, x in enumerate(rows.cells):
         hi = n if 1 in x else r - rows.diag
         for slot in {r, hi}:
             readers[slot].append((r, r * top, hi))
-    # per row, its run of cells in the current leaf
-    parts = [()] * n
-    leaves = _iter_left_ends(rows, top)
-    kept = []
-    for l, changed in islice(leaves, cap):
-        for slot in changed:
-            for r, offset, hi in readers[slot]:
-                parts[r] = cells[offset + l[r] - 1 : offset + l[hi]]
-        kept.append(tuple(chain.from_iterable(parts)))
-    count = len(kept) if next(leaves, None) is None else count_maximal(shape)
+        parts.append(cells[r * top : r * top + l[hi]])
+    order = [(j, p, others, readers[j]) for j, p, others in _step_order(rows)]
     # each leaf is a sorted tuple of distinct in-box int cells already: the
     # rows come in order and a row's cells ascend
-    return EnumerationReport(
-        shape=shape,
-        grids=tuple(_trusted(Grid, shape=shape, ones=ones) for ones in kept),
-        count=count,
-        truncated=count > len(kept),
-    )
+    grids = []
+    while True:
+        grids.append(_trusted(Grid, shape=shape, ones=tuple(chain.from_iterable(parts))))
+        # the odometer's step, as in _iter_left_ends, recutting the rows that
+        # read each slot it moves
+        for j, p, others, reads in order:
+            bound = l[p]
+            for q in others:
+                if l[q] < bound:
+                    bound = l[q]
+            v = l[j]
+            if v < bound:
+                l[j] = v + 1
+                for r, offset, hi in reads:
+                    parts[r] = cells[offset + l[r] - 1 : offset + l[hi]]
+                break
+            if v > 1:
+                l[j] = 1
+                for r, offset, hi in reads:
+                    parts[r] = cells[offset + l[r] - 1 : offset + l[hi]]
+        else:
+            count = len(grids)
+            break
+        if len(grids) == cap:
+            # the step found a leaf past the cap
+            count = count_maximal(shape)
+            break
+    return _trusted(EnumerationReport, shape=shape, grids=tuple(grids), count=count,
+                    truncated=count > len(grids))
 
 
 def count_maximal(shape: Shape, *, max_cells: int | None = None) -> int:
@@ -335,7 +367,7 @@ def _covering_pairs(rest: Sequence[int]) -> tuple[list[int], list[int]]:
              for k, x in enumerate(rows.inner)]
     by_element = [[] for _ in range(len(rows.inner) * (top - 1))]
     index = {}
-    for l, _ in _iter_left_ends(rows, top):
+    for l in _iter_left_ends(rows, top):
         key = sum(map(mul, l, digit))
         i = index[key] = len(index)
         for x, successors, step, element in rules:

@@ -15,8 +15,8 @@ from a Fenwick tree over the alive flags, at O(log n) per pick and per killed
 cell; lex-only games keep no tree.  A game on n cells thus takes
 O(n (d + log n)) steps.  ``safe_moves`` recomputes the safe set by
 definition, as the oracle in tests.  ``Grid`` and ``GameState`` are built
-only for callable strategies and the transcript, and the board skips the
-``Grid`` checks: ``play`` has checked every cell on it.
+only for callable strategies and the transcript, and both skip their
+constructors' checks: ``play`` has checked every cell on the board.
 """
 
 from __future__ import annotations
@@ -43,6 +43,10 @@ class GameState:
     board: Grid
     players: int
     moves: tuple[tuple[int, Cell], ...]
+
+    def __post_init__(self):
+        _require_type("GameState", self.shape, "dims", "a Shape")
+        _require_type("GameState", self.board, "ones", "a Grid")
 
     @property
     def to_move(self) -> int:
@@ -190,6 +194,6 @@ def play(
 
 def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]]) -> GameState:
     # the moves are distinct in-box cells: play checked each one it did not
-    # take from the box's own cell tuple
+    # take from the box's own cell tuple, and the board is a Grid
     board = _trusted(Grid, shape=shape, ones=tuple(sorted(c for _, c in moves)))
-    return GameState(shape=shape, board=board, players=players, moves=tuple(moves))
+    return _trusted(GameState, shape=shape, board=board, players=players, moves=tuple(moves))

@@ -182,7 +182,7 @@ def convert_step(m: IntervalMap) -> IntervalMap:
     Preserves weight and the characterization, and removes exactly x from
     the obstruction set.
     """
-    _require_type("convert_step", m, "_bounds", "an IntervalMap")
+    _require_maximal(m, "convert_step")
     x, _ = find_pair(m)
     box = _box(m.shape.dims[:-1])
     i = box.index(x)

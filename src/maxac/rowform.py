@@ -77,6 +77,7 @@ class IntervalMap:
     _drained = False
 
     def __post_init__(self):
+        _require_type("IntervalMap", self.shape, "dims", "a Shape")
         if not isinstance(self.intervals, Mapping):
             raise ValueError("intervals must be a mapping from row ids to (l, h) pairs")
         fixed = {}

@@ -7,8 +7,9 @@ to raise AssertionError, and the valid call must reach one of them, so no row
 passes vacuously.  Bad values are ``True``, ``2.5`` and ``"x"``; ``-1``
 where negatives are invalid; and an int too long to print where the
 parameter has an upper bound.  A second table holds calls given a value of
-the wrong type where a ``Shape``, ``Grid`` or ``IntervalMap`` belongs: each
-raises a TypeError that names the function and the type it takes.
+the wrong type where a ``Shape``, ``Grid``, ``IntervalMap`` or ``GameState``
+belongs, in a function or a constructor: each raises a TypeError that names
+the function or class and the type it takes.
 """
 
 import inspect
@@ -39,10 +40,10 @@ HUGE = 10**5000  # past the interpreter's default digit limit for printing
 # workers patched to raise)
 TABLE = [
     ("enumerate_maximal", "cap", lambda cap=1: enumeration.enumerate_maximal(S22, cap),
-     True, False, ["enumeration._box", "enumeration._iter_left_ends"]),
+     True, False, ["enumeration._box", "enumeration._trusted"]),
     ("enumerate_maximal", "max_cells",
      lambda max_cells=25: enumeration.enumerate_maximal(S22, max_cells=max_cells),
-     True, False, ["enumeration._box", "enumeration._iter_left_ends"]),
+     True, False, ["enumeration._box", "enumeration._trusted"]),
     ("count_maximal", "max_cells",
      lambda max_cells=25: enumeration.count_maximal(S22, max_cells=max_cells),
      True, False, ["enumeration._check_budget", "enumeration._zeta_count"]),
@@ -156,6 +157,10 @@ WRONG_TYPES = [
      "flip_creates_containment takes a Grid, got tuple"),
     (lambda: maxac.safe_moves((3, 3)), "safe_moves takes a GameState, got tuple"),
     (lambda: maxac.predict_loser((3, 3), 2), "predict_loser takes a Shape, got tuple"),
+    (lambda: maxac.Grid((3, 3), []), "Grid takes a Shape, got tuple"),
+    (lambda: maxac.IntervalMap((3, 3), {}), "IntervalMap takes a Shape, got tuple"),
+    (lambda: maxac.GameState((3, 3), (), 2, ()), "GameState takes a Shape, got tuple"),
+    (lambda: maxac.GameState(S33, (), 2, ()), "GameState takes a Grid, got tuple"),
 ]
 
 
@@ -167,7 +172,8 @@ WRONG_TYPES = [
                               "random_maximal", "play", "brute_force_maximal",
                               "contains_forbidden", "weight", "extend_by_two", "project_last",
                               "complete_to_maximal", "from_intervals",
-                              "flip_creates_containment", "safe_moves", "predict_loser"])
+                              "flip_creates_containment", "safe_moves", "predict_loser",
+                              "Grid", "IntervalMap", "GameState-shape", "GameState-board"])
 def test_a_wrong_type_raises_type_error_naming_the_type_it_takes(call, message):
     with pytest.raises(TypeError) as err:
         call()

@@ -154,6 +154,17 @@ def test_enumeration_matches_the_plain_odometer():
             assert got == reference_enumerate.enumerate_maximal(shape, cap), (shape.dims, cap)
 
 
+@pytest.mark.slow
+def test_enumeration_matches_the_plain_odometer_up_to_64_cells():
+    shapes = [s for s in iter_shapes(64, 4) if s.cell_count > 25]
+    assert len(shapes) == 2_225
+    for shape in shapes:
+        for cap in [None, 1, 7, 1000]:
+            report = enumerate_maximal(shape, cap, max_cells=shape.cell_count)
+            got = ([g.ones for g in report.grids], report.count, report.truncated)
+            assert got == reference_enumerate.enumerate_maximal(shape, cap), (shape.dims, cap)
+
+
 def test_a_size_one_axis_leaves_the_whole_box_as_the_one_maximal_grid():
     shapes = [s for s in iter_shapes(16, 4) if s.d >= 2 and 1 in s.dims]
     assert len(shapes) == 337
@@ -165,13 +176,24 @@ def test_a_size_one_axis_leaves_the_whole_box_as_the_one_maximal_grid():
 
 
 def test_a_size_one_axis_skips_the_search(monkeypatch):
+    # the search starts by laying out its box and row box, so a box it is
+    # never asked for was never searched
+    laid_out = []
+
     def no_search(*args):
         raise AssertionError("searched a box with a size-1 axis")
 
-    monkeypatch.setattr(enumeration, "_iter_left_ends", no_search)
+    def recorded(dims):
+        laid_out.append(dims)
+        return _box(dims)
+
+    monkeypatch.setattr(enumeration, "_box", recorded)
     monkeypatch.setattr(enumeration, "_zeta_count", no_search)
     for dims in [(21, 1), (1, 5, 5), (2, 1, 3, 4)]:
         assert enumerate_maximal(Shape(dims)).count == count_maximal(Shape(dims)) == 1
+    assert laid_out == []
+    assert enumerate_maximal(Shape((3, 3))).count == 6
+    assert set(laid_out) == {(3, 3), (3,)}
 
 
 def test_a_size_one_axis_keeps_every_argument_check_and_the_budget():
@@ -426,22 +448,32 @@ def test_the_work_budget_counts_the_covering_pairs_once_listed():
 
 
 def test_a_capped_enumeration_stops_at_the_cap(monkeypatch):
-    pulled = []
-    iter_left_ends = enumeration._iter_left_ends
+    # the search builds each grid it keeps through _trusted, and no other;
+    # count_maximal supplies the count only when a leaf is left past the cap
+    built, counted = [], []
+    trusted, count = enumeration._trusted, enumeration.count_maximal
 
-    def counted(*args):
-        for leaf in iter_left_ends(*args):
-            pulled.append(leaf)
-            yield leaf
+    def built_once(cls, **attrs):
+        built.append(cls)
+        return trusted(cls, **attrs)
 
-    monkeypatch.setattr(enumeration, "_iter_left_ends", counted)
-    shape = Shape((5, 5, 4))
-    for cap, kept in [(5, 5), (1000, 1000), (24_696, 24_696), (None, 24_696)]:
-        pulled.clear()
-        report = enumerate_maximal(shape, cap=cap, max_cells=100)
-        assert report.count == 24_696 and len(report.grids) == kept
-        assert report.truncated == (kept < 24_696)
-        assert len(pulled) <= kept + 1
+    def counted_once(shape):
+        counted.append(shape.dims)
+        return count(shape)
+
+    monkeypatch.setattr(enumeration, "_trusted", built_once)
+    monkeypatch.setattr(enumeration, "count_maximal", counted_once)
+    for dims, total in [((5, 5, 4), 24_696), ((3, 3), 6), ((4,), 4)]:
+        shape = Shape(dims)
+        for cap in [1, 5, 1000, total - 1, total, total + 1, None]:
+            built.clear()
+            counted.clear()
+            report = enumerate_maximal(shape, cap=cap, max_cells=100)
+            kept = total if cap is None else min(cap, total)
+            assert report.count == total and len(report.grids) == kept, (dims, cap)
+            assert report.truncated == (kept < total)
+            assert built == [Grid] * kept + [enumeration.EnumerationReport], (dims, cap)
+            assert counted == [dims] * report.truncated, (dims, cap)
 
 
 def test_cap_keeps_the_first_grids_above_the_budget():

@@ -177,10 +177,9 @@ def test_convert_machinery_rejects_non_maximal_maps(op, m):
 
 
 def test_the_convert_machinery_refuses_a_one_dimensional_map():
-    # convert_step reaches the check through find_pair, which names itself
     m = IntervalMap(Shape((3,)), {(): (2, 2)})
     for op, verb in [(normalize, "normalize"), (find_pair, "find_pair"),
-                     (convert_step, "find_pair"), (peel, "peel")]:
+                     (convert_step, "convert_step"), (peel, "peel")]:
         with pytest.raises(ValueError, match=f"^{verb} applies to d >= 2 only$"):
             op(m)
 

@@ -17,6 +17,8 @@ from test_enumeration import LADDER
 
 import maxac
 from maxac import (
+    EnumerationReport,
+    GameState,
     Grid,
     IntervalMap,
     NotMaximalError,
@@ -137,6 +139,18 @@ def test_trusted_builds_equal_the_public_constructors_on_small_shapes():
     assert grids == 1772
 
 
+def test_enumeration_reports_equal_the_public_constructor():
+    # both of enumerate_maximal's returns build the report unchecked: the
+    # size-1 answer and the search's, capped or not
+    for shape in list(iter_shapes(25, 4)) + [Shape(dims) for dims in LADDER]:
+        for cap in (None, 1, 5):
+            report = enumerate_maximal(shape, cap, max_cells=shape.cell_count)
+            public = EnumerationReport(Shape(tuple(shape.dims)), report.grids, report.count,
+                                       report.truncated)
+            assert report == public and vars(report) == vars(public), (shape.dims, cap)
+            assert repr(report) == repr(public)
+
+
 def test_trusted_builds_equal_the_public_constructors_on_the_ladder():
     for dims in LADDER:
         grids = _maximal_grids(dims)
@@ -246,7 +260,7 @@ def test_int_subclass_grids_answer_as_plain_ones():
 
 
 def test_game_boards_equal_the_public_constructor():
-    # every board a callable strategy is shown, and every final board; the
+    # every state a callable strategy is shown, and every final state; the
     # callable takes the last zero cell, with IntEnum coordinates where they
     # fit, which the public constructor keeps as given
     shown = []
@@ -261,8 +275,11 @@ def test_game_boards_equal_the_public_constructor():
                                         ["random", "random"], ["lex", "lex", "lex"]]):
             t = play(shape, len(strategies), strategies, seed=k)
             for state in shown + [t.final_state]:
-                want = Grid(Shape(tuple(shape.dims)), [c for _, c in state.moves])
+                public = Shape(tuple(shape.dims))
+                want = Grid(public, [c for _, c in state.moves])
                 assert state.board == want
+                built = GameState(public, want, state.players, tuple(state.moves))
+                assert state == built and vars(state) == vars(built)
             shown.clear()
 
 
