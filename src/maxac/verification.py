@@ -7,29 +7,30 @@ append-a-layer bijection, the normalize/peel recurrences, and the game's
 loser law.  The checks that read the shape's maximal grids take them as an
 argument, so ``verify_shape`` (the CLI's ``verify`` verb) enumerates the
 shape once for all of them (``check_counting`` only counts them) and the
-acceptance suite runs the same checks over its sweeps.  Two checks
-enumerate again: when it samples, the equivalence check's candidates
-(``_draws``) list the shape's grids a second time, and the bijection check
-lists the box with a size-2 axis appended.
+acceptance suite runs the same checks over its sweeps, and the seeded
+candidates (``_draws``) puncture those same grids.  Only the bijection
+check enumerates again: it lists the box with a size-2 axis appended, the
+other side of its claim.
 
-The equivalence check samples seeded candidate grids (``_draws``) and keeps
-those the flood (``core._flood``) calls non-maximal.  The flood shares no
-code with the row form under test, so a fault of the row form cannot keep
-its own counterexamples out of the sample.  Each distinct grid is decided
-once, by both sides.
+The equivalence check and ``sample_non_maximal`` draw the same seeded
+candidates and keep those the flood (``core._flood``) calls non-maximal.
+The flood shares no code with the row form under test, so a fault of the
+row form cannot keep its own counterexamples out of the sample.  Each
+distinct grid is decided once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from itertools import filterfalse, islice
 from typing import Iterator, Sequence
 
-from .core import (GAME_CELL_LIMIT, VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _box,
-                   _brief, _flood, _print_limit, _require_int, _require_type, _too_long, _trusted,
-                   is_maximal, max_size, weight)
+from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _box, _brief, _flood,
+                   _print_limit, _require_int, _require_type, _too_long, _trusted, max_size,
+                   weight)
 from .counting import extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -42,6 +43,9 @@ from .errors import EmptyRowError, NonContiguousRowError, NotMaximalError
 from .game import play, predict_loser
 from .normalize import convert_step, find_pair, normalize, peel
 from .rowform import IntervalMap, check_characterization, to_intervals, x_set
+
+# the player counts of every game check
+GAME_PLAYERS = (2, 3, 5)
 
 
 @dataclass(frozen=True)
@@ -79,14 +83,14 @@ def _require_sample(name: str, count: int, seed: int) -> None:
         raise ValueError(f"seed must have at most {limit} digits, got {_brief.repr(seed)}")
 
 
-def _draws(shape: Shape, seed: int) -> Iterator[Grid]:
+def _draws(shape: Shape, seed: int, maximal: Sequence[Grid]) -> Iterator[Grid]:
     """The seeded candidate grids over ``shape``, without end.  Each is, with
-    even odds, a punctured maximal grid (clean but unsaturated) or a random
-    subset of the box at a random density (usually containing the forbidden
-    pair), so both failure modes of the characterization get exercised.  A
-    candidate's cells come sorted from the box or from a maximal grid, so it
-    skips the checking constructor."""
-    maximal = enumerate_maximal(shape).grids
+    even odds, a punctured grid of ``maximal``, the shape's maximal grids
+    (clean but unsaturated), or a random subset of the box at a random
+    density (usually containing the forbidden pair), so both failure modes
+    of the characterization get exercised.  A candidate's cells come sorted
+    from the box or from a maximal grid, so it skips the checking
+    constructor."""
     rng = random.Random(f"{shape.dims}:{seed}")
     cells = _box(shape.dims).cells
     while True:
@@ -100,9 +104,17 @@ def _draws(shape: Shape, seed: int) -> Iterator[Grid]:
         yield _trusted(Grid, shape=shape, ones=ones)
 
 
+def _flood_maximal(g: Grid) -> bool:
+    """Maximal by the flood (``core._flood``), which shares no code with the
+    row form under test: the sample's filter."""
+    flood = _flood(g)
+    return flood is not None and not any(flood[1])
+
+
 def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
     """The first ``count`` seeded candidates over ``shape`` (``_draws``) that
-    ``is_maximal`` rejects, duplicates included.
+    the flood rejects (``_flood_maximal``), duplicates included; each
+    distinct candidate is flooded once.
 
     A ``shape`` without ``dims`` raises TypeError.  A ``count`` that is not an
     ``int`` in ``[0, VERIFY_SAMPLE_LIMIT]`` (all samples are held at once),
@@ -112,8 +124,10 @@ def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
     """
     _require_type("sample_non_maximal", shape, "dims", "a Shape")
     _require_sample("count", count, seed)
-    # islice stops before the first draw when count is 0, so nothing is enumerated
-    return list(islice(filterfalse(is_maximal, _draws(shape, seed)), count))
+    if not count:
+        return []
+    draws = _draws(shape, seed, enumerate_maximal(shape).grids)
+    return list(islice(filterfalse(functools.cache(_flood_maximal), draws), count))
 
 
 def _interval_weight(m: IntervalMap) -> int:
@@ -138,33 +152,31 @@ def check_size_law(shape: Shape, grids: Sequence[Grid]) -> CheckResult:
 def check_equivalence(
     shape: Shape, grids: Sequence[Grid], samples: int = 1000, seed: int = 0
 ) -> CheckResult:
-    """Maximal, by the flood (``core._flood``; ``is_maximal`` reads the row
-    form under test), iff to_intervals(g) succeeds and the characterization
-    holds, over ``grids`` and then the seeded candidates (``_draws``) up to
-    the ``samples``-th one the flood calls non-maximal.  So the sample's
-    filter is the independent side, not the row form, and the candidates the
-    flood calls maximal are checked on the way.  Each distinct grid is
-    decided once; its duplicates still count toward ``samples``.  A
-    ``shape`` without ``dims`` raises TypeError; ``samples`` and ``seed``
-    are checked as ``sample_non_maximal``'s, also for d = 1."""
+    """Maximal, by the flood (``_flood_maximal``), iff to_intervals(g)
+    succeeds and the characterization holds, over ``grids``, the shape's
+    maximal grids, and then the seeded candidates that puncture them
+    (``_draws``) up to the ``samples``-th one the flood calls non-maximal:
+    the grids ``sample_non_maximal`` lists.  So the sample's filter is the
+    independent side, not the row form, and the candidates the flood calls
+    maximal are checked on the way.  Each distinct grid is decided once; its
+    duplicates still count toward ``samples``.  A ``shape`` without
+    ``dims`` raises TypeError; ``samples`` and ``seed`` are checked as
+    ``sample_non_maximal``'s, also for d = 1."""
     _require_type("check_equivalence", shape, "dims", "a Shape")
     _require_sample("samples", samples, seed)
     name = "characterization-equivalence"
     if shape.d < 2:
         return CheckResult(name, True, "d = 1: characterization not applicable")
-    # ones -> the flood's verdict, or None where the row form disagrees
-    verdicts: dict[tuple, bool | None] = {}
 
+    @functools.cache  # once per distinct grid
     def decide(g: Grid) -> bool | None:
-        if g.ones not in verdicts:
-            flood = _flood(g)
-            direct = flood is not None and not any(flood[1])
-            try:
-                local = bool(check_characterization(to_intervals(g)))
-            except (EmptyRowError, NonContiguousRowError):
-                local = False
-            verdicts[g.ones] = direct if direct == local else None
-        return verdicts[g.ones]
+        """The flood's verdict, or None where the row form disagrees."""
+        direct = _flood_maximal(g)
+        try:
+            local = bool(check_characterization(to_intervals(g)))
+        except (EmptyRowError, NonContiguousRowError):
+            local = False
+        return direct if direct == local else None
 
     def disagreement(g: Grid) -> CheckResult:
         return CheckResult(name, False, f"disagreement on grid with ones {g.ones}")
@@ -173,7 +185,7 @@ def check_equivalence(
         if decide(g) is None:
             return disagreement(g)
     left = samples
-    for g in _draws(shape, seed) if samples else ():
+    for g in _draws(shape, seed, grids) if samples else ():
         maximal = decide(g)
         if maximal is None:
             return disagreement(g)
@@ -312,29 +324,18 @@ def check_peel_recurrence(shape: Shape, grids: Sequence[Grid]) -> CheckResult:
     return CheckResult(name, True, f"{len(grids)} grids telescoped to the closed form")
 
 
-def check_game(
-    shape: Shape,
-    trials: int = 100,
-    players: Sequence[int] = (2, 3, 5),
-    seed: int = 0,
-) -> CheckResult:
+def check_game(shape: Shape, trials: int = 100, seed: int = 0) -> CheckResult:
     """Random safe play always loses for player max_size mod m, after exactly
-    max_size safe moves.  A ``trials`` that is not an ``int`` in
-    ``[0, VERIFY_TRIAL_LIMIT]``, a ``seed`` that is not an ``int``, no
-    ``players`` at all, or an entry of ``players`` that ``play`` refuses
-    raises ValueError before any game."""
+    max_size safe moves, for each m of ``GAME_PLAYERS``.  A ``trials`` that
+    is not an ``int`` in ``[0, VERIFY_TRIAL_LIMIT]``, or a ``seed`` that is
+    not an ``int``, raises ValueError before any game."""
     _require_int("trials", trials, 0, VERIFY_TRIAL_LIMIT)
     _require_int("seed", seed)
-    players = tuple(players)
-    if not players:
-        raise ValueError("players must name at least one player count")
-    for m in players:
-        _require_int("players", m, 2, GAME_CELL_LIMIT + 1)
     name = "game-loser"
     if trials == 0:
         return CheckResult(name, True, "skipped: 0 trials requested")
     expected_len = max_size(shape)
-    for m in players:
+    for m in GAME_PLAYERS:
         expected = predict_loser(shape, m)
         for t in range(trials):
             transcript = play(shape, m, ["random"] * m, seed=seed * 1_000_003 + m * 1_009 + t)
@@ -354,7 +355,7 @@ def check_game(
     return CheckResult(
         name,
         True,
-        f"loser = {expected_len} mod m over {trials} seeded games for m in {players}",
+        f"loser = {expected_len} mod m over {trials} seeded games for m in {GAME_PLAYERS}",
     )
 
 

@@ -21,6 +21,7 @@ from maxac import (
     x_set,
 )
 from maxac.verification import (
+    GAME_PLAYERS,
     check_bijection,
     check_brute_force,
     check_counting,
@@ -38,8 +39,6 @@ MINIMUM_SHAPES = [
 ]
 
 SWEEP = [s for s in iter_shapes(20, 4)]
-
-PLAYERS = (2, 3, 5)
 
 
 def _report(number: int, name: str, passed: bool, detail: str = ""):
@@ -169,8 +168,8 @@ def test_criterion_8_game_loser_invariance():
         shape = Shape(dims)
         if shape.cell_count > 16:
             continue
-        _run(check_game, shape, trials=100, players=PLAYERS, seed=0)
-        configs += len(PLAYERS)
+        _run(check_game, shape, trials=100, seed=0)
+        configs += len(GAME_PLAYERS)
     _report(8, "game-loser-invariance", True, f"{configs} configs x 100 games")
 
 

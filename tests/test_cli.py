@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import math
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import zip_longest
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_count import plane_partitions
 
-from maxac import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, check_characterization
+from maxac import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, check_characterization, iter_shapes
 from maxac.cli import build_parser, main
 
 GRID_33 = {"w": [3, 3], "ones": [[1, 3], [2, 3], [3, 1], [3, 2], [3, 3]]}
@@ -577,6 +579,28 @@ def test_verify_zero_trials_says_skipped(capsys):
     game = json.loads(out)["checks"][-1]
     assert game == {"name": "game-loser", "passed": True,
                     "detail": "skipped: 0 trials requested"}
+
+
+# one SHA-256 over the `verify --json` output and then the exit code of every
+# shape of iter_shapes(25, 4), in order; verify_digests.txt pins the first 12
+# hex digits of each shape's own digest, so a mismatch names its first shape
+VERIFY_DIGEST = "30f166fe0f027aa5d38c992e397e661f3b6f189fb27381faa758b23caca39f8a"
+
+
+@pytest.mark.slow
+def test_verify_bytes_are_pinned_on_every_small_shape(capsys):
+    total, shapes = hashlib.sha256(), []
+    for shape in iter_shapes(25, 4):
+        w = ",".join(map(str, shape.dims))
+        status, out, _ = run(capsys, "verify", "--w", w, "--json")
+        data = out.encode() + str(status).encode()
+        total.update(data)
+        shapes.append(f"{w} {hashlib.sha256(data).hexdigest()[:12]}")
+    if total.hexdigest() != VERIFY_DIGEST:
+        pinned = (Path(__file__).parent / "verify_digests.txt").read_text().splitlines()
+        first = next(((got, want) for got, want in zip_longest(shapes, pinned) if got != want),
+                     "none; only the total differs")
+        pytest.fail(f"verify bytes changed; first shape (got, pinned): {first}")
 
 
 # every field one swap can reach: the dims, one ones-coordinate, or one row's

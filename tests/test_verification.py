@@ -1,12 +1,10 @@
 import dataclasses
-import re
 from itertools import islice
 
 import pytest
 import reference_verification as ref
 
 from maxac import (
-    GAME_CELL_LIMIT,
     VERIFY_SAMPLE_LIMIT,
     VERIFY_TRIAL_LIMIT,
     CharacterizationReport,
@@ -17,7 +15,6 @@ from maxac import (
     iter_shapes,
     max_size,
     normalize,
-    play,
     predict_loser,
     sample_non_maximal,
     to_intervals,
@@ -46,11 +43,33 @@ def test_sample_non_maximal_enumerates_only_when_sampling(monkeypatch):
     shape = Shape((3, 3))
     assert sample_non_maximal(shape, 0, seed=4) == []
     grids = enumerate_maximal(shape).grids
+    # the equivalence check samples from the grids it is handed
     assert verification.check_equivalence(shape, grids, samples=0).passed
+    assert verification.check_equivalence(shape, grids).passed
     assert calls == []
     sample = sample_non_maximal(shape, 3, seed=4)
     assert len(sample) == 3 and not any(is_maximal(g) for g in sample)
     assert calls == [shape]
+    # verify lists the box once, and the box with a size-2 axis appended once
+    for dims in [(3, 3), (2, 2, 3)]:
+        calls.clear()
+        assert all(r.passed for r in verify_shape(Shape(dims), trials=1))
+        assert calls == [Shape(dims), Shape(dims + (2,))]
+
+
+def _pass_full_weight(patch):
+    """Patch a characterization that passes every map of full weight,
+    wherever it is read: is_maximal then calls every full-weight grid with
+    contiguous rows maximal.  Returns the true check."""
+    def full_weight_holds(m):
+        if verification._interval_weight(m) == max_size(m.shape):
+            return CharacterizationReport(True)
+        return check(m)
+
+    check = rowform.check_characterization
+    patch.setattr(rowform, "check_characterization", full_weight_holds)
+    patch.setattr(verification, "check_characterization", full_weight_holds)
+    return check
 
 
 def test_the_equivalence_check_decides_maximality_apart_from_the_row_form(monkeypatch):
@@ -72,29 +91,29 @@ def test_the_equivalence_check_decides_maximality_apart_from_the_row_form(monkey
 
 
 def test_the_equivalence_check_samples_by_the_flood_not_by_the_row_form(monkeypatch):
-    # a characterization that passes every map of full weight, wherever it
-    # is read: is_maximal then calls every full-weight grid with contiguous
-    # rows maximal, so a sample filtered by is_maximal never holds the grids
-    # on which the two sides disagree
-    def full_weight_holds(m):
-        if verification._interval_weight(m) == max_size(m.shape):
-            return CharacterizationReport(True)
-        return check(m)
-
-    check = rowform.check_characterization
+    # a sample filtered by the faulty is_maximal never holds the grids on
+    # which the two sides disagree
     shape = Shape((3, 3))
     grids = enumerate_maximal(shape).grids
     with monkeypatch.context() as patch:
-        patch.setattr(rowform, "check_characterization", full_weight_holds)
-        patch.setattr(verification, "check_characterization", full_weight_holds)
+        check = _pass_full_weight(patch)
         result = verification.check_equivalence(shape, grids)
         assert not result.passed
-        named = next(g for g in islice(verification._draws(shape, 0), 10_000)
+        named = next(g for g in islice(verification._draws(shape, 0, grids), 10_000)
                      if result.detail == f"disagreement on grid with ones {g.ones}")
         assert is_maximal(named)  # so is_maximal would drop it from the sample
     # the grid named has the full weight and contiguous rows, but is not maximal
     assert len(named.ones) == max_size(shape) and not is_maximal(named)
     assert not check(to_intervals(named))
+
+
+def test_a_row_form_fault_cannot_hide_from_the_sample(monkeypatch):
+    # the flood filters sample_non_maximal, so the sample holds grids that
+    # the faulty is_maximal calls maximal, and a pool built from it sees
+    # the fault
+    _pass_full_weight(monkeypatch)
+    sample = sample_non_maximal(Shape((3, 3)), 1000, 0)
+    assert any(is_maximal(g) for g in sample)
 
 
 def test_the_equivalence_check_decides_each_distinct_grid_once(monkeypatch):
@@ -115,7 +134,7 @@ def test_the_equivalence_check_decides_each_distinct_grid_once(monkeypatch):
         grids = enumerate_maximal(shape).grids
         # the draws the check walks: up to the 1000th that is not maximal
         walked, left = list(grids), 1000
-        for g in verification._draws(shape, 0):
+        for g in verification._draws(shape, 0, grids):
             walked.append(g)
             left -= not is_maximal(g)
             if not left:
@@ -263,32 +282,9 @@ def test_the_peel_check_fails_each_broken_telescope(monkeypatch, grids):
 def test_the_game_check_fails_a_wrong_loser(monkeypatch):
     shape = Shape((3, 3))
     monkeypatch.setattr(verification, "predict_loser", lambda shape, m: -1)
-    result = verification.check_game(shape, trials=1, players=(2,))
+    result = verification.check_game(shape, trials=1)
     assert (result.passed, result.detail) == (
         False, f"m=2, trial 0: loser {predict_loser(shape, 2)}, expected -1")
-
-
-def test_the_game_check_refuses_bad_players_before_any_game(monkeypatch):
-    games = []
-
-    def counted(*args, **kwargs):
-        games.append(args)
-        return play(*args, **kwargs)
-
-    monkeypatch.setattr(verification, "play", counted)
-    shape = Shape((2, 2))
-    for players, message in [((2, 1), "players must be at least 2, got 1"),
-                             ((2, 2.5), "players must be an int, got 2.5"),
-                             ((True,), "players must be an int, got True"),
-                             ((3, GAME_CELL_LIMIT + 2), "players must be at most "),
-                             ((), "players must name at least one player count")]:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
-            verification.check_game(shape, trials=3, players=players)
-    assert games == []
-    # a list is as good as a tuple, and the detail names the counts played
-    result = verification.check_game(shape, trials=3, players=[2, 3])
-    assert result.passed and result.detail.endswith("for m in (2, 3)")
-    assert len(games) == 6
 
 
 def test_the_bijection_check_reads_each_image_once(monkeypatch):
