@@ -282,11 +282,12 @@ class _Box:
     order: cell i is ``cells[i]``, and a unit step along axis k adds
     ``strides[k]`` to its index.  It owns the conversion of coordinates to
     flat indices: ``index`` is the library's one formula for it, and
-    ``cells`` the way back.  The flood fills the box of a grid, and
-    ``rowform``, ``normalize`` and ``enumeration`` walk the box of its rows,
-    the first d - 1 axes.  Each part is built on first use, so the row sweep
-    (``is_maximal`` too) and the search never build a flood table.  No
-    caller mutates a part."""
+    ``cells`` the way back.  The flood fills the box of a grid one row
+    segment at a time, flooding over the box of its rows (the first d - 1
+    axes), which ``rowform``, ``normalize`` and ``enumeration`` walk too.
+    Each part is built on first use, so the row sweep (``is_maximal`` too)
+    and the search never build a flood table, and no whole box builds one.
+    No caller mutates a part."""
 
     def __init__(self, dims: tuple[int, ...]):
         self.cells = tuple(product(*(range(1, w + 1) for w in dims)))
@@ -334,13 +335,15 @@ class _Box:
 
     @cached_property
     def steps(self) -> tuple:
-        """The flood table of ``_turn_on``, per direction (up, then down): the
-        signed diagonal step; per cell, the signed strides of the axes along
-        which that cell can still step; and the tuple of all d of them, or
-        None if no cell has it.  A cell holds a reference to one of 2^k
-        shared offset tuples, k the number of axes of size above 1: 8 bytes
-        per cell and direction, until 2^k nears the cell count (every axis
-        of size 2) and the tuples cost about what the cells do."""
+        """The flood table of ``_turn_on``, which reads it on the box of a
+        grid's rows (one cell here is one row there), per direction (up,
+        then down): the signed diagonal step; per cell, the signed strides
+        of the axes along which that cell can still step; and the tuple of
+        all d of them, or None if no cell has it.  A cell holds a reference
+        to one of 2^k shared offset tuples, k the number of axes of size
+        above 1: 8 bytes per cell and direction, until 2^k nears the cell
+        count (every axis of size 2) and the tuples cost about what the
+        cells do."""
         dims, strides = self.dims, self.strides
         table = []
         for sign in (1, -1):
@@ -366,59 +369,98 @@ class _Box:
 # one row box, as does every level of a normalize/peel chain, which shrinks
 # only the last axis.  The benchmark's chains read 6 row boxes and the search
 # 2 boxes per op, well inside 32.  The flood's whole boxes have at most
-# GAME_CELL_LIMIT cells, 1.1-1.4 MB with every part built: 32 take 45 MB
+# GAME_CELL_LIMIT cells and hold only their cells, 0.6-1.3 MB; the flood
+# table of their row boxes takes under 0.1 MB, but 1.4 MB on 2^13, whose
+# 2^12 rows each step along a different set of axes (tracemalloc, Python
+# 3.11): 16 such pairs of boxes take about 42 MB
 _box = lru_cache(maxsize=32)(_Box)
 
 # largest box the flood fills (``play``, ``complete_to_maximal``,
-# ``random_maximal``): its cached flood table holds two references per cell
+# ``random_maximal``): its cached layout holds a tuple per cell, and the
+# flood table of its row box two references per row
 GAME_CELL_LIMIT = 10_000
 
 
 def _flood_box(shape: Shape) -> _Box:
-    if shape.cell_count > GAME_CELL_LIMIT:
-        raise ShapeTooLargeError(shape.cell_count, GAME_CELL_LIMIT)
+    # math.prod, not the cached cell_count: a game's Shape is often fresh,
+    # and a first read of the cached property costs about ten products
+    cells = math.prod(shape.dims)
+    if cells > GAME_CELL_LIMIT:
+        raise ShapeTooLargeError(cells, GAME_CELL_LIMIT)
     return _box(shape.dims)
 
 
-def _turn_on(steps: tuple, alive: bytearray, j: int) -> list[int]:
-    """Turn on the alive cell ``j`` = x and return the flat indices it kills:
-    x, and a flood over unit steps ``+e_i`` from ``x + (1,...,1)`` and
-    ``-e_i`` from ``x - (1,...,1)`` (bounded by the last and first cells)
-    that stops at dead cells.  A cell is alive while its flip keeps the grid
-    clean; a dead ``y > x`` is dead through a one-cell ``q < y`` (one above
-    ``y`` would lie above the alive x), so all above ``y`` is dead too.  The
-    alive cells above x thus form a down-set that the flood kills in full;
-    likewise below.  ``steps`` is the box's flood table (``_Box.steps``),
-    from which a flooded cell reads its neighbours' offsets: each cell dies
-    once, at O(d) flood steps and no coordinate arithmetic."""
+def _turn_on(steps: tuple, width: int, alive: bytearray, j: int) -> list[tuple[int, int]]:
+    """Turn on the alive cell ``j`` = x of a box whose rows (last axis) hold
+    ``width`` cells, and return what it kills as runs ``(lo, hi)``: flat
+    index ranges ``[lo, hi)``, each inside one row, disjoint, x's own first.
+    A cell is alive while its flip keeps the grid clean, so x kills exactly
+    the alive cells at or above x + (1,...,1) and at or below
+    x - (1,...,1).  A dead ``y > x`` is dead through a one-cell ``q < y``
+    (one above ``y`` would lie above the alive x), so all above ``y`` is
+    dead too.  So in each row of the upper sub-box the alive cells form a
+    prefix from column x_d + 1: one ``find`` bounds it and one slice
+    assignment clears it (a prefix of one cell takes neither).  The rows
+    whose prefix is not empty form a down-set of the row box, which a flood
+    over unit steps from x's diagonal successor row visits in full.  The
+    lower sub-box is the mirror image, by ``rfind``.
+    ``steps`` is the row box's flood table (``_Box.steps`` of the first
+    d - 1 axes): each row of a sub-box is visited at O(d) flood steps, and
+    each run costs O(1) Python steps whatever its length."""
     alive[j] = 0
-    killed = [j]
-    for diagonal, table, full in steps:
-        # x + (1,...,1) lies in the box only if x can step along every axis
-        if table[j] is not full:
-            continue
-        stack = [j + diagonal]
+    runs = [(j, j + 1)]
+    row, col = divmod(j, width)
+    (up, up_table, up_full), (down, down_table, down_full) = steps
+    # x + (1,...,1) lies in the box only if x can step along every axis
+    if col + 1 < width and up_table[row] is up_full:
+        stack = [row + up]
         while stack:
-            i = stack.pop()
-            if alive[i]:
-                alive[i] = 0
-                killed.append(i)
-                stack.extend(map(i.__add__, table[i]))
-    return killed
+            r = stack.pop()
+            lo = r * width + col + 1
+            if alive[lo]:
+                hi, end = lo + 1, lo - col - 1 + width
+                # a run of one cell, common on small boards, needs no scan
+                if hi < end and alive[hi]:
+                    hi = alive.find(0, hi, end)
+                    if hi < 0:
+                        hi = end
+                    alive[lo:hi] = bytes(hi - lo)
+                else:
+                    alive[lo] = 0
+                runs.append((lo, hi))
+                stack.extend(map(r.__add__, up_table[r]))
+    if col and down_table[row] is down_full:
+        stack = [row + down]
+        while stack:
+            r = stack.pop()
+            hi = r * width + col
+            lo, start = hi - 1, hi - col
+            if alive[lo]:
+                if lo > start and alive[lo - 1]:
+                    # rfind's -1, no dead cell left of lo, gives start
+                    lo = alive.rfind(0, start, lo) + 1 or start
+                    alive[lo:hi] = bytes(hi - lo)
+                else:
+                    alive[lo] = 0
+                runs.append((lo, hi))
+                stack.extend(map(r.__add__, down_table[r]))
+    return runs
 
 
 def _flood(g: Grid, order: Iterable[int] = ()) -> tuple[list[Cell], bytearray] | None:
     """Turn on the one-cells of ``g``, then each cell of ``order`` (flat
-    indices into the box's layout) still alive, by ``_turn_on``: the cells
-    turned on, as the layout's tuples, and the alive flags after, or None if
-    a one-cell of ``g`` is dead when reached (comparable to an earlier one).
-    With no ``order``, ``g`` is maximal iff it floods and leaves none alive."""
+    indices into the box's layout) still alive, by ``_turn_on`` over the
+    flood table of the box's rows: the cells turned on, as the layout's
+    tuples, and the alive flags after, or None if a one-cell of ``g`` is
+    dead when reached (comparable to an earlier one).  With no ``order``,
+    ``g`` is maximal iff it floods and leaves none alive."""
     box = _flood_box(g.shape)
+    steps, width = _box(g.shape.dims[:-1]).steps, g.shape.dims[-1]
     alive = bytearray(b"\x01") * len(box.cells)
     ones = []
     for k, j in enumerate(chain(map(box.index, g.ones), order)):
         if alive[j]:
-            _turn_on(box.steps, alive, j)
+            _turn_on(steps, width, alive, j)
             ones.append(box.cells[j])
         elif k < len(g.ones):
             return None

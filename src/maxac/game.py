@@ -6,17 +6,24 @@ moves that keep the board clean, the board grows into a maximal grid after
 exactly ``max_size`` moves, so the player ``max_size mod m`` is stuck and
 loses regardless of strategy.
 
-``play`` turns cells on by the flood fill in ``core._turn_on`` (alive = a
-safe move; a flip loses exactly when its cell is dead), which reads each
-flooded cell's neighbours from the flood table of the box's cached layout
-(``core._box``).  A lex player takes the first alive cell, which
-``bytearray.find`` finds from the last lex pick on, as it only moves forward.  A random player's cell comes
-from a Fenwick tree over the alive flags, at O(log n) per pick and per killed
-cell; lex-only games keep no tree.  A game on n cells thus takes
-O(n (d + log n)) steps.  ``safe_moves`` recomputes the safe set by
-definition, as the oracle in tests.  ``Grid`` and ``GameState`` are built
-only for callable strategies and the transcript, and both skip their
-constructors' checks: ``play`` has checked every cell on the board.
+``play`` turns cells on by ``core._turn_on`` (alive = a safe move; a flip
+loses exactly when its cell is dead), which clears what a flip kills as runs
+along the last axis: one ``find`` and one slice assignment per row it
+reaches, over the rows that a flood of the row box's flood table visits
+(``core._box`` caches both boxes).  A lex player takes the first alive cell,
+which ``bytearray.find`` finds from the last lex pick on, as it only moves
+forward.  A random player's cell comes from a Fenwick tree over k chunks of
+the alive flags: the rows, or 16-cell blocks of rows longer than 64 cells.
+A pick is a descent of O(log k) steps plus at most a chunk's worth of
+``find`` calls; a killed run is one tree update of O(log k) steps per chunk
+it meets, one unless it crosses a block boundary, however many cells it
+holds.  Lex-only games keep no tree.  A move thus costs O(d) flood steps
+per row it reaches and O(1) Python steps per run, plus the tree's work, not
+a step per killed cell.  ``safe_moves`` recomputes the safe set by
+definition, as the oracle in tests.  ``Grid``, ``GameState`` and the
+``Transcript`` are built only for callable strategies and the result, and
+skip their constructors' checks: ``play`` has checked every cell on the
+board.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
-from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _brief, _flood_box, _require_int,
+from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _box, _brief, _flood_box, _require_int,
                    _require_type, _trusted, _turn_on, flip_creates_containment, max_size)
 from .errors import StrategyReturnedNonZeroCellError, StrategyReturnedOutOfRangeError
 
@@ -129,28 +136,41 @@ def play(
         if not callable(s) and s not in BUILTIN_STRATEGIES:
             raise ValueError(f"unknown strategy {_brief.repr(s)}")
     box = _flood_box(shape)
-    n = shape.cell_count
-    cells, steps = box.cells, box.steps
+    n, width = len(box.cells), shape.dims[-1]
+    cells, steps = box.cells, _box(shape.dims[:-1]).steps
     alive = bytearray(b"\x01") * n
     # the first alive cell only moves forward, so lex resumes from its last
-    # pick; fenwick[1..n] counts the alive cells for random picks
+    # pick.  fenwick[1..k] counts the alive cells of the k chunks for random
+    # picks: the rows, or for rows of more than 64 cells, 16-cell blocks
+    # (the last one shorter).  A pick skips up to a chunk's alive cells one
+    # find at a time, so long rows, mostly alive on boards such as 1,10000,
+    # take short blocks; a run then meets up to 1 + (its length) / 16 chunks
     first = 0
     rng = fenwick = None
     if "random" in strategies:
         rng = random.Random(seed)
-        fenwick = [j & -j for j in range(n + 1)]
+        chunk = width if width <= 64 else 16
+        k = -(-n // chunk)
+        fenwick = [chunk * (q & -q) for q in range(k + 1)]
+        fenwick[k] -= k * chunk - n
+        top = 1 << (k.bit_length() - 1)
     size = n
 
-    def kth_alive(k: int) -> int:
-        j, step = 0, 1 << n.bit_length()
+    def kth_alive(t: int) -> int:
+        q, step = 0, top
         while step:
-            if j + step <= n and fenwick[j + step] <= k:
-                j += step
-                k -= fenwick[j]
+            if q + step <= k and fenwick[q + step] <= t:
+                q += step
+                t -= fenwick[q]
             step >>= 1
+        # the chunk q holds more than t alive cells: skip t of them
+        j = alive.find(1, q * chunk)
+        while t:
+            j = alive.find(1, j + 1)
+            t -= 1
         return j
 
-    one_set: set[Cell] = set()
+    taken = bytearray(n)
     moves: list[tuple[int, Cell]] = []
     while len(moves) < n:
         player = len(moves) % players
@@ -163,33 +183,41 @@ def play(
                 raise StrategyReturnedOutOfRangeError(player, returned) from None
             if not shape.contains_cell(cell):
                 raise StrategyReturnedOutOfRangeError(player, cell)
-            if cell in one_set:
-                raise StrategyReturnedNonZeroCellError(player, cell)
             j = box.index(cell)
+            if taken[j]:
+                raise StrategyReturnedNonZeroCellError(player, cell)
         else:
             if not size:
-                j = next(i for i in range(n) if cells[i] not in one_set)
+                j = taken.find(0)
             elif strategy == "lex":
                 j = first = alive.find(1, first)
             else:
-                j = kth_alive(rng.choice(range(size)))
+                j = kth_alive(rng.randrange(size))
             cell = cells[j]
         moves.append((player, cell))
-        one_set.add(cell)
+        taken[j] = 1
         if not alive[j]:
-            return Transcript(final_state=_state(shape, players, moves), loser=player,
-                              terminal_cell=cell, forced=not size)
-        killed = _turn_on(steps, alive, j)
-        size -= len(killed)
-        if fenwick is not None:
-            for i in killed:
-                i += 1
-                while i <= n:
-                    fenwick[i] -= 1
-                    i += i & -i
+            return _trusted(Transcript, final_state=_state(shape, players, moves), loser=player,
+                            terminal_cell=cell, forced=not size)
+        for lo, hi in _turn_on(steps, width, alive, j):
+            size -= hi - lo
+            if fenwick is not None:
+                # one update per chunk the run meets: one, unless it
+                # crosses a block boundary of a long row
+                q = lo // chunk + 1
+                cut = q * chunk
+                while cut < hi:
+                    i = q
+                    while i <= k:
+                        fenwick[i] -= cut - lo
+                        i += i & -i
+                    lo, q, cut = cut, q + 1, cut + chunk
+                while q <= k:
+                    fenwick[q] -= hi - lo
+                    q += q & -q
     # full clean board: the player to move cannot move at all
-    return Transcript(final_state=_state(shape, players, moves),
-                      loser=len(moves) % players, terminal_cell=None, forced=True)
+    return _trusted(Transcript, final_state=_state(shape, players, moves),
+                    loser=len(moves) % players, terminal_cell=None, forced=True)
 
 
 def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]]) -> GameState:

@@ -9,12 +9,14 @@ from maxac import (
     DimensionMismatchError,
     Grid,
     Shape,
+    complete_to_maximal,
     contains_forbidden,
     count_maximal,
     enumerate_maximal,
     flip_creates_containment,
     is_maximal,
     max_size,
+    play,
     random_maximal,
     strictly_below,
     weight,
@@ -142,6 +144,16 @@ def test_is_maximal_never_builds_a_step_table(monkeypatch):
         assert not is_maximal(Grid(g.shape, g.ones[1:]))
 
 
+def test_the_flood_builds_its_step_table_on_the_row_box_only():
+    for dims in [(3, 4), (2, 2, 2), (1, 5), (6,), (2, 3, 1, 2)]:
+        shape = Shape(dims)
+        _box.cache_clear()
+        play(shape, 2, ["random", "lex"])
+        complete_to_maximal(Grid(shape, ()))
+        random_maximal(shape, 0)
+        assert "steps" not in vars(_box(dims)) and "steps" in vars(_box(dims[:-1]))
+
+
 def _holds_only_the_row_box(dims):
     """Whether the layout cache, cleared before, holds just ``dims[:-1]``."""
     if _box.cache_info().currsize != 1:
@@ -190,11 +202,14 @@ def test_is_maximal_on_a_million_cells_builds_no_layout_of_the_box(monkeypatch):
 def test_step_table_flood_kills_what_the_coordinate_flood_kills(seed):
     # every shape with at most 4 axes and 64 cells, d = 1 and size-1 axes
     # included; from the empty board (seed 0) or a seeded partial one, every
-    # alive start cell must kill the same cells under both floods
+    # alive start cell must leave the same flags under both floods, and its
+    # runs must tile exactly the cells the coordinate flood kills, each run
+    # inside one row
     rng = random.Random(seed)
     for shape in iter_shapes(64, 4):
         cells, strides, board = reference_flood.layout(shape)
-        box = _box(shape.dims)
+        box, width = _box(shape.dims), shape.dims[-1]
+        steps = _box(shape.dims[:-1]).steps
         assert (box.cells, box.strides) == (cells, strides)
         if seed:
             order = list(range(len(cells)))
@@ -205,9 +220,12 @@ def test_step_table_flood_kills_what_the_coordinate_flood_kills(seed):
         for j in range(len(cells)):
             if board[j]:
                 got, want = bytearray(board), bytearray(board)
-                killed = _turn_on(box.steps, got, j)
+                runs = _turn_on(steps, width, got, j)
+                killed = [i for lo, hi in runs for i in range(lo, hi)]
                 assert sorted(killed) == sorted(reference_flood.turn_on(cells, strides, want, j))
-                assert got == want and len(set(killed)) == len(killed), (shape.dims, j)
+                assert got == want, (shape.dims, j)
+                assert all(lo < hi and lo // width == (hi - 1) // width for lo, hi in runs)
+                assert len(set(killed)) == len(killed), (shape.dims, j)
 
 
 def test_max_size_examples():

@@ -197,6 +197,11 @@ def test_play_matches_the_rescanning_reference_on_large_boards():
                  (1, 40), (2, 30), (1, 1, 25), (3, 1, 8), (40,), (2, 2, 2, 2, 2)]:
         for seed, (m, style) in enumerate([(2, "random"), (3, "mixed"), (5, "lex")]):
             _assert_same_game(Shape(dims), m, _strategies(style, m), seed)
+    # rows of more than 64 cells: the random pick's tree counts 16-cell
+    # blocks, the last one shorter, and a killed run may cross their bounds
+    for dims in [(2, 100), (1, 90), (3, 70)]:
+        for seed, (m, style) in enumerate([(2, "random"), (3, "mixed")]):
+            _assert_same_game(Shape(dims), m, _strategies(style, m), seed)
 
 
 def _last_safe_or_unsafe(state):

@@ -23,6 +23,7 @@ from maxac import (
     IntervalMap,
     NotMaximalError,
     Shape,
+    Transcript,
     check_characterization,
     complete_to_maximal,
     convert_step,
@@ -54,6 +55,7 @@ TRUSTED_SITES = {
     ("normalize", "convert_step"),
     ("normalize", "normalize"),
     ("normalize", "peel"),
+    ("game", "play"),
     ("game", "_state"),
     ("verification", "_draws"),
 }
@@ -261,9 +263,9 @@ def test_int_subclass_grids_answer_as_plain_ones():
 
 
 def test_game_boards_equal_the_public_constructor():
-    # every state a callable strategy is shown, and every final state; the
-    # callable takes the last zero cell, with IntEnum coordinates where they
-    # fit, which the public constructor keeps as given
+    # every state a callable strategy is shown, every final state, and every
+    # transcript; the callable takes the last zero cell, with IntEnum
+    # coordinates where they fit, which the public constructor keeps as given
     shown = []
 
     def last_zero(state):
@@ -275,6 +277,8 @@ def test_game_boards_equal_the_public_constructor():
         for k, strategies in enumerate([["lex", last_zero], ["random", last_zero, "lex"],
                                         ["random", "random"], ["lex", "lex", "lex"]]):
             t = play(shape, len(strategies), strategies, seed=k)
+            built = Transcript(t.final_state, t.loser, t.terminal_cell, t.forced)
+            assert t == built and vars(t) == vars(built)
             for state in shown + [t.final_state]:
                 public = Shape(tuple(shape.dims))
                 want = Grid(public, [c for _, c in state.moves])
