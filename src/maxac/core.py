@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain, product
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Iterator
 
 from .errors import DimensionMismatchError, ShapeTooLargeError
@@ -140,8 +140,12 @@ class Shape:
             if not _is_int(w) or w < 1:
                 raise ValueError(
                     f"dimensions must be positive integers, got {_brief.repr(w)}")
-        if math.prod(dims) > _MAX_CELLS:
+        cells = math.prod(dims)
+        if cells > _MAX_CELLS:
             raise OverflowError("total cell count exceeds the 64-bit range")
+        # the product just taken; a Shape built by _trusted (peel's) holds
+        # none, and the property below takes it on first read
+        self.__dict__["cell_count"] = cells
 
     @property
     def d(self) -> int:
@@ -179,9 +183,12 @@ class Grid:
     first duplicate.  The check is one column-wise pass over the sorted
     cells; only an input it rejects, or one with ``int`` subclasses such as
     ``IntEnum``, is walked cell by cell.  The grids the library builds itself
-    (the leaves of ``enumerate_maximal``) are sorted, in-box, distinct
-    ``int`` tuples by construction, and skip the check.  Their cells are the
-    very tuples of the box's cached layout (``_box(dims).cells``).
+    are sorted, in-box, distinct ``int`` tuples by construction, and skip
+    the check: the leaves of ``enumerate_maximal``, whose cells are the very
+    tuples of the box's cached layout (``_box(dims).cells``), the grids of
+    ``complete_to_maximal`` and ``random_maximal``, the game's boards, the
+    candidates of ``verify``'s sample, and the grids ``from_json_obj``
+    accepts in its one pass.
     """
 
     shape: Shape
@@ -191,16 +198,8 @@ class Grid:
         _require_type("Grid", self.shape, "dims", "a Shape")
         cells = tuple(sorted(map(tuple, self.ones)))
         object.__setattr__(self, "ones", cells)
-        dims = self.shape.dims
         # the per-cell loop below runs only when this pass fails
-        if not cells or (
-            set(map(len, cells)) == {len(dims)}
-            and all(
-                set(map(type, col)) == {int} and min(col) >= 1 and max(col) <= w
-                for col, w in zip(zip(*cells), dims)
-            )
-            and len(set(cells)) == len(cells)
-        ):
+        if _in_box(cells, self.shape.dims) and len(set(cells)) == len(cells):
             return
         for c in cells:
             if len(c) != self.shape.d:
@@ -223,11 +222,19 @@ class Grid:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Grid":
+        """The grid of a JSON object ``{"w": [...], "ones": [[...], ...]}``.
+        Plainly valid input (``_accept``) is built unchecked; anything else
+        takes the full checks, which name the first fault in the order the
+        public constructor would."""
         if not isinstance(obj, dict) or "w" not in obj or "ones" not in obj:
             raise ValueError('grid JSON must be an object with "w" and "ones"')
         dims, ones = obj["w"], obj["ones"]
         if not isinstance(dims, list) or not isinstance(ones, list):
             raise ValueError('"w" and "ones" must be arrays')
+        accepted = _accept(dims, ones)
+        if accepted:
+            shape, cells = accepted
+            return _trusted(cls, shape=shape, ones=cells)
         # exactly list and int, as json.loads builds them (so never bool)
         if not (
             set(map(type, ones)) <= {list}
@@ -235,6 +242,41 @@ class Grid:
         ):
             raise ValueError('"ones" must be an array of integer coordinate arrays')
         return cls(Shape(tuple(dims)), ones)
+
+
+def _in_box(cells, dims: tuple[int, ...]) -> bool:
+    """Whether every cell is a tuple of ``len(dims)`` exact ``int``
+    coordinates inside the box ``dims``: one pass per column."""
+    return not cells or (
+        set(map(len, cells)) == {len(dims)}
+        and all(
+            set(map(type, col)) == {int} and min(col) >= 1 and max(col) <= w
+            for col, w in zip(zip(*cells), dims)
+        )
+    )
+
+
+def _accept(dims: list, ones: list) -> tuple[Shape, tuple[Cell, ...]] | None:
+    """The shape and sorted cells of the JSON arrays ``dims`` and ``ones``
+    if they are plainly valid, by one pass over each column, else None:
+    ``ones`` an array of integer arrays, every cell of the right length and
+    inside the box, no two equal.  Cells in ascending order, as
+    ``to_json_obj`` writes them, are not sorted; others are sorted once.
+    On None the caller runs the full checks, which name what is wrong."""
+    if not set(map(type, ones)) <= {list}:
+        return None
+    try:
+        shape = Shape(tuple(dims))
+    except (ValueError, OverflowError):
+        return None
+    cells = list(map(tuple, ones))
+    if not _in_box(cells, shape.dims):
+        return None
+    if not all(map(lt, cells, cells[1:])):
+        cells.sort()
+        if not all(map(lt, cells, cells[1:])):
+            return None  # a duplicate
+    return shape, tuple(cells)
 
 
 def strictly_below(a: Cell, b: Cell) -> bool:
@@ -382,9 +424,7 @@ GAME_CELL_LIMIT = 10_000
 
 
 def _flood_box(shape: Shape) -> _Box:
-    # math.prod, not the cached cell_count: a game's Shape is often fresh,
-    # and a first read of the cached property costs about ten products
-    cells = math.prod(shape.dims)
+    cells = shape.cell_count
     if cells > GAME_CELL_LIMIT:
         raise ShapeTooLargeError(cells, GAME_CELL_LIMIT)
     return _box(shape.dims)

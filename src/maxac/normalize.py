@@ -18,8 +18,11 @@ peel preserve the characterization, so their results are born maximal (and
 valid, so they skip the constructor's check).  On any other map, including
 one built by the public constructor or by ``dataclasses.replace``, each of
 the four checks the characterization on entry (one O(rows * d) sweep); a
-failing check leaves no verdict.  A whole normalize/peel chain from a
-checked map thus sweeps once, and on a maximal map the work is small:
+failing check leaves no verdict.  On a map with the verdict the entry check
+is the type check alone: the verdict starts at ``check_characterization``,
+which refuses d = 1, and the derived maps keep d, so such a map has d >= 2.
+A whole normalize/peel chain from a checked map thus sweeps once, and on a
+maximal map the work is small:
 
 * A convert step lowers only h(x), so it removes exactly x from the
   obstruction set and adds nothing.  ``normalize`` therefore reads the set
@@ -105,14 +108,16 @@ class NormalizeReport:
 
 def _require_maximal(m: IntervalMap, verb: str) -> None:
     """Entry check of the convert machinery: d >= 2 and the characterization,
-    swept only on a map that does not carry the verdict."""
+    both checked only on a map that does not carry the verdict (a map with
+    it has d >= 2: see the module docstring)."""
     _require_type(verb, m, "_bounds", "an IntervalMap")
+    if m._maximal:
+        return
     if m.shape.d < 2:
         raise ValueError(f"{verb} applies to d >= 2 only")
-    if not m._maximal:
-        report = check_characterization(m)
-        if not report:
-            raise NotMaximalError(str(report))
+    report = check_characterization(m)
+    if not report:
+        raise NotMaximalError(str(report))
 
 
 def _walk(ls: list[int], hs: list[int], box: _Box, top: int,

@@ -13,6 +13,13 @@ h(x) = w_d (l(x) = 1).  ``maximal_row_form`` decides maximality for the
 library: the size law (weight ``max_size``) first, which alone settles
 d = 1, then the row form and the rules.
 
+``to_intervals`` reads the row form in one loop over the rows, ascending.
+A grid's cells are sorted and distinct, so each row's run starts where the
+previous one ended and ends at the first cell at or after the next row: a
+bisection over at most w_d cells.  The loop raises at the first row that is
+empty or gapped, naming it, so a rejected grid costs only the rows up to
+its first bad one.
+
 ``check_characterization`` tests both rules in one O(rows * d) sweep: the
 ancestors of x are exactly the rows at or below x - (1,...,1), so the h-rule
 reads a closed prefix minimum of l there, and symmetrically the l-rule reads
@@ -42,11 +49,10 @@ its obstruction set again.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, islice
 from types import MappingProxyType
 
 from .core import Grid, Shape, _Box, _box, _brief, _is_int, _require_type, _trusted, max_size
@@ -157,55 +163,45 @@ class IntervalMap:
         return cls(Shape(tuple(obj["w"])), intervals)
 
 
-# a cell's row: all its coordinates but the last
-_row_of = itemgetter(slice(None, -1))
-
-
 def to_intervals(g: Grid) -> IntervalMap:
     """Read off each row's [min, max] one-coordinates.
 
     Raises EmptyRowError or NonContiguousRowError for the lexicographically
     first offending row; either condition certifies that ``g`` is not maximal.
-    The cells are sorted, so each row's cells form one run, and the runs come
-    in row order: the first and last cells of a run give l and h, and a run
-    is contiguous when it spans h - l + 1 cells.  The bounds come from a
-    checked grid, so the map skips its constructor's check; ``int`` subclass
-    bounds (which ``Grid`` admits and ``IntervalMap`` does not) are stored
-    as ``int``.
+    One loop walks the rows in order and raises where it stops.  The cells
+    are sorted and distinct, so each row's cells form one run of at most
+    w_d cells, and the runs come in row order: a row's run starts where the
+    previous one ended and ends at the first cell at or after the next row,
+    found by bisection within w_d cells.  The first and last cells of the
+    run give l and h, and the run is contiguous when it spans h - l + 1
+    cells.  The bounds come from a checked grid, so the map skips its
+    constructor's check; ``int`` subclass bounds (which ``Grid`` admits and
+    ``IntervalMap`` does not) are stored as ``int``.
     """
     _require_type("to_intervals", g, "ones", "a Grid")
-    ones = g.ones
-    runs = Counter(map(_row_of, ones))
+    ones, shape = g.ones, g.shape
+    width, n = shape.dims[-1], len(ones)
     ls, hs = [], []
     end = 0
-    for n in runs.values():
-        lo = ones[end][-1]
-        end += n
-        hi = ones[end - 1][-1]
-        if hi - lo + 1 != n:
-            break
+    # the row after each row; after the last, an id above every cell
+    for following in chain(islice(shape.iter_rows(), 1, None), [(shape.dims[0] + 1,)]):
+        start, stop = end, end + width
+        end = bisect_left(ones, following, start, stop if stop < n else n)
+        if end == start:
+            raise EmptyRowError(_nth_row(shape, len(ls)))
+        lo, hi = ones[start][-1], ones[end - 1][-1]
+        if hi - lo != end - start - 1:
+            raise NonContiguousRowError(_nth_row(shape, len(ls)))
         ls.append(lo)
         hs.append(hi)
-    shape = g.shape
-    if len(ls) != shape.cell_count // shape.dims[-1]:
-        raise _first_bad_row(shape, ones, runs)
     if not set(map(type, chain(ls, hs))) <= {int}:
         ls, hs = list(map(int, ls)), list(map(int, hs))
     return _trusted_map(shape, ls, hs)
 
 
-def _first_bad_row(shape: Shape, ones, runs: Counter) -> EmptyRowError | NonContiguousRowError:
-    """The error for the first row, ascending, that ``runs`` (the run length
-    of each row of the sorted ``ones``) leaves empty or finds gapped."""
-    end = 0
-    for row in shape.iter_rows():
-        n = runs.get(row)
-        if not n:
-            return EmptyRowError(row)
-        if ones[end + n - 1][-1] - ones[end][-1] + 1 != n:
-            return NonContiguousRowError(row)
-        end += n
-    raise AssertionError("every row is nonempty and contiguous")
+def _nth_row(shape: Shape, k: int) -> RowId:
+    """Row ``k`` of ``shape`` in ascending order."""
+    return next(islice(shape.iter_rows(), k, None))
 
 
 def _trusted_map(shape: Shape, ls: list[int], hs: list[int],

@@ -3,7 +3,7 @@
 ``to_intervals`` groups the one-cells by row in a dict, one cell at a time,
 then walks the rows in ascending order and raises for the first that is empty
 or has a gap.  It builds its map through the public, fully checking
-constructor, and shares none of the run counting in ``maxac.rowform``.
+constructor, and shares none of the bisecting row walk in ``maxac.rowform``.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from maxac import (
     strictly_below,
     weight,
 )
-from maxac.core import _Box, _box, _digit_count, _turn_on
+from maxac.core import _Box, _box, _digit_count, _trusted, _turn_on
 from maxac.verification import iter_shapes
 
 
@@ -280,6 +280,14 @@ def test_shape_validation():
     assert s.dims == (3, 2) and s.d == 2 and s.cell_count == 6
 
 
+def test_a_shape_holds_its_cell_count_and_a_trusted_one_computes_it():
+    assert vars(Shape((3, 4, 5)))["cell_count"] == 60
+    # peel builds its smaller shape unchecked, so the property takes the product
+    trusted = _trusted(Shape, dims=(3, 4, 5))
+    assert "cell_count" not in vars(trusted)
+    assert trusted.cell_count == 60 and vars(trusted)["cell_count"] == 60
+
+
 def test_shape_errors_quote_a_short_repr_of_the_value():
     for bad, text in [(0, "0"), (-1, "-1"), (1.5, "1.5"), ("a", "'a'"), ([1], "[1]")]:
         with pytest.raises(ValueError) as err:
@@ -352,3 +360,66 @@ def test_grid_json_rejects_malformed_input():
     for ones in ([[1, "a"], [1, 2]], [[1, [1]], [1, 2]], [[1.0, 1]], [[True, 1]], [{"x": 1}]):
         with pytest.raises(ValueError, match="integer coordinate arrays"):
             Grid.from_json_obj({"w": [2, 2], "ones": ones})
+
+
+# each message and its precedence, as the full checks give them: a bad
+# "ones" is named before a bad "w", a coordinate's type before a cell's
+# length, and the first cell in sorted order of the wrong length or outside
+# the box before any duplicate
+GRID_JSON_ERRORS = [
+    ({"w": [0, 2], "ones": [[1, "a"]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, "x"], "ones": [[1.5, 1]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[True, 1]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[1, 1], [1, False]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[1.0, 1]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[1, "a"]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[1, [1]]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[1, None]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [1, 2]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[1, 1], "ab"]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
+    ({"w": [2, 2], "ones": [[1, 1, 1]]},
+     DimensionMismatchError, "cell (1, 1, 1) has 3 coordinates, shape has 2"),
+    ({"w": [2, 2], "ones": [[2, 1], [1]]},
+     DimensionMismatchError, "cell (1,) has 1 coordinates, shape has 2"),
+    ({"w": [2, 2], "ones": [[2, 2], [3, 1]]},
+     ValueError, "cell (3, 1) lies outside the box (2, 2)"),
+    ({"w": [2, 2], "ones": [[1, 0]]},
+     ValueError, "cell (1, 0) lies outside the box (2, 2)"),
+    ({"w": [3], "ones": [[1], [4]]},
+     ValueError, "cell (4,) lies outside the box (3,)"),
+    ({"w": [2, 2], "ones": [[2, 1], [1, 1], [2, 1]]},
+     ValueError, "duplicate cell (2, 1)"),
+    ({"w": [2, 2], "ones": [[3, 1], [1, 1], [1, 1]]},
+     ValueError, "cell (3, 1) lies outside the box (2, 2)"),
+    ({"w": [2, 2], "ones": [[1, 1], [1, 1, 1], [1, 1]]},
+     DimensionMismatchError, "cell (1, 1, 1) has 3 coordinates, shape has 2"),
+    ({"w": [], "ones": []},
+     ValueError, "a shape needs at least one dimension"),
+    ({"w": [2, 0], "ones": []},
+     ValueError, "dimensions must be positive integers, got 0"),
+    ({"w": [2, True], "ones": [[1, 1]]},
+     ValueError, "dimensions must be positive integers, got True"),
+    ({"w": [2**40, 2**40], "ones": [[1, 1]]},
+     OverflowError, "total cell count exceeds the 64-bit range"),
+    ({"w": 5, "ones": []},
+     ValueError, '"w" and "ones" must be arrays'),
+    ({"w": [2, 2]},
+     ValueError, 'grid JSON must be an object with "w" and "ones"'),
+]
+
+
+@pytest.mark.parametrize("obj, error, text", GRID_JSON_ERRORS)
+def test_grid_json_errors_are_pinned(obj, error, text):
+    with pytest.raises(error) as err:
+        Grid.from_json_obj(obj)
+    assert type(err.value) is error and str(err.value) == text

@@ -73,6 +73,48 @@ def test_to_intervals_agrees_with_the_cell_by_cell_reader():
     assert maps > 5_000 and errors > 50_000
 
 
+def test_to_intervals_stops_at_the_first_bad_row_on_the_boundaries():
+    # the last row empty or gapped: the loop's last bisection, to the end
+    with pytest.raises(EmptyRowError) as err:
+        to_intervals(Grid(Shape((2, 3)), [(1, 1), (1, 2)]))
+    assert err.value.row == (2,)
+    with pytest.raises(NonContiguousRowError) as err:
+        to_intervals(Grid(Shape((2, 2, 3)), [(1, 1, 3), (1, 2, 2), (2, 1, 1), (2, 2, 1), (2, 2, 3)]))
+    assert err.value.row == (2, 2)
+    # rows holding all w_d cells: the bisection's bound, first, inside and last
+    m = to_intervals(Grid(Shape((3, 4)), [(1, 1), (1, 2), (1, 3), (1, 4), (2, 4), (3, 1),
+                                          (3, 2), (3, 3), (3, 4)]))
+    assert dict(m.intervals) == {(1,): (1, 4), (2,): (4, 4), (3,): (1, 4)}
+    assert m._bounds == ([1, 4, 1], [4, 4, 4])
+    # w_d = 1: every row one cell
+    m = to_intervals(Grid(Shape((3, 1)), [(1, 1), (2, 1), (3, 1)]))
+    assert m._bounds == ([1, 1, 1], [1, 1, 1])
+    with pytest.raises(EmptyRowError) as err:
+        to_intervals(Grid(Shape((3, 1)), [(1, 1), (3, 1)]))
+    assert err.value.row == (2,)
+    # d = 1: the one row is ()
+    assert to_intervals(Grid(Shape((4,)), [(2,), (3,)]))._bounds == ([2], [3])
+    with pytest.raises(NonContiguousRowError) as err:
+        to_intervals(Grid(Shape((4,)), [(1,), (3,)]))
+    assert err.value.row == ()
+    with pytest.raises(EmptyRowError) as err:
+        to_intervals(Grid(Shape((4,))))
+    assert err.value.row == ()
+
+
+def test_to_intervals_agrees_with_the_cell_by_cell_reader_on_every_subset():
+    # every grid of each small box, w_d = 1 and d = 1 included
+    for dims in [(2, 3), (3, 3), (3, 1), (2, 2, 2), (2, 1, 3), (1, 4), (4,), (1,)]:
+        shape = Shape(dims)
+        cells = list(shape.iter_cells())
+        for mask in range(2 ** len(cells)):
+            g = Grid(shape, [c for k, c in enumerate(cells) if mask >> k & 1])
+            got = _read(to_intervals, g)
+            assert got == _read(reference_intervals.to_intervals, g), g.ones
+            if isinstance(got, IntervalMap):
+                assert got._bounds == IntervalMap(shape, dict(got.intervals))._bounds
+
+
 def test_from_intervals_examples():
     m = IntervalMap(Shape((2, 2)), {(1,): (1, 2), (2,): (1, 1)})
     assert from_intervals(m).ones == ((1, 1), (1, 2), (2, 1))

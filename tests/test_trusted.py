@@ -47,6 +47,7 @@ SRC = Path(maxac.__file__).parent
 # every trusted construction in the package, as (module, enclosing function):
 # a new one joins this list only together with an oracle in this module
 TRUSTED_SITES = {
+    ("core", "from_json_obj"),
     ("enumeration", "enumerate_maximal"),
     ("enumeration", "complete_to_maximal"),
     ("enumeration", "random_maximal"),
@@ -138,6 +139,34 @@ def test_trusted_builds_equal_the_public_constructors_on_small_shapes():
                 assert g == Grid(shape, shape.iter_cells())
             if shape.d >= 2:
                 _check_chain(to_intervals(g), every_step=True)
+    assert grids == 1772
+
+
+def _built(build, *args):
+    """What ``build(*args)`` returns, or its error's class and message."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_parsed_grids_equal_the_public_constructor():
+    # Grid.from_json_obj builds what it accepts unchecked: cells in order,
+    # shuffled (sorted once) and with one cell twice (handed to the full checks)
+    rng = random.Random(0)
+    grids = 0
+    for shape in iter_shapes(25, 4):
+        for g in _maximal_grids(shape.dims):
+            obj = g.to_json_obj()
+            shuffled = rng.sample(obj["ones"], len(obj["ones"]))
+            doubled = shuffled + [rng.choice(shuffled)]
+            for ones in (obj["ones"], shuffled, doubled):
+                got = _built(Grid.from_json_obj, {"w": obj["w"], "ones": ones})
+                want = _built(Grid, Shape(tuple(shape.dims)), map(tuple, ones))
+                assert got == want and repr(got) == repr(want), ones
+                if ones is not doubled:
+                    assert vars(got) == vars(want) and vars(got.shape) == vars(want.shape)
+            grids += 1
     assert grids == 1772
 
 
