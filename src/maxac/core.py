@@ -143,17 +143,13 @@ class Shape:
         cells = math.prod(dims)
         if cells > _MAX_CELLS:
             raise OverflowError("total cell count exceeds the 64-bit range")
-        # the product just taken; a Shape built by _trusted (peel's) holds
-        # none, and the property below takes it on first read
+        # not a field: every Shape holds it, one built by _trusted (peel's)
+        # as it is handed
         self.__dict__["cell_count"] = cells
 
     @property
     def d(self) -> int:
         return len(self.dims)
-
-    @cached_property
-    def cell_count(self) -> int:
-        return math.prod(self.dims)
 
     def iter_cells(self) -> Iterator[Cell]:
         """All cells in ascending lexicographic order."""
@@ -180,15 +176,16 @@ class Grid:
     ``bool``, a cell outside the box, and a duplicate cell (ValueError).  It
     names the first cell, in sorted order, of the wrong length, with a bad
     coordinate or outside the box; only when there is none does it name the
-    first duplicate.  The check is one column-wise pass over the sorted
-    cells; only an input it rejects, or one with ``int`` subclasses such as
-    ``IntEnum``, is walked cell by cell.  The grids the library builds itself
-    are sorted, in-box, distinct ``int`` tuples by construction, and skip
-    the check: the leaves of ``enumerate_maximal``, whose cells are the very
-    tuples of the box's cached layout (``_box(dims).cells``), the grids of
-    ``complete_to_maximal`` and ``random_maximal``, the game's boards, the
-    candidates of ``verify``'s sample, and the grids ``from_json_obj``
-    accepts in its one pass.
+    first duplicate.  The check is one pass: cells not strictly ascending
+    (as ``to_json_obj`` writes them, which proves them distinct) are sorted
+    once, and one column-wise pass checks them against the box; only an
+    input it rejects, or one with ``int`` subclasses such as ``IntEnum``, is
+    walked cell by cell.  The grids the library builds itself are sorted,
+    in-box, distinct ``int`` tuples by construction, and skip the check: the
+    leaves of ``enumerate_maximal``, whose cells are the very tuples of the
+    box's cached layout (``_box(dims).cells``), the grids of
+    ``complete_to_maximal`` and ``random_maximal``, the game's boards, and
+    the candidates of ``verify``'s sample.
     """
 
     shape: Shape
@@ -196,10 +193,18 @@ class Grid:
 
     def __post_init__(self):
         _require_type("Grid", self.shape, "dims", "a Shape")
-        cells = tuple(sorted(map(tuple, self.ones)))
+        cells = list(map(tuple, self.ones))
+        try:
+            distinct = all(map(lt, cells, cells[1:]))
+        except TypeError:  # the sort below raises it as sorted() words it
+            distinct = False
+        if not distinct:
+            cells.sort()
+            distinct = all(map(lt, cells, cells[1:]))
+        cells = tuple(cells)
         object.__setattr__(self, "ones", cells)
         # the per-cell loop below runs only when this pass fails
-        if _in_box(cells, self.shape.dims) and len(set(cells)) == len(cells):
+        if distinct and _in_box(cells, self.shape.dims):
             return
         for c in cells:
             if len(c) != self.shape.d:
@@ -222,26 +227,25 @@ class Grid:
 
     @classmethod
     def from_json_obj(cls, obj) -> "Grid":
-        """The grid of a JSON object ``{"w": [...], "ones": [[...], ...]}``.
-        Plainly valid input (``_accept``) is built unchecked; anything else
-        takes the full checks, which name the first fault in the order the
-        public constructor would."""
+        """The grid of a JSON object ``{"w": [...], "ones": [[...], ...]}``,
+        built by the public constructor.  A coordinate that is not exactly
+        an ``int`` is named before any fault it finds, a bad ``w`` included."""
         if not isinstance(obj, dict) or "w" not in obj or "ones" not in obj:
             raise ValueError('grid JSON must be an object with "w" and "ones"')
         dims, ones = obj["w"], obj["ones"]
         if not isinstance(dims, list) or not isinstance(ones, list):
             raise ValueError('"w" and "ones" must be arrays')
-        accepted = _accept(dims, ones)
-        if accepted:
-            shape, cells = accepted
-            return _trusted(cls, shape=shape, ones=cells)
-        # exactly list and int, as json.loads builds them (so never bool)
-        if not (
-            set(map(type, ones)) <= {list}
-            and set(map(type, chain.from_iterable(ones))) <= {int}
-        ):
+        if not set(map(type, ones)) <= {list}:
             raise ValueError('"ones" must be an array of integer coordinate arrays')
-        return cls(Shape(tuple(dims)), ones)
+        try:
+            return cls(Shape(tuple(dims)), ones)
+        except (ValueError, OverflowError, TypeError, RecursionError, DimensionMismatchError):
+            # exactly int, as json.loads builds them (so never bool); comparing
+            # a str, null or array coordinate raises TypeError, or RecursionError
+            if not set(map(type, chain.from_iterable(ones))) <= {int}:
+                raise ValueError(
+                    '"ones" must be an array of integer coordinate arrays') from None
+            raise
 
 
 def _in_box(cells, dims: tuple[int, ...]) -> bool:
@@ -254,29 +258,6 @@ def _in_box(cells, dims: tuple[int, ...]) -> bool:
             for col, w in zip(zip(*cells), dims)
         )
     )
-
-
-def _accept(dims: list, ones: list) -> tuple[Shape, tuple[Cell, ...]] | None:
-    """The shape and sorted cells of the JSON arrays ``dims`` and ``ones``
-    if they are plainly valid, by one pass over each column, else None:
-    ``ones`` an array of integer arrays, every cell of the right length and
-    inside the box, no two equal.  Cells in ascending order, as
-    ``to_json_obj`` writes them, are not sorted; others are sorted once.
-    On None the caller runs the full checks, which name what is wrong."""
-    if not set(map(type, ones)) <= {list}:
-        return None
-    try:
-        shape = Shape(tuple(dims))
-    except (ValueError, OverflowError):
-        return None
-    cells = list(map(tuple, ones))
-    if not _in_box(cells, shape.dims):
-        return None
-    if not all(map(lt, cells, cells[1:])):
-        cells.sort()
-        if not all(map(lt, cells, cells[1:])):
-            return None  # a duplicate
-    return shape, tuple(cells)
 
 
 def strictly_below(a: Cell, b: Cell) -> bool:

@@ -34,8 +34,9 @@ maximal map the work is small:
   straight from the set, h(x) = l(x') = w_d - 1 for each row x of it, on a
   copy of the map's flat lists of l and of h, with one step per row.  The
   pairs are walked only when the report's ``pairs`` is first read, from
-  the input map's own lists.  The result carries a second verdict,
-  ``_drained``, so ``peel`` does not scan its obstruction set again.
+  the input map's own lists.  The result, a new map even when the set is
+  already empty, carries a second verdict, ``_drained``, so ``peel`` does
+  not scan its obstruction set again.
 * The bounds travel as those flat lists, in row-box order: every map that
   ``to_intervals``, ``normalize``, ``convert_step`` and ``peel`` build is
   handed its lists (``IntervalMap._bounds``) and builds its ``intervals``
@@ -68,6 +69,7 @@ maximal map the work is small:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -202,16 +204,13 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     Each step removes one row from the set, so the step count equals the
     initial obstruction-set size; weight is untouched throughout.  Requires
     the characterization to hold (else NotMaximalError); a map whose set is
-    already empty is returned unchanged.  The report's pairs are walked on
-    their first read (module docstring).
+    already empty gives a copy of itself, in 0 steps.  The report's pairs
+    are walked on their first read (module docstring).
     """
     _require_maximal(m, "normalize")
     box, pending = _obstructed(m)
-    if not pending:
-        object.__setattr__(m, "_drained", True)
-        return NormalizeReport(result=m, steps=0, pairs=())
     top = m.top
-    if top < 2:
+    if pending and top < 2:
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
     # each pending row x is converted once, with x' = x - (1,...,1), and
     # every write is top - 1: the result does not depend on the pairs' order
@@ -245,5 +244,6 @@ def peel(m: IntervalMap) -> IntervalMap:
             raise XSetNonEmptyError({box.cells[i] for i in pending})
     # l < w_d on every row that loses its top cell, so ls carries over as is
     ls, hs = m._bounds
-    shape = _trusted(Shape, dims=m.shape.dims[:-1] + (top - 1,))
+    dims = m.shape.dims[:-1] + (top - 1,)
+    shape = _trusted(Shape, dims=dims, cell_count=math.prod(dims))
     return _trusted_map(shape, ls, [h - 1 if h == top else h for h in hs], maximal=True)

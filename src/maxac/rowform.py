@@ -13,12 +13,14 @@ h(x) = w_d (l(x) = 1).  ``maximal_row_form`` decides maximality for the
 library: the size law (weight ``max_size``) first, which alone settles
 d = 1, then the row form and the rules.
 
-``to_intervals`` reads the row form in one loop over the rows, ascending.
+``to_intervals`` reads the row form in one walk over the rows, ascending.
 A grid's cells are sorted and distinct, so each row's run starts where the
 previous one ended and ends at the first cell at or after the next row: a
-bisection over at most w_d cells.  The loop raises at the first row that is
+bisection over at most w_d cells.  The walk raises at the first row that is
 empty or gapped, naming it, so a rejected grid costs only the rows up to
-its first bad one.
+its first bad one.  Every row before it holds a cell, so the walk stops
+within |ones| + 1 rows and builds no more of the row box (``_rows``); the
+``IntervalMap`` constructor walks its given rows the same way.
 
 ``check_characterization`` tests both rules in one O(rows * d) sweep: the
 ancestors of x are exactly the rows at or below x - (1,...,1), so the h-rule
@@ -52,8 +54,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, product
 from types import MappingProxyType
+from typing import Iterator
 
 from .core import Grid, Shape, _Box, _box, _brief, _is_int, _require_type, _trusted, max_size
 from .errors import EmptyRowError, NonContiguousRowError
@@ -99,7 +102,7 @@ class IntervalMap:
             raise ValueError(f"row id {_brief.repr(bad)} must have integer coordinates")
         top = self.shape.dims[-1]
         ls, hs = [], []
-        for row in self.shape.iter_rows():
+        for row in _rows(self.shape, len(fixed)):
             if row not in fixed:
                 raise ValueError(f"missing interval for row {row}")
             l, h = fixed[row]
@@ -168,7 +171,8 @@ def to_intervals(g: Grid) -> IntervalMap:
 
     Raises EmptyRowError or NonContiguousRowError for the lexicographically
     first offending row; either condition certifies that ``g`` is not maximal.
-    One loop walks the rows in order and raises where it stops.  The cells
+    One walk over the rows, each read with the row after it, raises where
+    it stops, within ``len(g.ones) + 1`` rows whatever the box.  The cells
     are sorted and distinct, so each row's cells form one run of at most
     w_d cells, and the runs come in row order: a row's run starts where the
     previous one ended and ends at the first cell at or after the next row,
@@ -183,25 +187,30 @@ def to_intervals(g: Grid) -> IntervalMap:
     width, n = shape.dims[-1], len(ones)
     ls, hs = [], []
     end = 0
+    rows = _rows(shape, n)
+    row = next(rows)
     # the row after each row; after the last, an id above every cell
-    for following in chain(islice(shape.iter_rows(), 1, None), [(shape.dims[0] + 1,)]):
+    for following in chain(rows, [(shape.dims[0] + 1,)]):
         start, stop = end, end + width
         end = bisect_left(ones, following, start, stop if stop < n else n)
         if end == start:
-            raise EmptyRowError(_nth_row(shape, len(ls)))
+            raise EmptyRowError(row)
         lo, hi = ones[start][-1], ones[end - 1][-1]
         if hi - lo != end - start - 1:
-            raise NonContiguousRowError(_nth_row(shape, len(ls)))
+            raise NonContiguousRowError(row)
         ls.append(lo)
         hs.append(hi)
+        row = following
     if not set(map(type, chain(ls, hs))) <= {int}:
         ls, hs = list(map(int, ls)), list(map(int, hs))
     return _trusted_map(shape, ls, hs)
 
 
-def _nth_row(shape: Shape, k: int) -> RowId:
-    """Row ``k`` of ``shape`` in ascending order."""
-    return next(islice(shape.iter_rows(), k, None))
+def _rows(shape: Shape, n: int) -> Iterator[RowId]:
+    """The rows of ``shape`` with no coordinate above ``n + 1``, ascending:
+    row k of the box has none above k + 1, so they start with its first
+    ``n + 1`` rows, and no whole side of a huge box is built."""
+    return product(*(range(1, min(w, n + 1) + 1) for w in shape.dims[:-1]))
 
 
 def _trusted_map(shape: Shape, ls: list[int], hs: list[int],

@@ -410,6 +410,33 @@ def test_each_verb_loads_only_the_modules_it_runs(argv, stdin, modules):
         f"maxac.{m}" for m in modules | {"core", "errors"}}
 
 
+# a few cells or rows in a box with a side of a billion rows or more: the row
+# walk stops at the first bad row, so it must build no whole side first
+HUGE_BOX_INPUTS = [
+    ({"w": [5, 1000000004, 3], "ones": [[1, 1, 1]]},
+     {"error": "EmptyRow", "detail": "row (1, 2) has no one-cells"}),
+    ({"w": [5, 1000000004, 3], "rows": [{"x": [1, 1], "l": 1, "h": 1}]},
+     {"error": "ValueError", "detail": "missing interval for row (1, 2)"}),
+    ({"w": [1, 2**63, 1, 1], "ones": [[1, 1, 1, 1], [1, 2, 1, 1], [1, 3, 1, 1]]},
+     {"error": "EmptyRow", "detail": "row (1, 4, 1) has no one-cells"}),
+]
+
+# the CLI in a child process capped at 1 GB of address space, so a walk over
+# a whole side fails the test instead of filling the machine
+CAPPED_CLI = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              "from maxac.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
+@pytest.mark.parametrize("verb", ["normalize", "peel"])
+@pytest.mark.parametrize("obj, error", HUGE_BOX_INPUTS)
+def test_a_few_cells_in_a_huge_box_are_refused_at_once(verb, obj, error):
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, verb, "--json"], input=json.dumps(obj),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.count("\n") == 1 and json.loads(proc.stderr) == error
+
+
 def test_extend_and_project_round_trip(capsys, tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(GRID_33))

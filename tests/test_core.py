@@ -16,12 +16,15 @@ from maxac import (
     flip_creates_containment,
     is_maximal,
     max_size,
+    normalize,
+    peel,
     play,
     random_maximal,
     strictly_below,
+    to_intervals,
     weight,
 )
-from maxac.core import _Box, _box, _digit_count, _trusted, _turn_on
+from maxac.core import _Box, _box, _digit_count, _turn_on
 from maxac.verification import iter_shapes
 
 
@@ -280,12 +283,14 @@ def test_shape_validation():
     assert s.dims == (3, 2) and s.d == 2 and s.cell_count == 6
 
 
-def test_a_shape_holds_its_cell_count_and_a_trusted_one_computes_it():
+def test_every_shape_holds_its_cell_count():
     assert vars(Shape((3, 4, 5)))["cell_count"] == 60
-    # peel builds its smaller shape unchecked, so the property takes the product
-    trusted = _trusted(Shape, dims=(3, 4, 5))
-    assert "cell_count" not in vars(trusted)
-    assert trusted.cell_count == 60 and vars(trusted)["cell_count"] == 60
+    # peel builds its smaller shape unchecked, and hands it the product
+    m = to_intervals(Grid(Shape((3, 3)), [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)]))
+    while m.top > 1:
+        m = peel(normalize(m).result)
+        assert vars(m.shape) == vars(Shape(tuple(m.shape.dims)))
+        assert vars(m.shape)["cell_count"] == 3 * m.top
 
 
 def test_shape_errors_quote_a_short_repr_of_the_value():
@@ -310,6 +315,11 @@ def test_grid_validation():
         (Shape((2, 2)), [(10**1000, 1)], ValueError, None),
         (wide, [(2,) * 1000], ValueError, None),
         (wide, [(1,) * 1000] * 2, ValueError, None),
+        # incomparable coordinates fail the sort, with its operands' order
+        (Shape((2, 2)), [(1, 1), (1, "a")], TypeError,
+         "'<' not supported between instances of 'str' and 'int'"),
+        (Shape((2, 2)), [(1, 1), (2, None), (2, 1)], TypeError,
+         "'<' not supported between instances of 'int' and 'NoneType'"),
     ]:
         with pytest.raises(error) as err:
             Grid(shape, ones)
@@ -360,6 +370,15 @@ def test_grid_json_rejects_malformed_input():
     for ones in ([[1, "a"], [1, 2]], [[1, [1]], [1, 2]], [[1.0, 1]], [[True, 1]], [{"x": 1}]):
         with pytest.raises(ValueError, match="integer coordinate arrays"):
             Grid.from_json_obj({"w": [2, 2], "ones": ones})
+
+
+def _nested(depth):
+    # an array nested ``depth`` deep, past any JSON parser's limit: comparing
+    # two of them runs out of recursion
+    x = []
+    for _ in range(depth):
+        x = [x]
+    return x
 
 
 # each message and its precedence, as the full checks give them: a bad
@@ -415,6 +434,12 @@ GRID_JSON_ERRORS = [
      ValueError, '"w" and "ones" must be arrays'),
     ({"w": [2, 2]},
      ValueError, 'grid JSON must be an object with "w" and "ones"'),
+    # in ascending cells, as a coordinate the constructor compares and fails on
+    *(({"w": w, "ones": [[1, 1], [1, bad]]},
+       ValueError, '"ones" must be an array of integer coordinate arrays')
+      for w in ([2, 2], [0, 2], [2, "x"], [2**40, 2**40]) for bad in ("a", None, [2])),
+    ({"w": [2, 2], "ones": [[1, _nested(100_000)], [1, _nested(100_000)]]},
+     ValueError, '"ones" must be an array of integer coordinate arrays'),
 ]
 
 

@@ -86,6 +86,25 @@ def test_normalize_examples():
     assert untouched.steps == 0 and untouched.result == M22_DONE
 
 
+def test_normalize_writes_nothing_on_its_argument():
+    # a map whose obstruction set is already empty takes the same path as
+    # any other: it gives a copy in 0 steps, and only the copy is marked
+    drained = 0
+    for dims in [(2, 2), (3, 3), (2, 3), (2, 2, 2)]:
+        for g in enumerate_maximal(Shape(dims)).grids:
+            for m in (to_intervals(g), IntervalMap(Shape(dims), dict(to_intervals(g).intervals))):
+                assert check_characterization(m)
+                before = dict(vars(m))
+                report = normalize(m)
+                assert vars(m) == before and report.result is not m
+                assert report.result._drained and not m._drained
+                if not x_set(m):
+                    assert report.steps == 0 and report.pairs == ()
+                    assert report.result == m and report.result._bounds == m._bounds
+                    drained += 1
+    assert drained == 2 * 7
+
+
 def test_normalize_invariants_on_enumerated_grids():
     for dims in [(2, 3), (3, 3), (2, 2, 2), (3, 2, 2)]:
         for g in enumerate_maximal(Shape(dims)).grids:

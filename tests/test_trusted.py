@@ -47,7 +47,6 @@ SRC = Path(maxac.__file__).parent
 # every trusted construction in the package, as (module, enclosing function):
 # a new one joins this list only together with an oracle in this module
 TRUSTED_SITES = {
-    ("core", "from_json_obj"),
     ("enumeration", "enumerate_maximal"),
     ("enumeration", "complete_to_maximal"),
     ("enumeration", "random_maximal"),
