@@ -30,7 +30,7 @@ _EXPORTS = {
     "core": ("Cell", "Grid", "Shape", "contains_forbidden", "flip_creates_containment",
              "is_maximal", "max_size", "strictly_below", "weight",
              "VERIFY_SAMPLE_LIMIT", "VERIFY_TRIAL_LIMIT"),
-    "counting": ("extend_by_two", "project_last"),
+    "counting": ("EXTEND_CELL_LIMIT", "extend_by_two", "project_last"),
     "enumeration": ("BRUTE_FORCE_CELL_LIMIT", "COUNT_DIGIT_LIMIT", "COUNT_STATE_LIMIT",
                     "COUNT_WORK_LIMIT", "DEFAULT_CELL_LIMIT", "EnumerationReport",
                     "brute_force_maximal", "complete_to_maximal", "count_closed_form",

@@ -175,12 +175,13 @@ class Grid:
     (DimensionMismatchError), a coordinate that is not an ``int`` or is a
     ``bool``, a cell outside the box, and a duplicate cell (ValueError).  It
     names the first cell, in sorted order, of the wrong length, with a bad
-    coordinate or outside the box; only when there is none does it name the
-    first duplicate.  The check is one pass: cells not strictly ascending
-    (as ``to_json_obj`` writes them, which proves them distinct) are sorted
-    once, and one column-wise pass checks them against the box; only an
-    input it rejects, or one with ``int`` subclasses such as ``IntEnum``, is
-    walked cell by cell.  The grids the library builds itself are sorted,
+    coordinate or outside the box (in the given order when coordinates of
+    two types meet and the cells cannot be sorted); only when there is none
+    does it name the first duplicate.  The check is one pass: cells not
+    strictly ascending (as ``to_json_obj`` writes them, which proves them
+    distinct) are sorted once, and one column-wise pass checks them against
+    the box; only an input it rejects, or one with ``int`` subclasses such
+    as ``IntEnum``, is walked cell by cell.  The grids the library builds itself are sorted,
     in-box, distinct ``int`` tuples by construction, and skip the check: the
     leaves of ``enumerate_maximal``, whose cells are the very tuples of the
     box's cached layout (``_box(dims).cells``), the grids of
@@ -196,11 +197,13 @@ class Grid:
         cells = list(map(tuple, self.ones))
         try:
             distinct = all(map(lt, cells, cells[1:]))
-        except TypeError:  # the sort below raises it as sorted() words it
+            if not distinct:
+                cells = sorted(cells)
+                distinct = all(map(lt, cells, cells[1:]))
+        except TypeError:
+            # only a bad coordinate fails to compare: the loop below names
+            # the first bad cell in the given order
             distinct = False
-        if not distinct:
-            cells.sort()
-            distinct = all(map(lt, cells, cells[1:]))
         cells = tuple(cells)
         object.__setattr__(self, "ones", cells)
         # the per-cell loop below runs only when this pass fails

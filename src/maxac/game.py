@@ -12,23 +12,23 @@ along the last axis: one ``find`` and one slice assignment per row it
 reaches, over the rows that a flood of the row box's flood table visits
 (``core._box`` caches both boxes).  A lex player takes the first alive cell,
 which ``bytearray.find`` finds from the last lex pick on, as it only moves
-forward.  A random player's cell comes from a Fenwick tree over k chunks of
-the alive flags: the rows, or 16-cell blocks of rows longer than 64 cells.
-A pick is a descent of O(log k) steps plus at most a chunk's worth of
-``find`` calls; a killed run is one tree update of O(log k) steps per chunk
-it meets, one unless it crosses a block boundary, however many cells it
-holds.  Lex-only games keep no tree.  A move thus costs O(d) flood steps
-per row it reaches and O(1) Python steps per run, plus the tree's work, not
-a step per killed cell.  ``safe_moves`` recomputes the safe set by
-definition, as the oracle in tests.  ``Grid``, ``GameState`` and the
-``Transcript`` are built only for callable strategies and the result, and
-skip their constructors' checks: ``play`` has checked every cell on the
-board.
+forward.  A random player's cell is ``order[k]`` for a uniform k, where
+``order`` lists the alive cells' flat indices ascending.  Every cell of a
+killed run is alive, and the run is a range of flat indices, so its cells
+sit side by side in ``order``: one bisection finds the first and one slice
+deletion drops them all, an O(n) ``memmove`` in C rather than a Python step
+per cell.  Lex-only games keep no list.  A move thus costs O(d) flood steps
+per row it reaches and O(1) Python steps per run, not a step per killed
+cell.  ``safe_moves`` recomputes the safe set by definition, as the oracle
+in tests.  ``Grid``, ``GameState`` and the ``Transcript`` are built only for
+callable strategies and the result, and skip their constructors' checks:
+``play`` has checked every cell on the board.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
@@ -140,36 +140,14 @@ def play(
     cells, steps = box.cells, _box(shape.dims[:-1]).steps
     alive = bytearray(b"\x01") * n
     # the first alive cell only moves forward, so lex resumes from its last
-    # pick.  fenwick[1..k] counts the alive cells of the k chunks for random
-    # picks: the rows, or for rows of more than 64 cells, 16-cell blocks
-    # (the last one shorter).  A pick skips up to a chunk's alive cells one
-    # find at a time, so long rows, mostly alive on boards such as 1,10000,
-    # take short blocks; a run then meets up to 1 + (its length) / 16 chunks
+    # pick.  A random player draws from order, the alive cells' flat indices
+    # ascending: the k-th alive cell is order[k]
     first = 0
-    rng = fenwick = None
+    rng = order = None
     if "random" in strategies:
         rng = random.Random(seed)
-        chunk = width if width <= 64 else 16
-        k = -(-n // chunk)
-        fenwick = [chunk * (q & -q) for q in range(k + 1)]
-        fenwick[k] -= k * chunk - n
-        top = 1 << (k.bit_length() - 1)
+        order = list(range(n))
     size = n
-
-    def kth_alive(t: int) -> int:
-        q, step = 0, top
-        while step:
-            if q + step <= k and fenwick[q + step] <= t:
-                q += step
-                t -= fenwick[q]
-            step >>= 1
-        # the chunk q holds more than t alive cells: skip t of them
-        j = alive.find(1, q * chunk)
-        while t:
-            j = alive.find(1, j + 1)
-            t -= 1
-        return j
-
     taken = bytearray(n)
     moves: list[tuple[int, Cell]] = []
     while len(moves) < n:
@@ -192,7 +170,7 @@ def play(
             elif strategy == "lex":
                 j = first = alive.find(1, first)
             else:
-                j = kth_alive(rng.randrange(size))
+                j = order[rng.randrange(size)]
             cell = cells[j]
         moves.append((player, cell))
         taken[j] = 1
@@ -201,20 +179,10 @@ def play(
                             terminal_cell=cell, forced=not size)
         for lo, hi in _turn_on(steps, width, alive, j):
             size -= hi - lo
-            if fenwick is not None:
-                # one update per chunk the run meets: one, unless it
-                # crosses a block boundary of a long row
-                q = lo // chunk + 1
-                cut = q * chunk
-                while cut < hi:
-                    i = q
-                    while i <= k:
-                        fenwick[i] -= cut - lo
-                        i += i & -i
-                    lo, q, cut = cut, q + 1, cut + chunk
-                while q <= k:
-                    fenwick[q] -= hi - lo
-                    q += q & -q
+            if order is not None:
+                # a run's cells are alive and consecutive in order
+                p = bisect_left(order, lo)
+                del order[p:p + hi - lo]
     # full clean board: the player to move cannot move at all
     return _trusted(Transcript, final_state=_state(shape, players, moves),
                     loser=len(moves) % players, terminal_cell=None, forced=True)

@@ -35,8 +35,9 @@ maximal map the work is small:
   copy of the map's flat lists of l and of h, with one step per row.  The
   pairs are walked only when the report's ``pairs`` is first read, from
   the input map's own lists.  The result, a new map even when the set is
-  already empty, carries a second verdict, ``_drained``, so ``peel`` does
-  not scan its obstruction set again.
+  already empty (it then shares the input's lists), carries a second
+  verdict, ``_drained``, so ``peel`` does not scan its obstruction set
+  again.
 * The bounds travel as those flat lists, in row-box order: every map that
   ``to_intervals``, ``normalize``, ``convert_step`` and ``peel`` build is
   handed its lists (``IntervalMap._bounds``) and builds its ``intervals``
@@ -204,8 +205,9 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     Each step removes one row from the set, so the step count equals the
     initial obstruction-set size; weight is untouched throughout.  Requires
     the characterization to hold (else NotMaximalError); a map whose set is
-    already empty gives a copy of itself, in 0 steps.  The report's pairs
-    are walked on their first read (module docstring).
+    already empty gives a new map equal to it, sharing its bound lists, in
+    0 steps.  The report's pairs are walked on their first read (module
+    docstring).
     """
     _require_maximal(m, "normalize")
     box, pending = _obstructed(m)
@@ -213,11 +215,15 @@ def normalize(m: IntervalMap) -> NormalizeReport:
     if pending and top < 2:
         raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
     # each pending row x is converted once, with x' = x - (1,...,1), and
-    # every write is top - 1: the result does not depend on the pairs' order
-    ls, hs = map(list.copy, m._bounds)
-    diag = box.diag
-    for i in pending:
-        hs[i] = ls[i - diag] = top - 1
+    # every write is top - 1: the result does not depend on the pairs' order.
+    # With nothing to write, the result shares the input's lists, as peel's
+    # does: no map mutates its lists
+    ls, hs = m._bounds
+    if pending:
+        ls, hs = ls.copy(), hs.copy()
+        diag = box.diag
+        for i in pending:
+            hs[i] = ls[i - diag] = top - 1
     result = _trusted_map(m.shape, ls, hs, maximal=True, drained=True)
     return _trusted(NormalizeReport, result=result, steps=len(pending),
                     _walk_from=(m, box, pending))

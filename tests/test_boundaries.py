@@ -9,7 +9,9 @@ where negatives are invalid; and an int too long to print where the
 parameter has an upper bound.  A second table holds calls given a value of
 the wrong type where a ``Shape``, ``Grid``, ``IntervalMap`` or ``GameState``
 belongs, in a function or a constructor: each raises a TypeError that names
-the function or class and the type it takes.
+the function or class and the type it takes.  A third holds grids whose
+coordinates cannot be compared with each other: each raises the documented
+ValueError that names a bad cell.
 """
 
 import inspect
@@ -178,6 +180,21 @@ def test_a_wrong_type_raises_type_error_naming_the_type_it_takes(call, message):
     with pytest.raises(TypeError) as err:
         call()
     assert str(err.value) == message
+
+
+# (cells that meet a coordinate of another type, the cell the error names)
+UNORDERABLE_CELLS = [
+    ([(1, 1), (1, "a")], "(1, 'a')"),
+    ([(1, None), (1, 1)], "(1, None)"),
+    ([(2, 1), (1, 1), (1, [1])], "(1, [1])"),
+]
+
+
+@pytest.mark.parametrize("ones, named", UNORDERABLE_CELLS, ids=["str", "None", "list"])
+def test_cells_that_cannot_be_sorted_raise_value_error_naming_one(ones, named):
+    with pytest.raises(ValueError) as err:
+        maxac.Grid(S22, ones)
+    assert str(err.value) == f"cell {named} lies outside the box (2, 2)"
 
 
 def test_the_bounds_are_the_documented_ones(monkeypatch):

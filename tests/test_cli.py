@@ -437,6 +437,32 @@ def test_a_few_cells_in_a_huge_box_are_refused_at_once(verb, obj, error):
     assert proc.stderr.count("\n") == 1 and json.loads(proc.stderr) == error
 
 
+# the CLI capped as above, writing on stdout how long main took
+TIMED_CAPPED_CLI = CAPPED_CLI.replace(
+    "sys.exit(main(sys.argv[1:]))",
+    "import time; t = time.perf_counter(); status = main(sys.argv[1:]); "
+    "print(time.perf_counter() - t); sys.exit(status)")
+
+
+def _l_grid(n):
+    """The n x n grid "some coordinate is 1": 2n - 1 cells, maximal."""
+    ones = [[1, y] for y in range(1, n + 1)] + [[x, 1] for x in range(2, n + 1)]
+    return {"w": [n, n], "ones": ones}
+
+
+@pytest.mark.parametrize("obj, cells", [(_l_grid(2000), 4003999),
+                                        ({"w": [1000000], "ones": [[1]]}, 1000001)],
+                         ids=["L-grid-2000", "d1-1000000"])
+def test_extend_past_its_output_budget_is_refused_at_once(obj, cells):
+    proc = subprocess.run(
+        [sys.executable, "-c", TIMED_CAPPED_CLI, "extend", "--json"], input=json.dumps(obj),
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60)
+    assert proc.returncode == 1 and float(proc.stdout) < 0.1
+    error = json.loads(proc.stderr)
+    assert error["error"] == "ShapeTooLarge"
+    assert error["detail"].endswith(f"gives {cells} cells, limit is 250000 (EXTEND_CELL_LIMIT)")
+
+
 def test_extend_and_project_round_trip(capsys, tmp_path):
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(GRID_33))

@@ -315,11 +315,12 @@ def test_grid_validation():
         (Shape((2, 2)), [(10**1000, 1)], ValueError, None),
         (wide, [(2,) * 1000], ValueError, None),
         (wide, [(1,) * 1000] * 2, ValueError, None),
-        # incomparable coordinates fail the sort, with its operands' order
-        (Shape((2, 2)), [(1, 1), (1, "a")], TypeError,
-         "'<' not supported between instances of 'str' and 'int'"),
-        (Shape((2, 2)), [(1, 1), (2, None), (2, 1)], TypeError,
-         "'<' not supported between instances of 'int' and 'NoneType'"),
+        # cells that cannot be sorted are walked in the given order, and the
+        # first bad one is named
+        (Shape((2, 2)), [(1, 1), (1, "a")], ValueError,
+         "cell (1, 'a') lies outside the box (2, 2)"),
+        (Shape((2, 2)), [(1, 1), (2, None), (2, 1)], ValueError,
+         "cell (2, None) lies outside the box (2, 2)"),
     ]:
         with pytest.raises(error) as err:
             Grid(shape, ones)

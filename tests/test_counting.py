@@ -9,12 +9,15 @@ import reference_dominance
 from reference_count import _transfer_count, plane_partitions
 
 from maxac import (
+    EXTEND_CELL_LIMIT,
     Grid,
     NotMaximalError,
     PreconditionViolatedError,
     Shape,
+    ShapeTooLargeError,
     count_closed_form,
     count_maximal,
+    counting,
     enumerate_maximal,
     extend_by_two,
     is_maximal,
@@ -175,6 +178,29 @@ def test_a_one_dimensional_grid_is_decided_by_its_row_form():
     after = _box.cache_info()
     assert (after.misses, after.currsize) == (before.misses, before.currsize)
     assert images == list(enumerate_maximal(Shape((5, 2))).grids)
+
+
+def test_extend_refuses_an_output_past_its_budget_before_any_work(monkeypatch):
+    assert EXTEND_CELL_LIMIT == 250_000
+    # the largest N x N and 1-d boxes within the budget, and one step past it
+    within, past = [(499, 499), (249_999,)], [(500, 500), (250_000,)]
+    for a, b in zip(within, past):
+        assert max_size(Shape(a + (2,))) <= EXTEND_CELL_LIMIT < max_size(Shape(b + (2,)))
+    for dims in within:
+        with pytest.raises(NotMaximalError):
+            extend_by_two(Grid(Shape(dims)))
+
+    def no_work(grid):
+        raise AssertionError("extend_by_two read the grid past its budget")
+
+    monkeypatch.setattr(counting, "maximal_row_form", no_work)
+    for dims in past:
+        # refused whether the grid is maximal (the 1-d one) or not
+        for ones in [(), ((1,) * len(dims),)]:
+            with pytest.raises(ShapeTooLargeError) as info:
+                extend_by_two(Grid(Shape(dims), ones))
+            assert info.value.limit == EXTEND_CELL_LIMIT
+            assert info.value.cells == max_size(Shape(dims + (2,)))
 
 
 def test_project_last_examples():

@@ -197,11 +197,16 @@ def test_play_matches_the_rescanning_reference_on_large_boards():
                  (1, 40), (2, 30), (1, 1, 25), (3, 1, 8), (40,), (2, 2, 2, 2, 2)]:
         for seed, (m, style) in enumerate([(2, "random"), (3, "mixed"), (5, "lex")]):
             _assert_same_game(Shape(dims), m, _strategies(style, m), seed)
-    # rows of more than 64 cells: the random pick's tree counts 16-cell
-    # blocks, the last one shorter, and a killed run may cross their bounds
-    for dims in [(2, 100), (1, 90), (3, 70)]:
+    # long rows, whose killed runs delete long slices of the random pick's
+    # list of alive cells; rows of two or three cells, where nearly every
+    # run is one cell long; and rows of 64 and 65 cells
+    for dims in [(2, 100), (1, 90), (3, 70), (64, 2), (40, 3), (1, 64), (1, 65), (2, 65)]:
         for seed, (m, style) in enumerate([(2, "random"), (3, "mixed")]):
             _assert_same_game(Shape(dims), m, _strategies(style, m), seed)
+    # rows of one cell: no two cells are comparable, so every run is the
+    # picked cell alone and the list empties one cell at a time (one game:
+    # the reference takes cubic time on this board, 2-3 s)
+    _assert_same_game(Shape((200, 1)), 2, ["random", "random"], 0)
 
 
 def _last_safe_or_unsafe(state):
@@ -275,6 +280,8 @@ LARGE_GAME_DIGESTS = {
     ((2, 5000), "random"): ('6e07df9b06a926b3', 'b88555d034810b5e', '8927b2c824876d32'),
     ((1, 10000), "lex"): ('9b594feaf32d32ec', '72fc55580c63d665', '272a5e90b3f58f01'),
     ((1, 10000), "random"): ('03e7f1b802a23eae', '4e9812e1eb87f4af', '3b163154597705f7'),
+    ((10000, 1), "random"): ('9a54a26ff538dd3c', '38b9dd269c891c6d', '6db3923aaa3e44e9'),
+    ((1000, 10), "random"): ('019d258b4ff416c1', '223dbd8547ddfadb', 'fcfc8a57ba46d838'),
 }
 
 

@@ -87,8 +87,8 @@ def test_normalize_examples():
 
 
 def test_normalize_writes_nothing_on_its_argument():
-    # a map whose obstruction set is already empty takes the same path as
-    # any other: it gives a copy in 0 steps, and only the copy is marked
+    # a map whose obstruction set is already empty gives a new map in 0
+    # steps, sharing the input's bound lists, and only the new map is marked
     drained = 0
     for dims in [(2, 2), (3, 3), (2, 3), (2, 2, 2)]:
         for g in enumerate_maximal(Shape(dims)).grids:

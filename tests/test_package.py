@@ -19,7 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 EXPORTS = {
     "core": ["Cell", "Grid", "Shape", "contains_forbidden", "flip_creates_containment",
              "is_maximal", "max_size", "strictly_below", "weight"],
-    "counting": ["extend_by_two", "project_last"],
+    "counting": ["EXTEND_CELL_LIMIT", "extend_by_two", "project_last"],
     "enumeration": ["BRUTE_FORCE_CELL_LIMIT", "COUNT_DIGIT_LIMIT", "COUNT_STATE_LIMIT",
                     "COUNT_WORK_LIMIT", "DEFAULT_CELL_LIMIT", "EnumerationReport",
                     "brute_force_maximal", "complete_to_maximal", "count_closed_form",
@@ -41,7 +41,7 @@ EXPORTS = {
 
 def test_all_lists_every_public_name_once():
     names = [name for names in EXPORTS.values() for name in names] + ["__version__"]
-    assert len(names) == 61
+    assert len(names) == 62
     assert sorted(maxac.__all__) == sorted(names)
     assert set(names) <= set(dir(maxac))
 
