@@ -155,10 +155,6 @@ class Shape:
         """All cells in ascending lexicographic order."""
         return product(*(range(1, w + 1) for w in self.dims))
 
-    def iter_rows(self) -> Iterator[tuple[int, ...]]:
-        """All last-axis row indices (the first d-1 coordinates), ascending."""
-        return product(*(range(1, w + 1) for w in self.dims[:-1]))
-
     def contains_cell(self, cell) -> bool:
         return (
             isinstance(cell, tuple)

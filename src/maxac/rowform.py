@@ -134,6 +134,12 @@ class IntervalMap:
         intervals = self.__dict__["intervals"] = MappingProxyType(dict(zip(rows, zip(ls, hs))))
         return intervals
 
+    def __hash__(self):
+        # equal maps have equal shapes and the same bounds in row order; the
+        # generated hash would hash the intervals proxy, which is unhashable
+        ls, hs = self._bounds
+        return hash((self.shape, tuple(ls), tuple(hs)))
+
     @property
     def top(self) -> int:
         """The last dimension w_d."""

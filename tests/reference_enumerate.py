@@ -60,7 +60,7 @@ def enumerate_maximal(
             index.get(x, -2),
             index.get(tuple(c - 1 for c in x), -1),
         )
-        for x in shape.iter_rows()
+        for x in product(*(range(1, w + 1) for w in shape.dims[:-1]))
     ]
     leaves = _iter_left_ends(bounds, top)
     kept = [

@@ -8,6 +8,8 @@ constructor, and shares none of the bisecting row walk in ``maxac.rowform``.
 
 from __future__ import annotations
 
+from itertools import product
+
 from maxac import EmptyRowError, Grid, IntervalMap, NonContiguousRowError
 
 
@@ -16,7 +18,7 @@ def to_intervals(g: Grid) -> IntervalMap:
     for cell in g.ones:
         by_row.setdefault(cell[:-1], []).append(cell[-1])
     intervals = {}
-    for row in g.shape.iter_rows():
+    for row in product(*(range(1, w + 1) for w in g.shape.dims[:-1])):
         ys = by_row.get(row)
         if not ys:
             raise EmptyRowError(row)

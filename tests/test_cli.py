@@ -56,7 +56,7 @@ def test_count(capsys):
 
 
 def test_count_answers_past_the_enumeration_budget(capsys):
-    for w, count in [("12,12", 705432), ("3,3,3", 20), ("3,3,3,3,3", 7581)]:
+    for w, count in [("12,12", 705432), ("3,3,3", 20), ("3,3,3,3", 168), ("3,3,3,3,3", 7581)]:
         status, out, err = run(capsys, "count", "--w", w)
         assert status == 0 and err == ""
         assert out == f'{{"w":[{w}],"method":"enumerate","count":{count}}}\n'
@@ -68,20 +68,21 @@ def test_count_refuses_past_its_budgets_before_any_pass(capsys, monkeypatch):
 
     monkeypatch.setattr("maxac.enumeration._covering_pairs", no_pass)
     # the closed form refuses 10^8 x 10^8 by the digit limit, before any work
-    for w, code, budget in [
-            ("10,10,10,10", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
-            ("6,6,6,6,6", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
-            ("5,5,5,5,5", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
-            ("3,4,4,4,4,4", "ShapeTooLarge", "COUNT_STATE_LIMIT"),
-            ("3,3,3,1000000", "ShapeTooLarge", "COUNT_WORK_LIMIT"),
-            ("100000000,100000000", "ValueError", "sys.get_int_max_str_digits")]:
+    for w, code, ending in [
+            ("10,10,10,10", "ShapeTooLarge", "(COUNT_STATE_LIMIT)"),
+            ("6,6,6,6,6", "ShapeTooLarge", "(COUNT_STATE_LIMIT)"),
+            ("5,5,5,5,5", "ShapeTooLarge",
+             "takes at least 17592186044416 states, limit is 250000 (COUNT_STATE_LIMIT)"),
+            ("3,4,4,4,4,4", "ShapeTooLarge", "(COUNT_STATE_LIMIT)"),
+            ("3,3,3,1000000", "ShapeTooLarge", "(COUNT_WORK_LIMIT)"),
+            ("100000000,100000000", "ValueError", "(sys.get_int_max_str_digits)")]:
         start = time.perf_counter()
         status, out, err = run(capsys, "count", "--w", w)
         assert time.perf_counter() - start < 0.1
         assert status == 1 and out == ""
         error = json.loads(err)
         assert error["error"] == code
-        assert error["detail"].endswith(f"({budget})")
+        assert error["detail"].endswith(ending)
 
 
 def test_count_refuses_past_the_digit_budget_with_no_digit_limit(capsys):
@@ -97,6 +98,13 @@ def test_count_refuses_past_the_digit_budget_with_no_digit_limit(capsys):
             error = json.loads(err)
             assert error["error"] == "ShapeTooLarge"
             assert error["detail"].endswith("(COUNT_DIGIT_LIMIT)")
+        # just under the budget (20,000 digits) the closed form answers
+        start = time.perf_counter()
+        status, out, err = run(capsys, "count", "--w", "33000,33000", "--method", "formula")
+        assert time.perf_counter() - start < 5
+        assert status == 0 and err == ""
+        count = json.loads(out)["count"]
+        assert count == math.comb(65998, 32999) and len(str(count)) == 19865
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -496,9 +504,12 @@ def test_game_too_large(capsys):
 
 
 def test_game_rejects_more_players_than_moves(capsys):
-    status, out, err = run(capsys, "game", "--w", "2,2", "--players", "1000000000", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err)["error"] == "ValueError"
+    for players, detail in [("1000000000", "players must be at most 10001, got 1000000000"),
+                            ("10002", "players must be at most 10001, got 10002"),
+                            ("1", "players must be at least 2, got 1")]:
+        status, out, err = run(capsys, "game", "--w", "2,2", "--players", players, "--json")
+        assert status == 1 and out == ""
+        assert json.loads(err) == {"error": "ValueError", "detail": detail}
 
 
 def test_game_single_strategy_broadcasts(capsys):
@@ -509,7 +520,12 @@ def test_game_single_strategy_broadcasts(capsys):
     assert json.loads(out)["loser"] == 0  # 3 mod 3
 
 
-def test_output_is_byte_identical_across_runs(capsys):
+GRID_332 = {"w": [3, 3, 2], "ones": [
+    [1, 1, 2], [1, 2, 2], [1, 3, 1], [1, 3, 2], [2, 1, 2], [2, 2, 2], [2, 3, 1],
+    [2, 3, 2], [3, 1, 1], [3, 1, 2], [3, 2, 1], [3, 2, 2], [3, 3, 1], [3, 3, 2]]}
+
+
+def test_output_is_byte_identical_across_runs(capsys, monkeypatch):
     _, first, _ = run(capsys, "enumerate", "--w", "3,3", "--json")
     _, second, _ = run(capsys, "enumerate", "--w", "3,3", "--json")
     assert first == second
@@ -518,15 +534,28 @@ def test_output_is_byte_identical_across_runs(capsys):
     _, g2, _ = run(capsys, "game", "--w", "3,3", "--players", "2",
                    "--strategy", "random", "--seed", "7", "--json")
     assert g1 == g2
+    # a grid read in any cell order gives its sorted form's bytes
+    for verb, grid, order in [("normalize", GRID_33, [4, 0, 2, 1, 3]),
+                              ("extend", GRID_22, [2, 0, 1]),
+                              ("project", GRID_332,
+                               [13, 10, 0, 12, 6, 5, 3, 8, 7, 11, 4, 1, 9, 2])]:
+        outs = []
+        for ones in (grid["ones"], [grid["ones"][i] for i in order]):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(dict(grid, ones=ones))))
+            status, out, err = run(capsys, verb)
+            assert status == 0 and err == ""
+            outs.append(out)
+        assert outs[0] == outs[1]
 
 
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["size"])  # missing --w
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["size", "--w", "0,2"])  # invalid shape
-    assert exc.value.code == 2
+    for verb, w in (("size", "0,2"), ("count", "2,x")):  # invalid shapes
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--w", w])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])  # unknown verb
     assert exc.value.code == 2
@@ -611,18 +640,29 @@ def _first_row(**change):
     return dict(MAP_22, rows=[dict(MAP_22["rows"][0], **change), MAP_22["rows"][1]])
 
 
-@pytest.mark.parametrize("bad", [
-    *(_first_row(l=v) for v in (1.9, True, "1", None, [1])),
-    *(_first_row(x=v) for v in (1, [1.0], [[1]])),
-    dict(MAP_22, w=5),
-    {"w": [2, 2], "ones": [[1, "a"], [1, 2]]},
-    {"w": [2, 2], "ones": [[1, [1]], [1, 2]]},
-])
-def test_malformed_json_exits_1(capsys, monkeypatch, bad):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
-    status, out, err = run(capsys, "normalize", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err)["error"] == "ValueError"
+MALFORMED = [
+    *((_first_row(l=v), "ValueError") for v in (1.9, True, "1", None, [1])),
+    *((_first_row(x=v), "ValueError") for v in (1, [1.0], [[1]])),
+    (dict(MAP_22, w=5), "ValueError"),
+    ({"w": [2, 2], "ones": [[1, "a"], [1, 2]]}, "ValueError"),
+    ({"w": [2, 2], "ones": [[1, [1]], [1, 2]]}, "ValueError"),
+    # a duplicate, a cell outside the box, a bool, a float, a wrong length
+    ({"w": [2, 2], "ones": [[1, 2], [1, 1], [1, 2]]}, "ValueError"),
+    ({"w": [2, 2], "ones": [[1, 1], [3, 1]]}, "ValueError"),
+    ({"w": [2, 2], "ones": [[1, 1], [True, 2]]}, "ValueError"),
+    ({"w": [2, 2], "ones": [[1, 1], [2.0, 1]]}, "ValueError"),
+    ({"w": [2, 2], "ones": [[1, 1], [2, 1, 1]]}, "DimensionMismatch"),
+]
+
+
+# ids by row number, as when the rows were inputs alone
+@pytest.mark.parametrize("bad, code", MALFORMED, ids=[f"bad{i}" for i in range(len(MALFORMED))])
+def test_malformed_json_exits_1(capsys, monkeypatch, bad, code):
+    for verb in ("normalize", "extend", "project"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
+        status, out, err = run(capsys, verb, "--json")
+        assert status == 1 and out == ""
+        assert err.count("\n") == 1 and json.loads(err)["error"] == code
 
 
 def test_verify_zero_trials_says_skipped(capsys):

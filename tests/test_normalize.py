@@ -9,6 +9,7 @@ from maxac import (
     BottomedOutError,
     BoxError,
     EmptyXSetError,
+    Grid,
     IntervalMap,
     NotMaximalError,
     Shape,
@@ -125,6 +126,21 @@ def test_normalize_report_json():
     assert obj["steps"] == 2
     assert obj["pairs"] == [[[3], [2]], [[2], [1]]]
     assert obj["result"]["w"] == [3, 3]
+
+
+def test_equal_maps_hash_equal_however_they_were_built():
+    r = normalize(to_intervals(Grid(Shape((3, 3)), [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)])))
+    for derived, rows in [(r.result, {(1,): (2, 3), (2,): (2, 2), (3,): (1, 2)}),
+                          (peel(r.result), {(1,): (2, 2), (2,): (2, 2), (3,): (1, 2)})]:
+        shape = Shape(derived.shape.dims)
+        public = IntervalMap(shape, rows)
+        read = to_intervals(Grid(shape, [x + (y,) for x, (l, h) in rows.items()
+                                         for y in range(l, h + 1)]))
+        assert hash(derived) == hash(public) == hash(read)
+        # a derived map hashes its flat bounds, not a row dict built for it
+        assert "intervals" not in vars(derived)
+        assert derived == public == read and len({derived, public, read}) == 1
+    assert hash(r) == hash(normalize(IntervalMap(Shape((3, 3)), dict(M33.intervals))))
 
 
 def test_peel_examples():

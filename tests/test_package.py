@@ -17,8 +17,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # each public name and the submodule that exports it
 EXPORTS = {
-    "core": ["Cell", "Grid", "Shape", "contains_forbidden", "flip_creates_containment",
-             "is_maximal", "max_size", "strictly_below", "weight"],
+    "core": ["Cell", "Grid", "Shape", "VERIFY_SAMPLE_LIMIT", "VERIFY_TRIAL_LIMIT",
+             "contains_forbidden", "flip_creates_containment", "is_maximal", "max_size",
+             "strictly_below", "weight"],
     "counting": ["EXTEND_CELL_LIMIT", "extend_by_two", "project_last"],
     "enumeration": ["BRUTE_FORCE_CELL_LIMIT", "COUNT_DIGIT_LIMIT", "COUNT_STATE_LIMIT",
                     "COUNT_WORK_LIMIT", "DEFAULT_CELL_LIMIT", "EnumerationReport",
@@ -34,8 +35,7 @@ EXPORTS = {
     "normalize": ["NormalizeReport", "convert_step", "find_pair", "normalize", "peel"],
     "rowform": ["CharacterizationReport", "IntervalMap", "RowId", "check_characterization",
                 "from_intervals", "to_intervals", "x_set"],
-    "verification": ["VERIFY_SAMPLE_LIMIT", "VERIFY_TRIAL_LIMIT", "CheckResult",
-                     "iter_shapes", "sample_non_maximal", "verify_shape"],
+    "verification": ["CheckResult", "iter_shapes", "sample_non_maximal", "verify_shape"],
 }
 
 
@@ -68,24 +68,35 @@ def test_unknown_names_raise():
 
 
 def _fresh(code: str) -> str:
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    """Run ``code`` in a fresh interpreter in dev mode, every warning an error."""
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code],
+                          capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
     assert proc.returncode == 0, proc.stderr[-500:]
     return proc.stdout.strip()
 
 
 @pytest.mark.parametrize("first", [
-    "import maxac.verification",
-    "import maxac.normalize",
+    *(f"import maxac.{module}" for module in ["cli", *EXPORTS]),
     "import io, sys, maxac.cli; sys.stdin = io.StringIO('{\"w\": [2, 2], \"ones\": "
     "[[1, 1], [1, 2], [2, 1]]}'); assert maxac.cli.main(['normalize']) == 0",
     "from maxac import normalize",
 ])
 def test_normalize_is_the_function_in_every_import_order(first):
-    out = _fresh(f"{first}\nimport maxac\nfrom maxac import normalize\n"
+    # core reaches rowform through its package, and the lazy pairs and
+    # intervals of normalize's report reach _walk and core
+    out = _fresh(f"{first}\nimport maxac.core as core, maxac\n"
+                 "print(core.is_maximal(core.Grid(core.Shape((2, 2)), [(1, 1), (1, 2), (2, 1)])))\n"
+                 "r = maxac.normalize(maxac.to_intervals(maxac.Grid(maxac.Shape((3, 3)),"
+                 " [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)])))\n"
+                 "print(r.pairs, dict(maxac.peel(r.result).intervals))\n"
+                 "from maxac import normalize\n"
                  "print(type(normalize).__name__, normalize.__module__,"
                  " maxac.normalize is normalize)")
-    assert out.splitlines()[-1] == "function maxac.normalize True"
+    assert out.splitlines()[-3:] == [
+        "True",
+        "(((3,), (2,)), ((2,), (1,))) {(1,): (2, 2), (2,): (2, 2), (3,): (1, 2)}",
+        "function maxac.normalize True"]
 
 
 def test_importing_the_package_loads_no_submodule():

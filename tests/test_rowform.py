@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 import reference_dominance
@@ -230,7 +231,7 @@ def _random_map(shape, rng) -> IntervalMap:
     top = shape.dims[-1]
     if rng.random() < 0.5:
         fixed = {}
-        for row in shape.iter_rows():
+        for row in product(*(range(1, w + 1) for w in shape.dims[:-1])):
             a, b = rng.randint(1, top), rng.randint(1, top)
             fixed[row] = (min(a, b), max(a, b))
         return IntervalMap(shape, fixed)
