@@ -68,9 +68,12 @@ def extend_by_two(n: Grid) -> Grid:
 
 def project_last(m: Grid) -> Grid:
     """Drop a size-2 last axis from a maximal grid: keep the rows filled on
-    both layers, i.e. whose interval is [1, 2].  Inverse of ``extend_by_two``."""
+    both layers, i.e. whose interval is [1, 2].  Inverse of ``extend_by_two``.
+    A 1-d grid, or a last side other than 2, raises ValueError."""
     _require_type("project_last", m, "ones", "a Grid")
-    if m.shape.d < 2 or m.shape.dims[-1] != 2:
+    if m.shape.d < 2:
+        raise ValueError("project_last applies to d >= 2 only")
+    if m.shape.dims[-1] != 2:
         raise ValueError("the shape must end with a dimension of size 2")
     if (form := maximal_row_form(m)) is None:
         raise NotMaximalError()

@@ -34,18 +34,18 @@ interior rows), a predecessor ``x - e_i`` is ``stride_i`` slots back, and
 ``h`` reads the slot ``diag`` back (``x - (1, ..., 1)``), or the ``w_d``
 slot when ``x`` has a coordinate equal to 1.
 
-The enumerator runs the odometer itself, in place, with no generator
-between it and the leaves.  A row's cells are the run from ``l`` to ``h``
+Both loops over the leaves, the enumerator and the slice zeta's listing
+of ideals, run the odometer step (``_step_order``) in place on one
+left-end vector.  A row's cells are the run from ``l`` to ``h``
 of its own cells, so they read two slots of the left-end vector, and a
 step moves only the slot it bumps and the slots it resets from above 1.
 So the enumerator keeps each row's run as a slice of the box's cell tuple
 (``core._box``, which the flood shares).  Each inner slot's entry in the
 step order holds its predecessors and the rows that read it, and a move
-recuts exactly those rows.  Each pass joins the runs into the current
-leaf's grid, then steps.  After the ``cap``-th grid one more step decides:
-if it lands on a leaf, the count comes from ``count_maximal``.
-``_iter_left_ends`` is the same odometer as a generator of bare left-end
-vectors, for the slice zeta's ideals.
+recuts exactly those rows, in one place for a bump and a reset alike.
+Each pass joins the runs into the current leaf's grid, then steps.  After
+the ``cap``-th grid one more step decides: if it lands on a leaf, the count
+comes from ``count_maximal``.
 
 The count is the number of antichains, or order ideals, of the product of
 chains ``P = [w_1 - 1] x ... x [w_d - 1]``: order-reversing maps
@@ -67,7 +67,7 @@ Nederlof and Parviainen, SODA 2012): for each element ``q`` of ``Q`` in
 lexicographic order, ``g[I] += g[I - {q}]`` for every ideal ``I`` in which
 ``q`` is maximal, one addition per covering pair of ``J(Q)``.  The ideals
 are the left-end vectors of the box without axis ``a`` (row ``x`` holds
-``(x, y)`` for ``y < l(x)``), listed once by ``_iter_left_ends``; size-2
+``(x, y)`` for ``y < l(x)``), listed once by the same odometer; size-2
 axes add nothing to ``Q``.  For ``3^d`` the count is the Dedekind number M(d) (OEIS
 A000372: 3, 6, 20, 168, 7581, 7828354); the tests use it and the closed
 forms as oracles.
@@ -99,7 +99,7 @@ import random
 from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import (Cell, Grid, Shape, _box, _Box, _brief, _flood, _flood_box,
                    _print_limit, _printable, _require_int, _require_type, _trusted,
@@ -129,41 +129,19 @@ def _step_order(rows: _Box) -> list[tuple[int, int, tuple[int, ...]]]:
     """The odometer's slots over the row box ``rows``, last first: per inner
     row, its slot, the slot of its first predecessor ``x - e_i`` and those of
     the others.  A row with no predecessor reads the ``top`` slot ``n``
-    instead.  Its left end may rise to the least ``l`` over these slots."""
+    instead.  Its left end may rise to the least ``l`` over these slots.
+
+    A step walks this list: it bumps the first slot still below its bound
+    and resets the ones before it in the list to 1.  A slot's bound reads
+    only earlier rows, which the bump leaves alone, and 1 is always allowed,
+    so every step lands on a leaf, the next in ascending lexicographic
+    order; the walk runs off the list's end after the last leaf."""
     n = len(rows.cells)
     order = []
     for j in reversed(rows.inner):
         p, *others = [j - s for c, s in zip(rows.cells[j], rows.strides) if c > 1] or [n]
         order.append((j, p, tuple(others)))
     return order
-
-
-def _iter_left_ends(rows: _Box, top: int) -> Iterator[list[int]]:
-    """Yield every order-reversing left-end vector over the row box ``rows``
-    into ``[1, top]``, in ascending lexicographic order, as one list updated
-    in place (read it before advancing).
-
-    Slot ``n``, past the rows, holds ``top``; the boundary rows stay 1.  An
-    odometer over the inner rows, last first: bump the last one still below
-    the minimum over its predecessors and reset the ones after it to 1.  A
-    slot's bound reads only earlier slots, which the bump leaves alone, and
-    1 is always allowed, so every step lands on a leaf.
-    """
-    order = _step_order(rows)
-    l = [1] * len(rows.cells) + [top]
-    while True:
-        yield l
-        for j, p, others in order:
-            bound = l[p]
-            for q in others:
-                if l[q] < bound:
-                    bound = l[q]
-            if l[j] < bound:
-                l[j] += 1
-                break
-            l[j] = 1
-        else:
-            return
 
 
 @dataclass(frozen=True)
@@ -231,23 +209,19 @@ def enumerate_maximal(
     grids = []
     while True:
         grids.append(_trusted(Grid, shape=shape, ones=tuple(chain.from_iterable(parts))))
-        # the odometer's step, as in _iter_left_ends, recutting the rows that
-        # read each slot it moves
+        # the odometer's step, recutting the rows that read each slot it moves
         for j, p, others, reads in order:
             bound = l[p]
             for q in others:
                 if l[q] < bound:
                     bound = l[q]
             v = l[j]
-            if v < bound:
-                l[j] = v + 1
+            l[j] = new = v + 1 if v < bound else 1
+            if new != v:
                 for r, offset, hi in reads:
                     parts[r] = cells[offset + l[r] - 1 : offset + l[hi]]
-                break
-            if v > 1:
-                l[j] = 1
-                for r, offset, hi in reads:
-                    parts[r] = cells[offset + l[r] - 1 : offset + l[hi]]
+                if new > v:
+                    break
         else:
             count = len(grids)
             break
@@ -367,7 +341,9 @@ def _covering_pairs(rest: Sequence[int]) -> tuple[list[int], list[int]]:
              for k, x in enumerate(rows.inner)]
     by_element = [[] for _ in range(len(rows.inner) * (top - 1))]
     index = {}
-    for l in _iter_left_ends(rows, top):
+    order = _step_order(rows)
+    l = [1] * len(rows.cells) + [top]
+    while True:
         key = sum(map(mul, l, digit))
         i = index[key] = len(index)
         for x, successors, step, element in rules:
@@ -377,6 +353,17 @@ def _covering_pairs(rest: Sequence[int]) -> tuple[list[int], list[int]]:
                         break
                 else:  # I - {q} comes earlier in the odometer's order
                     by_element[element + v] += i, index[key - step]
+        for j, p, others in order:
+            bound = l[p]
+            for q in others:
+                if l[q] < bound:
+                    bound = l[q]
+            if l[j] < bound:
+                l[j] += 1
+                break
+            l[j] = 1
+        else:
+            break
     flat = list(chain.from_iterable(by_element))
     return flat[::2], flat[1::2]
 

@@ -134,11 +134,18 @@ class IntervalMap:
         intervals = self.__dict__["intervals"] = MappingProxyType(dict(zip(rows, zip(ls, hs))))
         return intervals
 
-    def __hash__(self):
+    def __eq__(self, other):
         # equal maps have equal shapes and the same bounds in row order; the
-        # generated hash would hash the intervals proxy, which is unhashable
-        ls, hs = self._bounds
-        return hash((self.shape, tuple(ls), tuple(hs)))
+        # generated method would compare the intervals, building them on a
+        # map _trusted_map built
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.shape, self._bounds) == (other.shape, other._bounds)
+
+    def __hash__(self):
+        # as __eq__; the generated hash would hash the intervals proxy, which
+        # is unhashable
+        return hash((self.shape, *map(tuple, self._bounds)))
 
     @property
     def top(self) -> int:

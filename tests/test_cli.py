@@ -652,17 +652,21 @@ MALFORMED = [
     ({"w": [2, 2], "ones": [[1, 1], [True, 2]]}, "ValueError"),
     ({"w": [2, 2], "ones": [[1, 1], [2.0, 1]]}, "ValueError"),
     ({"w": [2, 2], "ones": [[1, 1], [2, 1, 1]]}, "DimensionMismatch"),
+    # JSON that is no object at all
+    *((v, "ValueError") for v in ([], 42, None, "x")),
 ]
 
 
 # ids by row number, as when the rows were inputs alone
 @pytest.mark.parametrize("bad, code", MALFORMED, ids=[f"bad{i}" for i in range(len(MALFORMED))])
 def test_malformed_json_exits_1(capsys, monkeypatch, bad, code):
-    for verb in ("normalize", "extend", "project"):
+    for verb in ("normalize", "peel", "extend", "project"):
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
         status, out, err = run(capsys, verb, "--json")
         assert status == 1 and out == ""
         assert err.count("\n") == 1 and json.loads(err)["error"] == code
+        if not isinstance(bad, dict):
+            assert json.loads(err)["detail"] == "input JSON must be an object"
 
 
 def test_verify_zero_trials_says_skipped(capsys):

@@ -210,8 +210,13 @@ def test_project_last_examples():
     assert project_last(g2) == Grid(Shape((2,)), [(2,)])
     with pytest.raises(NotMaximalError):
         project_last(Grid(Shape((2, 2)), [(1, 1), (1, 2), (2, 1), (2, 2)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         project_last(Grid(Shape((3, 3)), [(1, 3), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    assert str(info.value) == "the shape must end with a dimension of size 2"
+    # a 1-d box ending in 2 is refused on its dimension, not on its last side
+    with pytest.raises(ValueError) as info:
+        project_last(Grid(Shape((2,)), [(1,)]))
+    assert str(info.value) == "project_last applies to d >= 2 only"
 
 
 def test_extended_weight_bookkeeping():

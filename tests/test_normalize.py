@@ -137,9 +137,14 @@ def test_equal_maps_hash_equal_however_they_were_built():
         read = to_intervals(Grid(shape, [x + (y,) for x, (l, h) in rows.items()
                                          for y in range(l, h + 1)]))
         assert hash(derived) == hash(public) == hash(read)
-        # a derived map hashes its flat bounds, not a row dict built for it
-        assert "intervals" not in vars(derived)
+        # a derived map hashes and compares its flat bounds, not a row dict
+        # built for it
+        assert derived == read and derived != rows
+        assert "intervals" not in vars(derived) and "intervals" not in vars(read)
         assert derived == public == read and len({derived, public, read}) == 1
+        (x, (l, h)), *others = rows.items()
+        assert derived != IntervalMap(shape, {x: (l - 1, h), **dict(others)})
+        assert derived != IntervalMap(Shape(shape.dims[:-1] + (shape.dims[-1] + 1,)), rows)
     assert hash(r) == hash(normalize(IntervalMap(Shape((3, 3)), dict(M33.intervals))))
 
 
