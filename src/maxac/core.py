@@ -350,12 +350,6 @@ class _Box:
         )
 
     @cached_property
-    def axes(self) -> tuple[tuple[int, int, int], ...]:
-        """The climb steps, one (axis, w, stride) per axis, largest axis first:
-        cell i + stride if cell i is below w there."""
-        return tuple((k, self.dims[k], self.strides[k]) for k in reversed(range(len(self.dims))))
-
-    @cached_property
     def steps(self) -> tuple:
         """The flood table of ``_turn_on``, which reads it on the box of a
         grid's rows (one cell here is one row there), per direction (up,

@@ -98,7 +98,6 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import chain
-from operator import mul
 from typing import Sequence
 
 from .core import (Cell, Grid, Shape, _box, _Box, _brief, _flood, _flood_box,
@@ -343,8 +342,8 @@ def _covering_pairs(rest: Sequence[int]) -> tuple[list[int], list[int]]:
     index = {}
     order = _step_order(rows)
     l = [1] * len(rows.cells) + [top]
+    key = sum(digit)  # the step moves the key with the slots it bumps and resets
     while True:
-        key = sum(map(mul, l, digit))
         i = index[key] = len(index)
         for x, successors, step, element in rules:
             if (v := l[x]) > 1:
@@ -360,7 +359,9 @@ def _covering_pairs(rest: Sequence[int]) -> tuple[list[int], list[int]]:
                     bound = l[q]
             if l[j] < bound:
                 l[j] += 1
+                key += digit[j]
                 break
+            key -= (l[j] - 1) * digit[j]
             l[j] = 1
         else:
             break

@@ -33,11 +33,11 @@ maximal map the work is small:
   result does not depend on the order of the pairs: ``normalize`` writes it
   straight from the set, h(x) = l(x') = w_d - 1 for each row x of it, on a
   copy of the map's flat lists of l and of h, with one step per row.  The
-  pairs are walked only when the report's ``pairs`` is first read, from
-  the input map's own lists.  The result, a new map even when the set is
-  already empty (it then shares the input's lists), carries a second
-  verdict, ``_drained``, so ``peel`` does not scan its obstruction set
-  again.
+  pairs are walked only when the report's ``pairs`` is first read, on
+  copies of the input map's lists.  The result, a new map even when the
+  set is already empty (it then shares the input's lists), carries a
+  second verdict, ``_drained``, so ``peel`` does not scan its obstruction
+  set again.
 * The bounds travel as those flat lists, in row-box order: every map that
   ``to_intervals``, ``normalize``, ``convert_step`` and ``peel`` build is
   handed its lists (``IntervalMap._bounds``) and builds its ``intervals``
@@ -66,6 +66,10 @@ maximal map the work is small:
   whole normalization cost O(1) per diagonal step of each pending row plus
   O(d) per convert step (one addition per step on flat indices), instead
   of a walk from the pending row on every step.
+* ``_walk`` writes each pair to the lists it is handed before yielding it,
+  so it is handed copies only: peeled and normalized maps share lists.
+  ``find_pair`` returns the first pair of such a walk, and ``convert_step``
+  the map built from the copies it wrote.
 """
 
 from __future__ import annotations
@@ -74,17 +78,17 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .core import Shape, _Box, _box, _require_type, _trusted
+from .core import Shape, _Box, _require_type, _trusted
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
-from .rowform import IntervalMap, RowId, _obstructed, _trusted_map, check_characterization
+from .rowform import IntervalMap, RowId, _obstructed, _trusted_map, check_characterization, x_set
 
 
 @dataclass(frozen=True)
 class NormalizeReport:
     """Result of a full normalization plus the trace of applied pairs.
 
-    ``normalize`` builds the report without its pairs; they are walked from
-    the input map on first read and kept.
+    ``normalize`` builds the report without its pairs; they are walked on
+    copies of the input map's bounds on first read and kept.
     """
 
     result: IntervalMap
@@ -129,12 +133,13 @@ def _walk(ls: list[int], hs: list[int], box: _Box, top: int,
     flat indices of its obstruction rows, ascending) in order.
 
     ``ls`` and ``hs`` hold the bounds by flat index into ``box``, the map's
-    row box; each pair is applied to them when the walk is resumed
-    after it, so the first pair alone leaves them untouched.  The climb is a
-    stack of flat indices; see the module docstring for why resuming it
-    gives the pairs of a fresh search.
+    row box, and every caller hands in copies: each pair is written to them
+    before it is yielded.  The climb is a stack of flat indices; see the
+    module docstring for why resuming it gives the pairs of a fresh search.
     """
-    rows, diag, axes = box.cells, box.diag, box.axes
+    rows, diag = box.cells, box.diag
+    # the climb steps, largest axis first: cell i + stride if cell i is below w there
+    climb = [(k, box.dims[k], box.strides[k]) for k in reversed(range(len(box.dims)))]
     for start in pending:
         if hs[start] != top:
             continue  # drained by an earlier step
@@ -145,17 +150,31 @@ def _walk(ls: list[int], hs: list[int], box: _Box, top: int,
         while path:
             x = path[-1]
             row = rows[x]
-            for k, w, stride in axes:
+            for k, w, stride in climb:
                 if row[k] < w and hs[x + stride] == top:
                     path.append(x + stride)
                     break
             else:
                 x_prime = x - diag
-                yield row, rows[x_prime]
                 hs[x] = ls[x_prime] = top - 1
+                yield row, rows[x_prime]
                 path.pop()
                 if not path and x != start:
                     path.append(x_prime)
+
+
+def _first_pair(m: IntervalMap) -> tuple[tuple[RowId, RowId], list[int], list[int]]:
+    """The first convert pair of the maximal map ``m``, walked on copies of
+    its bound lists, and the copies with that pair written."""
+    box, pending = _obstructed(m)
+    if not pending:
+        raise EmptyXSetError()
+    top = m.top
+    if top < 2:
+        # every interval is (1, 1); no weight can move anywhere
+        raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
+    ls, hs = map(list.copy, m._bounds)
+    return next(_walk(ls, hs, box, top, pending[:1])), ls, hs
 
 
 def find_pair(m: IntervalMap) -> tuple[RowId, RowId]:
@@ -169,33 +188,23 @@ def find_pair(m: IntervalMap) -> tuple[RowId, RowId]:
     The search is deterministic: stage 1 starts at the lexicographically
     smallest obstruction row and descends through the smallest top-touching
     descendant until a row leaves slack below the top; stage 2 re-anchors to
-    the smallest rival descendant while the diagonal ancestor has one.
+    the smallest rival descendant while the diagonal ancestor has one.  It
+    walks copies of the map's bounds, so ``m`` is left as it was.
     """
     _require_maximal(m, "find_pair")
-    box, pending = _obstructed(m)
-    if not pending:
-        raise EmptyXSetError()
-    top = m.top
-    if top < 2:
-        # every interval is (1, 1); no weight can move anywhere
-        raise BottomedOutError("last dimension is 1; intervals cannot be lowered")
-    # the first pair alone leaves the map's own lists untouched
-    ls, hs = m._bounds
-    return next(_walk(ls, hs, box, top, pending[:1]))
+    return _first_pair(m)[0]
 
 
 def convert_step(m: IntervalMap) -> IntervalMap:
-    """One rewrite: lower h(x) to w_d - 1 and raise l(x') to w_d - 1.
+    """One rewrite: lower h(x) to w_d - 1 and raise l(x') to w_d - 1, for
+    the pair (x, x') that ``find_pair`` locates.
 
     Preserves weight and the characterization, and removes exactly x from
-    the obstruction set.
+    the obstruction set.  Built from the copies of the bounds that the pair
+    search wrote; ``m`` is left as it was.
     """
     _require_maximal(m, "convert_step")
-    x, _ = find_pair(m)
-    box = _box(m.shape.dims[:-1])
-    i = box.index(x)
-    ls, hs = map(list.copy, m._bounds)
-    hs[i] = ls[i - box.diag] = m.top - 1
+    _, ls, hs = _first_pair(m)
     return _trusted_map(m.shape, ls, hs, maximal=True)
 
 
@@ -244,10 +253,8 @@ def peel(m: IntervalMap) -> IntervalMap:
     top = m.top
     if top < 2:
         raise BottomedOutError("last dimension is already 1")
-    if not m._drained:
-        box, pending = _obstructed(m)
-        if pending:
-            raise XSetNonEmptyError({box.cells[i] for i in pending})
+    if not m._drained and (rows := x_set(m)):
+        raise XSetNonEmptyError(rows)
     # l < w_d on every row that loses its top cell, so ls carries over as is
     ls, hs = m._bounds
     dims = m.shape.dims[:-1] + (top - 1,)

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 import reference_dominance
@@ -8,12 +9,14 @@ import reference_flood
 from maxac import (
     DimensionMismatchError,
     Grid,
+    IntervalMap,
     Shape,
     complete_to_maximal,
     contains_forbidden,
     count_maximal,
     enumerate_maximal,
     flip_creates_containment,
+    from_intervals,
     is_maximal,
     max_size,
     normalize,
@@ -24,7 +27,7 @@ from maxac import (
     to_intervals,
     weight,
 )
-from maxac.core import _Box, _box, _digit_count, _turn_on
+from maxac.core import GAME_CELL_LIMIT, _Box, _box, _digit_count, _flood, _turn_on
 from maxac.verification import iter_shapes
 
 
@@ -93,6 +96,51 @@ def test_is_maximal_matches_the_pairwise_oracle():
                 pool.append(Grid(shape, [c for c in cells if rng.random() < density]))
         for g in pool:
             assert is_maximal(g) == reference_dominance.is_maximal(g), (dims, g.ones)
+
+
+def _seeded_box(rng):
+    """A box with d <= 4 and at most GAME_CELL_LIMIT cells, small or large."""
+    while True:
+        d = rng.randint(1, 4)
+        side = rng.choice([3, 6, 2 * round(GAME_CELL_LIMIT ** (1 / d))])
+        shape = Shape(tuple(rng.randint(1, side) for _ in range(d)))
+        if shape.cell_count <= GAME_CELL_LIMIT:
+            return shape
+
+
+def test_is_maximal_gives_the_flood_verdict_one_move_from_maximal():
+    # a maximal grid, one row's interval shifted by one, and one cell moved
+    # to a zero cell: both variants keep full weight, so the weight check
+    # cannot decide them
+    rng = random.Random(10)
+    verdicts, small = Counter(), 0
+    for seed in range(200):
+        shape = _seeded_box(rng)
+        g = random_maximal(shape, seed)
+        m = to_intervals(g)
+        rows = dict(m.intervals)
+        variants = [g]
+        movable = [x for x, (l, h) in rows.items() if l > 1 or h < m.top]
+        if movable:
+            x = rng.choice(movable)
+            l, h = rows[x]
+            shift = 1 if h < m.top and (l == 1 or rng.random() < 0.5) else -1
+            rows[x] = (l + shift, h + shift)
+            variants.append(from_intervals(IntervalMap(shape, rows)))
+        zeros = [c for c in shape.iter_cells() if c not in g.one_set]
+        if zeros:
+            gone = rng.choice(g.ones)
+            variants.append(Grid(shape, [c for c in g.ones if c != gone] + [rng.choice(zeros)]))
+        for v in variants:
+            flooded = _flood(v)
+            got = is_maximal(v)
+            assert got == (flooded is not None and not any(flooded[1])), (shape.dims, v.ones)
+            if shape.cell_count <= 64:
+                assert got == reference_dominance.is_maximal(v), (shape.dims, v.ones)
+                small += 1
+            verdicts[v is g, got] += 1
+    assert verdicts[True, True] == 200 and verdicts[False, True] and verdicts[False, False]
+    assert small > 0
 
 
 def test_one_layout_per_box_with_shared_step_tuples():

@@ -307,6 +307,35 @@ def test_find_pair_and_convert_step_resume_where_normalize_does():
     assert maps == 1944
 
 
+def test_find_pair_and_convert_step_write_to_no_map_they_are_given():
+    # the walk writes each pair to the lists it is handed, and a peeled map
+    # shares its l list with the normalized map it came from: both maps'
+    # bounds must survive, and the step must write the found pair alone
+    def snapshot(*maps):
+        return [tuple(map(tuple, k._bounds)) for k in maps]
+
+    maps = 0
+    for shape in iter_shapes(25, 4):
+        if shape.d < 2:
+            continue
+        for g in enumerate_maximal(shape).grids:
+            m = sharer = to_intervals(g)  # the first level shares no list
+            while m.top > 1:
+                if x_set(m):
+                    maps += 1
+                    before = snapshot(m, sharer)
+                    x, x_prime = find_pair(m)
+                    out = convert_step(m)
+                    assert snapshot(m, sharer) == before, g.ones
+                    want = dict(m.intervals)
+                    want[x] = (want[x][0], m.top - 1)
+                    want[x_prime] = (m.top - 1, want[x_prime][1])
+                    assert (out.shape, dict(out.intervals)) == (m.shape, want), g.ones
+                sharer = normalize(m).result
+                m = peel(sharer)
+    assert maps == 1944
+
+
 def _large_map_id(v):
     return "x".join(map(str, v)) if isinstance(v, tuple) else f"seed{v}"
 

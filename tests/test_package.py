@@ -1,5 +1,6 @@
 """The package's public names: the same set and the same objects as the eager
-imports gave, in every import order; and the README's quick start."""
+imports gave, in every import order; and the README's quick start and
+demos."""
 
 import ast
 import importlib
@@ -164,3 +165,19 @@ def test_the_readme_quick_start_gives_what_its_comments_say():
             exec(compile(ast.Module([node], []), "README.md", "exec"), namespace)
     size, _, loser = values
     assert (size, len(namespace["report"].grids), loser) == (5, 6, 1)
+
+
+DEMOS = sorted((SRC.parent / "demos").glob("0*.py"))
+
+
+def test_the_readme_lists_every_demo():
+    readme = (SRC.parent / "README.md").read_text()
+    assert re.findall(r"python3 demos/(\S+\.py)", readme) == [demo.name for demo in DEMOS]
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda demo: demo.stem)
+def test_each_demo_runs_in_dev_mode_with_nothing_on_stderr(demo):
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)],
+                          capture_output=True, text=True, cwd=SRC.parent,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
