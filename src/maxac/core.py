@@ -69,10 +69,10 @@ def _require_type(name: str, value, attr: str, kind: str) -> None:
 def _digit_count(x: int) -> int:
     """Decimal digits of ``abs(x)``, without converting it to a string."""
     x = abs(x)
-    # the bit length fixes the count up to one either way
+    # 2 ** (b - 1) <= x < 2 ** b for the bit length b, so the count exceeds
+    # b * log10(2) - 1 and is at most b * log10(2) + 1: this start is the
+    # count or one below it
     n = max(1, int(x.bit_length() * math.log10(2)))
-    while n > 1 and 10 ** (n - 1) > x:
-        n -= 1
     while 10 ** n <= x:
         n += 1
     return n

@@ -30,6 +30,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import compress
 from typing import Callable, Sequence, Union
 
 from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _box, _brief, _flood_box, _require_int,
@@ -154,7 +155,7 @@ def play(
         player = len(moves) % players
         strategy = strategies[player]
         if callable(strategy):
-            returned = strategy(_state(shape, players, moves))
+            returned = strategy(_state(shape, players, moves, cells, taken))
             try:
                 cell = tuple(returned)
             except TypeError:
@@ -175,8 +176,8 @@ def play(
         moves.append((player, cell))
         taken[j] = 1
         if not alive[j]:
-            return _trusted(Transcript, final_state=_state(shape, players, moves), loser=player,
-                            terminal_cell=cell, forced=not size)
+            return _trusted(Transcript, final_state=_state(shape, players, moves, cells, taken),
+                            loser=player, terminal_cell=cell, forced=not size)
         for lo, hi in _turn_on(steps, width, alive, j):
             size -= hi - lo
             if order is not None:
@@ -184,12 +185,14 @@ def play(
                 p = bisect_left(order, lo)
                 del order[p:p + hi - lo]
     # full clean board: the player to move cannot move at all
-    return _trusted(Transcript, final_state=_state(shape, players, moves),
+    return _trusted(Transcript, final_state=_state(shape, players, moves, cells, taken),
                     loser=len(moves) % players, terminal_cell=None, forced=True)
 
 
-def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]]) -> GameState:
-    # the moves are distinct in-box cells: play checked each one it did not
-    # take from the box's own cell tuple, and the board is a Grid
-    board = _trusted(Grid, shape=shape, ones=tuple(sorted(c for _, c in moves)))
+def _state(shape: Shape, players: int, moves: list[tuple[int, Cell]], cells: tuple[Cell, ...],
+           taken: bytearray) -> GameState:
+    # the board is the taken cells of the box layout, whose order is the
+    # ascending one a Grid keeps: the moves are distinct in-box cells, as
+    # play checked each one it did not take from that layout
+    board = _trusted(Grid, shape=shape, ones=tuple(compress(cells, taken)))
     return _trusted(GameState, shape=shape, board=board, players=players, moves=tuple(moves))

@@ -38,13 +38,14 @@ maximal map the work is small:
   set is already empty (it then shares the input's lists), carries a
   second verdict, ``_drained``, so ``peel`` does not scan its obstruction
   set again.
-* The bounds travel as those flat lists, in row-box order: every map that
-  ``to_intervals``, ``normalize``, ``convert_step`` and ``peel`` build is
-  handed its lists (``IntervalMap._bounds``) and builds its ``intervals``
-  dict only when it is first read, so a level reads the lists once and no
-  step of a chain builds or reads a row of that dict.  ``peel`` keeps
-  the l list as it is (no row that loses its top cell has l = w_d) and
-  builds the new h list in one pass.
+* The bounds travel as those flat lists, in row-box order: every map holds
+  its rows only as its lists (``IntervalMap._bounds``), which
+  ``to_intervals``, ``normalize``, ``convert_step`` and ``peel`` hand to the
+  maps they build, and builds its ``intervals`` dict only when it is first
+  read, so a level reads the lists once and no step of a chain builds or
+  reads a row of that dict.  ``peel`` keeps the l list as it is (no row
+  that loses its top cell has l = w_d) and builds the new h list in one
+  pass.
 * h is order-reversing, so the top-touching rows form a down-set.  The
   lexicographically first top-touching row strictly above x is then
   x + (1,...,1) if any is, and the first one at or above x other than x is
@@ -80,7 +81,7 @@ from typing import Iterable, Iterator
 
 from .core import Shape, _Box, _require_type, _trusted
 from .errors import BottomedOutError, EmptyXSetError, NotMaximalError, XSetNonEmptyError
-from .rowform import IntervalMap, RowId, _obstructed, _trusted_map, check_characterization, x_set
+from .rowform import IntervalMap, RowId, _obstructed, check_characterization, x_set
 
 
 @dataclass(frozen=True)
@@ -205,7 +206,7 @@ def convert_step(m: IntervalMap) -> IntervalMap:
     """
     _require_maximal(m, "convert_step")
     _, ls, hs = _first_pair(m)
-    return _trusted_map(m.shape, ls, hs, maximal=True)
+    return _trusted(IntervalMap, shape=m.shape, _bounds=(ls, hs), _maximal=True, _drained=False)
 
 
 def normalize(m: IntervalMap) -> NormalizeReport:
@@ -233,7 +234,7 @@ def normalize(m: IntervalMap) -> NormalizeReport:
         diag = box.diag
         for i in pending:
             hs[i] = ls[i - diag] = top - 1
-    result = _trusted_map(m.shape, ls, hs, maximal=True, drained=True)
+    result = _trusted(IntervalMap, shape=m.shape, _bounds=(ls, hs), _maximal=True, _drained=True)
     return _trusted(NormalizeReport, result=result, steps=len(pending),
                     _walk_from=(m, box, pending))
 
@@ -259,4 +260,5 @@ def peel(m: IntervalMap) -> IntervalMap:
     ls, hs = m._bounds
     dims = m.shape.dims[:-1] + (top - 1,)
     shape = _trusted(Shape, dims=dims, cell_count=math.prod(dims))
-    return _trusted_map(shape, ls, [h - 1 if h == top else h for h in hs], maximal=True)
+    hs = [h - 1 if h == top else h for h in hs]
+    return _trusted(IntervalMap, shape=shape, _bounds=(ls, hs), _maximal=True, _drained=False)

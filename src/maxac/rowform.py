@@ -30,18 +30,18 @@ folds, one axis at a time, over the flat row indices of the row box: the
 layout ``core._box`` of the first d - 1 axes, memoised by them, so
 ``normalize`` and ``peel`` read the same one at every level of a chain,
 which shrinks only the last axis.  The bounds travel in that layout too: a
-map carries them as two flat lists ``(ls, hs)`` by row index (``_bounds``,
-not a dataclass field), set at construction by one of two builders.  The
-public constructor (so also ``dataclasses.replace``) fills them in the loop
-that checks the rows; ``_trusted_map``, through which ``to_intervals``,
-``normalize``, ``convert_step`` and ``peel`` build every map, is handed
-them and stores nothing else.  Such a map builds its ``intervals`` dict
-from the lists and the row box only on first read, so a chain, which reads
-only the lists, builds none.  ``normalize`` writes its result's lists
-straight from the obstruction set: each row x of the set is converted once,
-with x - (1,...,1), and every write is w_d - 1, so the order of the convert
-pairs does not matter, and it walks them only when its report's ``pairs``
-is first read.  The lists are ascending by row, so ``to_json_obj`` and
+map holds its rows only as two flat lists ``(ls, hs)`` by row index
+(``_bounds``, not a dataclass field).  The public constructor (so also
+``dataclasses.replace``) fills them in the loop that checks the given rows
+and keeps nothing else of them; ``to_intervals``, ``normalize``,
+``convert_step`` and ``peel`` hand them to ``core._trusted`` with the map's
+verdicts.  Every map builds its ``intervals`` dict from the lists and the
+row box only on first read, so a chain, which reads only the lists, builds
+none.  ``normalize`` writes its result's lists straight from the
+obstruction set: each row x of the set is converted once, with
+x - (1,...,1), and every write is w_d - 1, so the order of the convert pairs
+does not matter, and it walks them only when its report's ``pairs`` is
+first read.  The lists are ascending by row, so ``to_json_obj`` and
 ``from_intervals`` read them in order and sort nothing.  A passing check
 leaves its verdict on the map (``_maximal``, also not a field), which
 ``normalize`` reads instead of sweeping the same map again; a map that
@@ -115,18 +115,18 @@ class IntervalMap:
             hs.append(h)
         if len(ls) != len(fixed):
             raise ValueError("intervals given for rows outside the box")
-        object.__setattr__(self, "intervals", MappingProxyType(fixed))
         # not a field: the l and h of every row in ascending row order, the
-        # row box's.  A map _trusted_map builds holds only these, maybe shared
-        # with the map they came from, so no one mutates them; its intervals
-        # are built from them on first read (__getattr__).  normalize writes
-        # them from the obstruction set alone, as every convert write is
-        # w_d - 1 and the order of the pairs does not matter
+        # row box's, and all a map holds of its rows.  A map the library
+        # builds may share them with the map they came from, so no one
+        # mutates them.  normalize writes them from the obstruction set
+        # alone, as every convert write is w_d - 1 and the order of the
+        # pairs does not matter
+        del self.__dict__["intervals"]
         object.__setattr__(self, "_bounds", (ls, hs))
 
     def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the intervals of
-        # a map _trusted_map built, until first read
+        # reached only for an attribute the instance lacks: the intervals,
+        # until first read
         if name != "intervals":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         ls, hs = self._bounds
@@ -136,8 +136,7 @@ class IntervalMap:
 
     def __eq__(self, other):
         # equal maps have equal shapes and the same bounds in row order; the
-        # generated method would compare the intervals, building them on a
-        # map _trusted_map built
+        # generated method would compare the intervals, building them
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.shape, self._bounds) == (other.shape, other._bounds)
@@ -216,7 +215,7 @@ def to_intervals(g: Grid) -> IntervalMap:
         row = following
     if not set(map(type, chain(ls, hs))) <= {int}:
         ls, hs = list(map(int, ls)), list(map(int, hs))
-    return _trusted_map(shape, ls, hs)
+    return _trusted(IntervalMap, shape=shape, _bounds=(ls, hs), _maximal=False, _drained=False)
 
 
 def _rows(shape: Shape, n: int) -> Iterator[RowId]:
@@ -224,19 +223,6 @@ def _rows(shape: Shape, n: int) -> Iterator[RowId]:
     row k of the box has none above k + 1, so they start with its first
     ``n + 1`` rows, and no whole side of a huge box is built."""
     return product(*(range(1, min(w, n + 1) + 1) for w in shape.dims[:-1]))
-
-
-def _trusted_map(shape: Shape, ls: list[int], hs: list[int],
-                 maximal: bool = False, drained: bool = False) -> IntervalMap:
-    """The IntervalMap whose rows, those of the row box in its order, have
-    the bounds ``ls`` and ``hs``, without the constructor's check: only for
-    maps valid by construction.  The map keeps them as its ``_bounds``
-    and builds its ``intervals`` from them on first read.  ``maximal`` gives
-    it the verdict, for maps derived from a maximal map by steps that
-    preserve the characterization; ``drained`` says that its obstruction set
-    is empty, for the maps ``normalize`` returns."""
-    return _trusted(IntervalMap, shape=shape, _bounds=(ls, hs), _maximal=maximal,
-                    _drained=drained)
 
 
 def from_intervals(m: IntervalMap) -> Grid:

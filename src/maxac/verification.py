@@ -131,7 +131,8 @@ def sample_non_maximal(shape: Shape, count: int, seed: int = 0) -> list[Grid]:
 
 
 def _interval_weight(m: IntervalMap) -> int:
-    return sum(h - l + 1 for l, h in m.intervals.values())
+    ls, hs = m._bounds
+    return sum(hs) - sum(ls) + len(ls)
 
 
 def check_size_law(shape: Shape, grids: Sequence[Grid]) -> CheckResult:

@@ -327,6 +327,10 @@ def test_shape_validation():
         Shape((2, -1))
     with pytest.raises(OverflowError):
         Shape((2**32, 2**32, 2))  # cell count exceeds 64 bits
+    # the largest 64-bit count is accepted, one more is not
+    assert Shape((2**64 - 1,)).cell_count == 2**64 - 1
+    with pytest.raises(OverflowError):
+        Shape((2**64,))
     s = Shape([3, 2])  # any iterable of ints is accepted
     assert s.dims == (3, 2) and s.d == 2 and s.cell_count == 6
 
@@ -358,7 +362,10 @@ def test_grid_validation():
         (Shape((2, 2)), [(1, 1), (1, 1)], ValueError, "duplicate cell (1, 1)"),
         (Shape((2, 2)), [(1, 1, 1)], DimensionMismatchError,
          "cell (1, 1, 1) has 3 coordinates, shape has 2"),
-        # a huge cell or box is quoted in a short form
+        # a huge cell or box is quoted in a short form: at most 8 items of a
+        # tuple
+        (Shape((2, 2)), [tuple(range(1, 10))], DimensionMismatchError,
+         "cell (1, 2, 3, 4, 5, 6, 7, 8, ...) has 9 coordinates, shape has 2"),
         (Shape((2, 2)), [(1,) * 50_000], DimensionMismatchError, None),
         (Shape((2, 2)), [(10**1000, 1)], ValueError, None),
         (wide, [(2,) * 1000], ValueError, None),

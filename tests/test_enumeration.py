@@ -395,6 +395,17 @@ def test_a_refused_sub_count_refuses_on_states(monkeypatch):
     assert str(info.value) == refusal((3,) * 5)
 
 
+def test_a_count_with_exactly_the_state_budget_for_its_bound_takes_the_exact_count(monkeypatch):
+    # 3^4 bounds its states by |Q| + 1 = 9 for Q = [2]^3, which has 20
+    # ideals: at a budget of 9 the bound alone passes, and the exact count
+    # of 3^3 refuses it
+    monkeypatch.setattr(enumeration, "COUNT_STATE_LIMIT", 9)
+    with pytest.raises(ShapeTooLargeError) as info:
+        count_maximal(Shape((3, 3, 3, 3)))
+    assert str(info.value) == ("counting shape (3, 3, 3, 3) takes at least 20 states, "
+                               "limit is 9 (COUNT_STATE_LIMIT)")
+
+
 def test_the_digit_budget_refuses_before_any_work_with_no_digit_limit():
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -161,6 +161,10 @@ def test_play_is_seed_deterministic():
     a = play(Shape((3, 3)), 2, ["random", "random"], seed=42)
     b = play(Shape((3, 3)), 2, ["random", "random"], seed=42)
     assert a.final_state.moves == b.final_state.moves
+    # the default seed is 0, on a box where seed 1 plays another game
+    shape, strategies = Shape((2, 3)), ["random", "random"]
+    assert play(shape, 2, strategies) == play(shape, 2, strategies, seed=0)
+    assert play(shape, 2, strategies) != play(shape, 2, strategies, seed=1)
 
 
 def test_transcript_json():

@@ -128,6 +128,14 @@ def test_normalize_report_json():
     assert obj["result"]["w"] == [3, 3]
 
 
+def test_a_normalize_report_walks_its_pairs_and_has_no_other_lazy_attribute():
+    report = normalize(M33)
+    assert "pairs" not in vars(report)
+    with pytest.raises(AttributeError, match="^'NormalizeReport' object has no attribute 'step'$"):
+        report.step
+    assert report.pairs == (((3,), (2,)), ((2,), (1,))) and "pairs" in vars(report)
+
+
 def test_equal_maps_hash_equal_however_they_were_built():
     r = normalize(to_intervals(Grid(Shape((3, 3)), [(1, 3), (2, 3), (3, 1), (3, 2), (3, 3)])))
     for derived, rows in [(r.result, {(1,): (2, 3), (2,): (2, 2), (3,): (1, 2)}),

@@ -158,6 +158,17 @@ def test_interval_map_validation():
             IntervalMap(Shape((2, 2)), {(1,): (1, 2), (2,): (1, bad)})
 
 
+def test_a_checked_map_holds_only_its_flat_bounds():
+    # rows given out of order: the map keeps their bounds in row order, and
+    # builds its intervals, in that order too, only when they are first read
+    m = IntervalMap(Shape((3, 3)), {(3,): (1, 3), (1,): (3, 3), (2,): (3, 3)})
+    assert vars(m) == {"shape": Shape((3, 3)), "_bounds": ([3, 3, 1], [3, 3, 3])}
+    assert list(m.intervals.items()) == [((1,), (3, 3)), ((2,), (3, 3)), ((3,), (1, 3))]
+    assert "intervals" in vars(m)
+    assert repr(m) == ("IntervalMap(shape=Shape(dims=(3, 3)), intervals=mappingproxy("
+                       "{(1,): (3, 3), (2,): (3, 3), (3,): (1, 3)}))")
+
+
 def test_interval_map_rejects_non_integer_row_ids():
     # (1.0,) hashes like (1,), so the row lookup alone would accept it and
     # to_json_obj would then emit "x": [1.0], which from_json_obj rejects
@@ -211,6 +222,7 @@ def test_ancestor_descendant_rows():
 def test_check_characterization_examples():
     good = IntervalMap(Shape((2, 2)), {(1,): (1, 2), (2,): (1, 1)})
     assert check_characterization(good)
+    assert str(check_characterization(good)) == "characterization holds at every row"
 
     bad = check_characterization(
         IntervalMap(Shape((2, 2)), {(1,): (1, 2), (2,): (1, 2)})

@@ -51,7 +51,6 @@ TRUSTED_SITES = {
     ("enumeration", "complete_to_maximal"),
     ("enumeration", "random_maximal"),
     ("rowform", "to_intervals"),
-    ("rowform", "_trusted_map"),
     ("normalize", "convert_step"),
     ("normalize", "normalize"),
     ("normalize", "peel"),
@@ -75,8 +74,7 @@ def _call_sites(names):
 
 
 def test_trusted_call_sites_are_pinned():
-    # _trusted_map is rowform's trusted builder, so its callers count as well
-    assert _call_sites({"_trusted", "_trusted_map"}) == TRUSTED_SITES
+    assert _call_sites({"_trusted"}) == TRUSTED_SITES
 
 
 def _public(m: IntervalMap) -> IntervalMap:
@@ -293,7 +291,8 @@ def test_int_subclass_grids_answer_as_plain_ones():
 def test_game_boards_equal_the_public_constructor():
     # every state a callable strategy is shown, every final state, and every
     # transcript; the callable takes the last zero cell, with IntEnum
-    # coordinates where they fit, which the public constructor keeps as given
+    # coordinates where they fit.  The moves keep them as given, and the
+    # board, equal to the public constructor's, holds the box layout's cells
     shown = []
 
     def last_zero(state):
@@ -311,6 +310,7 @@ def test_game_boards_equal_the_public_constructor():
                 public = Shape(tuple(shape.dims))
                 want = Grid(public, [c for _, c in state.moves])
                 assert state.board == want
+                assert {type(x) for c in state.board.ones for x in c} <= {int}
                 built = GameState(public, want, state.players, tuple(state.moves))
                 assert state == built and vars(state) == vars(built)
             shown.clear()

@@ -15,6 +15,7 @@ from maxac import (
     iter_shapes,
     max_size,
     normalize,
+    play,
     predict_loser,
     sample_non_maximal,
     to_intervals,
@@ -285,6 +286,19 @@ def test_the_game_check_fails_a_wrong_loser(monkeypatch):
     result = verification.check_game(shape, trials=1)
     assert (result.passed, result.detail) == (
         False, f"m=2, trial 0: loser {predict_loser(shape, 2)}, expected -1")
+
+
+def test_the_game_check_plays_100_games_per_player_count_by_default(monkeypatch):
+    games = []
+
+    def counted(*args, **kwargs):
+        games.append(args[1])
+        return play(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "play", counted)
+    result = verification.check_game(Shape((2, 2)))
+    assert result.detail == "loser = 3 mod m over 100 seeded games for m in (2, 3, 5)"
+    assert games == [2] * 100 + [3] * 100 + [5] * 100
 
 
 def test_the_bijection_check_reads_each_image_once(monkeypatch):
