@@ -109,7 +109,7 @@ DEFAULT_CELL_LIMIT = 25
 BRUTE_FORCE_CELL_LIMIT = 16
 # count_maximal's budgets (module docstring), checked before any pass.  It
 # holds the ideals and their covering pairs at once: 5x5x5x5's 232,848 and
-# 1.36 million took 2.4-2.8 s and 115 MB peak RSS on a 2-vCPU VM.  An addition
+# 1.36 million took 1.47 s and 121 MB peak RSS on a 2-vCPU VM.  An addition
 # costs 0.1-0.3 us: 3x3x3x312502, 10 million of them, took 1.1 s.
 COUNT_STATE_LIMIT = 250_000
 COUNT_WORK_LIMIT = 10_000_000

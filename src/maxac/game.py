@@ -35,7 +35,8 @@ from typing import Callable, Sequence, Union
 
 from .core import (GAME_CELL_LIMIT, Cell, Grid, Shape, _box, _brief, _flood_box, _require_int,
                    _require_type, _trusted, _turn_on, flip_creates_containment, max_size)
-from .errors import StrategyReturnedNonZeroCellError, StrategyReturnedOutOfRangeError
+from .errors import (ShapeTooLargeError, StrategyReturnedNonZeroCellError,
+                     StrategyReturnedOutOfRangeError)
 
 # built-in strategy names, or a callable mapping the state to a zero cell
 Strategy = Union[str, Callable[["GameState"], Cell]]
@@ -98,8 +99,12 @@ def predict_loser(shape: Shape, players: int) -> int:
 
 def safe_moves(state: GameState) -> set[Cell]:
     """Zero cells whose flip keeps the board clean; empty iff the board is
-    maximal."""
+    maximal.  The definitional oracle of ``play``'s flood: it tests every
+    cell pairwise, so it has ``play``'s budget, and boxes of more than
+    ``GAME_CELL_LIMIT`` cells raise ``ShapeTooLargeError`` before the scan."""
     _require_type("safe_moves", state, "board", "a GameState")
+    if (cells := state.shape.cell_count) > GAME_CELL_LIMIT:
+        raise ShapeTooLargeError(cells, GAME_CELL_LIMIT)
     board = state.board
     return {
         c

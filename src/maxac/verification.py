@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from itertools import filterfalse, islice
 from typing import Iterator, Sequence
 
-from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _box, _brief, _flood,
-                   _print_limit, _require_int, _require_type, _too_long, _trusted, max_size,
-                   weight)
+from .core import (VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape, _brief, _flood,
+                   _flood_box, _print_limit, _require_int, _require_type, _too_long, _trusted,
+                   max_size, weight)
 from .counting import extend_by_two, project_last
 from .enumeration import (
     BRUTE_FORCE_CELL_LIMIT,
@@ -90,9 +90,11 @@ def _draws(shape: Shape, seed: int, maximal: Sequence[Grid]) -> Iterator[Grid]:
     density (usually containing the forbidden pair), so both failure modes
     of the characterization get exercised.  A candidate's cells come sorted
     from the box or from a maximal grid, so it skips the checking
-    constructor."""
+    constructor.  The box is laid out within the flood's budget, which
+    every draw's filter applies anyway, so a box past it is refused before
+    any layout."""
     rng = random.Random(f"{shape.dims}:{seed}")
-    cells = _box(shape.dims).cells
+    cells = _flood_box(shape).cells
     while True:
         if maximal and rng.random() < 0.5:
             ones = rng.choice(maximal).ones
@@ -162,7 +164,9 @@ def check_equivalence(
     maximal are checked on the way.  Each distinct grid is decided once; its
     duplicates still count toward ``samples``.  A ``shape`` without
     ``dims`` raises TypeError; ``samples`` and ``seed`` are checked as
-    ``sample_non_maximal``'s, also for d = 1."""
+    ``sample_non_maximal``'s, also for d = 1.  Past the flood's budget
+    (``GAME_CELL_LIMIT`` cells) a check of any grid or sample raises
+    ShapeTooLargeError."""
     _require_type("check_equivalence", shape, "dims", "a Shape")
     _require_sample("samples", samples, seed)
     name = "characterization-equivalence"

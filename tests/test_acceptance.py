@@ -6,6 +6,11 @@ its sweep, so the claims have one implementation: all shapes with d <= 4 and
 at most 20 cells for the structural laws, with the named minimum list used
 where a criterion needs heavy per-shape sampling or play.  Every check is
 exact (no tolerances).
+
+Each claim's Tier-1 check is its criterion here.  The per-module tests do
+not re-check a claim on a subset of these sweeps: they keep examples with
+literal values, error paths, and differential oracles (a fast path against
+its definitional reference).
 """
 
 import itertools

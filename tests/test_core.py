@@ -302,12 +302,6 @@ def test_removing_a_cell_keeps_a_grid_clean():
         assert not contains_forbidden(smaller)
 
 
-def test_all_ones_is_the_unique_maximal_grid_when_some_dim_is_1():
-    report = enumerate_maximal(Shape((1, 4)))
-    assert report.count == 1
-    assert report.grids[0].ones == tuple(Shape((1, 4)).iter_cells())
-
-
 def test_flip_creates_containment():
     g = Grid(Shape((2, 2)), [(1, 1)])
     assert flip_creates_containment(g, (2, 2))
@@ -416,6 +410,19 @@ def test_grid_json_round_trip():
     obj = g.to_json_obj()
     assert obj == {"w": [3, 3], "ones": [[1, 3], [2, 2], [2, 3], [3, 1], [3, 2]]}
     assert Grid.from_json_obj(obj) == g
+
+
+def test_a_valid_grid_is_accepted_in_one_pass(monkeypatch):
+    # the per-cell loop is only the fallback for a grid the column-wise pass
+    # rejects: a valid grid, in any cell order or as JSON, never reaches it
+    def per_cell(self, cell):
+        raise AssertionError("a valid grid went down the per-cell loop")
+
+    grids = [g for shape in iter_shapes(16, 4) for g in enumerate_maximal(shape).grids]
+    monkeypatch.setattr(Shape, "contains_cell", per_cell)
+    for g in grids:
+        assert Grid(g.shape, g.ones) == Grid(g.shape, g.ones[::-1]) == g
+        assert Grid.from_json_obj(g.to_json_obj()) == g
 
 
 def test_grid_json_rejects_malformed_input():

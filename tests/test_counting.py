@@ -16,7 +16,6 @@ from maxac import (
     Shape,
     ShapeTooLargeError,
     count_closed_form,
-    count_maximal,
     counting,
     enumerate_maximal,
     extend_by_two,
@@ -28,24 +27,6 @@ from maxac import (
     weight,
 )
 from maxac.core import _box
-
-
-def test_count_2d_examples():
-    assert count_closed_form(Shape((2, 2))) == 2
-    assert count_closed_form(Shape((2, 3))) == 3
-    assert count_closed_form(Shape((5, 5))) == 70
-
-
-def test_count_2d_validates_arguments():
-    with pytest.raises(ValueError):
-        count_closed_form(Shape((0, 3)))
-
-
-def test_count_2d_agrees_with_enumeration():
-    for w1 in range(1, 5):
-        for w2 in range(1, 5):
-            shape = Shape((w1, w2))
-            assert count_closed_form(shape) == len(enumerate_maximal(shape).grids)
 
 
 def _reducible(dims) -> bool:
@@ -227,32 +208,3 @@ def test_extended_weight_bookkeeping():
             both = {row for row, lh in to_intervals(image).intervals.items() if lh == (1, 2)}
             assert weight(image) == shape.cell_count + len(both)
             assert both == set(g.ones)
-
-
-def test_bijection_on_small_shapes():
-    for shape in iter_shapes(12, 3):
-        base = enumerate_maximal(shape).grids
-        extended = enumerate_maximal(Shape(shape.dims + (2,))).grids
-        images = sorted((extend_by_two(g) for g in base), key=lambda g: g.ones)
-        assert images == list(extended)
-        for g in base:
-            assert project_last(extend_by_two(g)) == g
-        for m in extended:
-            assert extend_by_two(project_last(m)) == m
-
-
-def test_count_all_le2_examples():
-    assert count_closed_form(Shape((2, 2, 2))) == 2
-    assert count_closed_form(Shape((1, 2))) == 1
-    assert count_closed_form(Shape((2, 2, 2, 2))) == 2
-    with pytest.raises(PreconditionViolatedError):
-        count_closed_form(Shape((3, 3, 3, 3)))
-
-
-def test_count_all_le2_agrees_with_enumeration():
-    import itertools
-
-    for d in range(1, 5):
-        for dims in itertools.product((1, 2), repeat=d):
-            shape = Shape(dims)
-            assert count_closed_form(shape) == count_maximal(shape) == min(dims)

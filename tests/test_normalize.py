@@ -19,7 +19,6 @@ from maxac import (
     enumerate_maximal,
     find_pair,
     iter_shapes,
-    max_size,
     normalize,
     peel,
     random_maximal,
@@ -106,21 +105,6 @@ def test_normalize_writes_nothing_on_its_argument():
     assert drained == 2 * 7
 
 
-def test_normalize_invariants_on_enumerated_grids():
-    for dims in [(2, 3), (3, 3), (2, 2, 2), (3, 2, 2)]:
-        for g in enumerate_maximal(Shape(dims)).grids:
-            m = to_intervals(g)
-            report = normalize(m)
-            assert report.steps == len(report.pairs) == len(x_set(m))
-            assert not x_set(report.result)
-            assert _iw(report.result) == _iw(m)
-            assert check_characterization(report.result)
-            # afterwards only ancestor-free rows touch the top
-            top = report.result.top
-            for row, (_, h) in report.result.intervals.items():
-                assert (h == top) == (1 in row)
-
-
 def test_normalize_report_json():
     obj = normalize(M33).to_json_obj()
     assert obj["steps"] == 2
@@ -190,17 +174,6 @@ def test_normalize_is_undefined_when_top_is_1_but_obstructions_exist():
     assert x_set(all_ones) == {(2, 2)}
     with pytest.raises(BottomedOutError):
         normalize(all_ones)
-
-
-def test_peel_telescopes_to_the_closed_form():
-    for dims in [(3, 3), (2, 3), (4, 4), (2, 2, 2)]:
-        for g in enumerate_maximal(Shape(dims)).grids:
-            m = to_intervals(g)
-            while m.shape.dims[-1] > 1:
-                m = normalize(m).result
-                m = peel(m)
-                assert check_characterization(m)
-            assert _iw(m) == max_size(m.shape)
 
 
 # all-full rows: the h-rule fails at (2,); unguarded, normalize "converted"

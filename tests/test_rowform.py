@@ -135,13 +135,6 @@ def test_interval_round_trips():
             assert to_intervals(from_intervals(m)) == m
 
 
-def test_weight_identity():
-    for dims in SMALL_SHAPES:
-        for g in enumerate_maximal(Shape(dims)).grids:
-            m = to_intervals(g)
-            assert weight(g) == sum(h - l + 1 for l, h in m.intervals.values())
-
-
 def test_interval_map_validation():
     with pytest.raises(ValueError):  # not a total map
         IntervalMap(Shape((2, 2)), {(1,): (1, 1)})
