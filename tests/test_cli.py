@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_count import plane_partitions
 
-from maxac import VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, check_characterization, iter_shapes
+from maxac import check_characterization, iter_shapes
 from maxac.cli import build_parser, main
 
 GRID_33 = {"w": [3, 3], "ones": [[1, 3], [2, 3], [3, 1], [3, 2], [3, 3]]}
@@ -565,8 +565,9 @@ def test_usage_errors_exit_2(capsys):
                 main(["verify", "--w", "2,2", flag, bad])
             assert exc.value.code == 2
     assert "bad count '-5': trials must be at least 0, got -5" in capsys.readouterr().err
-    # only parsed: a count above the limit must stop before any work
-    for flag, limit in (("--samples", VERIFY_SAMPLE_LIMIT), ("--trials", VERIFY_TRIAL_LIMIT)):
+    # only parsed: a count above the limit (10000, as documented) must stop
+    # before any work
+    for flag, limit in (("--samples", 10_000), ("--trials", 10_000)):
         argv = ["verify", "--w", "2,2", flag]
         assert vars(build_parser().parse_args(argv + [str(limit)]))[flag[2:]] == limit
         with pytest.raises(SystemExit) as exc:

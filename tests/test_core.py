@@ -42,14 +42,6 @@ def test_strictly_below_dimension_mismatch():
         strictly_below((1, 2), (1, 2, 3))
 
 
-def test_strict_order_is_irreflexive_and_asymmetric():
-    cells = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1)]
-    for a in cells:
-        assert not strictly_below(a, a)
-        for b in cells:
-            assert not (strictly_below(a, b) and strictly_below(b, a))
-
-
 def test_contains_forbidden_examples():
     assert contains_forbidden(Grid(Shape((2, 2)), [(1, 1), (2, 2)]))
     assert not contains_forbidden(Grid(Shape((2, 2)), [(1, 2), (2, 1)]))
@@ -286,22 +278,6 @@ def test_max_size_examples():
     assert max_size(Shape((3, 3))) == 5  # frozen from the subset-filter oracle
 
 
-def test_max_size_counts_cells_touching_the_boundary():
-    # prod(w) - prod(w-1) counts the cells with some coordinate equal to 1
-    for dims in [(2, 2), (3, 3), (2, 3, 2), (4, 1, 2), (5,)]:
-        s = Shape(dims)
-        boundary = sum(1 for c in s.iter_cells() if 1 in c)
-        assert max_size(s) == boundary
-
-
-def test_removing_a_cell_keeps_a_grid_clean():
-    g = Grid(Shape((3, 3)), [(1, 3), (2, 2), (3, 1)])
-    assert not contains_forbidden(g)
-    for drop in g.ones:
-        smaller = Grid(g.shape, [c for c in g.ones if c != drop])
-        assert not contains_forbidden(smaller)
-
-
 def test_flip_creates_containment():
     g = Grid(Shape((2, 2)), [(1, 1)])
     assert flip_creates_containment(g, (2, 2))
@@ -340,7 +316,8 @@ def test_every_shape_holds_its_cell_count():
 
 
 def test_shape_errors_quote_a_short_repr_of_the_value():
-    for bad, text in [(0, "0"), (-1, "-1"), (1.5, "1.5"), ("a", "'a'"), ([1], "[1]")]:
+    for bad, text in [(0, "0"), (-1, "-1"), (1.5, "1.5"), ("a", "'a'"), ([1], "[1]"),
+                      (dict.fromkeys(range(5), 0), "{0: 0, 1: 0, 2: 0, 3: 0, ...}")]:
         with pytest.raises(ValueError) as err:
             Shape((2, bad))
         assert str(err.value) == f"dimensions must be positive integers, got {text}"

@@ -23,7 +23,6 @@ from maxac import (
     iter_shapes,
     max_size,
     project_last,
-    to_intervals,
     weight,
 )
 from maxac.core import _box
@@ -88,10 +87,17 @@ def test_count_closed_form_refuses_past_the_print_limit_before_any_product(monke
     limit = sys.get_int_max_str_digits()
     assert 0 < limit < 4331
     shape = Shape((7200, 7200))
+    # and the first square whose estimate passes the margin of one digit
+    w = 2
+    while math.lgamma(2 * w - 1) - 2 * math.lgamma(w) <= (limit + 1) * math.log(10):
+        w += 1
+    square = Shape((w, w))
     monkeypatch.setattr(math, "comb", no_product)
     monkeypatch.setattr(math, "prod", no_product)
     with pytest.raises(ValueError, match=rf"^the count for shape \(7200, 7200\) has more than {limit} "):
         count_closed_form(shape)
+    with pytest.raises(ValueError, match=rf"^the count for shape \({w}, {w}\) has more "):
+        count_closed_form(square)
 
 
 def test_extend_by_two_examples():
@@ -198,13 +204,3 @@ def test_project_last_examples():
     with pytest.raises(ValueError) as info:
         project_last(Grid(Shape((2,)), [(1,)]))
     assert str(info.value) == "project_last applies to d >= 2 only"
-
-
-def test_extended_weight_bookkeeping():
-    for dims in [(2,), (3,), (2, 2), (3, 2)]:
-        shape = Shape(dims)
-        for g in enumerate_maximal(shape).grids:
-            image = extend_by_two(g)
-            both = {row for row, lh in to_intervals(image).intervals.items() if lh == (1, 2)}
-            assert weight(image) == shape.cell_count + len(both)
-            assert both == set(g.ones)

@@ -261,17 +261,6 @@ LADDER = [
 ]
 
 
-def test_count_matches_the_odometer_above_the_budget():
-    # uncapped, the enumeration counts the grids it lists
-    for dims in LADDER:
-        shape = Shape(dims)
-        budget = shape.cell_count
-        assert budget > 25
-        assert count_maximal(shape, max_cells=budget) == len(enumerate_maximal(
-            shape, max_cells=budget
-        ).grids), dims
-
-
 def test_every_axis_order_runs_to_the_same_count():
     # the reference transfer DP runs in any axis order, each with its own
     # window and value range
@@ -295,13 +284,6 @@ def test_count_matches_the_transfer_dp_on_every_shape_up_to_64_cells():
         assert count_maximal(shape) == expected, shape.dims
 
 
-def test_count_is_invariant_under_axis_permutations():
-    for shape in iter_shapes(25, 4):
-        expected = count_maximal(shape)
-        for order in set(permutations(shape.dims)):
-            assert count_maximal(Shape(order)) == expected, order
-
-
 def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
     def no_pass(*args):
         raise AssertionError("listed the covering pairs past a budget")
@@ -310,11 +292,12 @@ def test_the_count_budgets_refuse_before_any_pass(monkeypatch):
     # the ideals number the count of the box less its largest side: 10^3's
     # for 10^4; past three sides above 2, at least 2 ** (the widest rank of
     # Q), as any subset of a rank with all below it is an ideal: 44 of [4]^4,
-    # 85 of [5]^4 and 20 of [2]^6; and [999]^3 has more than the budget's
-    # elements alone
+    # 85 of [5]^4 and 20 of [2]^6; and [999]^3 and [2] x [2] x [99999] have
+    # more than the budget's elements alone
     for dims, states in [((10, 10, 10, 10), plane_partitions(9, 9, 9)),
                          ((5, 5, 5, 5, 5), 2**44), ((6, 6, 6, 6, 6), 2**85),
-                         ((3,) * 7, 2**20), ((1000, 1000, 1000, 1000), None)]:
+                         ((3,) * 7, 2**20), ((1000, 1000, 1000, 1000), None),
+                         ((3, 3, 100_000, 100_000), None)]:
         with pytest.raises(ShapeTooLargeError) as info:
             count_maximal(Shape(dims))
         limit = COUNT_STATE_LIMIT
@@ -370,6 +353,9 @@ def test_a_count_with_exactly_the_state_budget_for_its_bound_takes_the_exact_cou
         count_maximal(Shape((3, 3, 3, 3)))
     assert str(info.value) == ("counting shape (3, 3, 3, 3) takes at least 20 states, "
                                "limit is 9 (COUNT_STATE_LIMIT)")
+    # a budget of exactly its 20 states admits it
+    monkeypatch.setattr(enumeration, "COUNT_STATE_LIMIT", 20)
+    assert count_maximal(Shape((3, 3, 3, 3))) == 168
 
 
 def test_the_digit_budget_refuses_before_any_work_with_no_digit_limit():
@@ -535,14 +521,6 @@ def test_random_maximal_floods_the_box_cells_in_seeded_shuffle_order():
             random.Random(seed).shuffle(order)
             want = reference_dominance.complete_to_maximal(Grid(shape), order)
             assert random_maximal(shape, seed) == want, (shape, seed)
-
-
-def test_completion_always_yields_maximal_grids():
-    for dims in [(2, 2), (3, 3), (2, 2, 2), (4,)]:
-        shape = Shape(dims)
-        for seed in range(20):
-            g = random_maximal(shape, seed)
-            assert is_maximal(g)
 
 
 def test_random_maximal_examples():

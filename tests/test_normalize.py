@@ -331,7 +331,6 @@ def test_normalize_matches_reference_on_large_maps(dims, seed):
     assert ref.check_characterization(m)
     levels = _chain(normalize, m)
     assert levels == _chain(ref.normalize_resumed, m, ref.peel)
-    assert levels == _chain(ref.normalize_restarting, m, ref.peel)
     assert levels == _chain(ref.normalize, m, ref.peel)
     assert len(levels) == dims[-1] - 1 and sum(r.steps for r, _ in levels) > 0
 
@@ -453,10 +452,10 @@ def test_peel_names_the_whole_obstruction_set_on_every_small_maximal_grid():
 
 @pytest.mark.slow
 @pytest.mark.parametrize("dims, seed", [((100, 100), 9), ((20, 20, 20), 10)], ids=_large_map_id)
-def test_normalize_matches_the_restarting_walk_on_huge_maps(dims, seed):
+def test_normalize_matches_the_definitional_walk_on_huge_maps(dims, seed):
     m = ref.seeded_maximal_map(dims, random.Random(seed))
     assert ref.check_characterization(m)
     levels = _chain(normalize, m)
     assert levels == _chain(ref.normalize_resumed, m, ref.peel)
-    assert levels == _chain(ref.normalize_restarting, m, ref.peel)
+    assert levels == _chain(ref.normalize, m, ref.peel)
     assert sum(r.steps for r, _ in levels) > 5000

@@ -176,6 +176,7 @@ def test_sample_non_maximal_gives_the_reference_sample():
         for seed in range(3):
             assert sample_non_maximal(shape, 100, seed) == ref.sample_non_maximal(
                 shape, 100, seed), (shape, seed)
+    assert sample_non_maximal(Shape((3, 3)), 100) == ref.sample_non_maximal(Shape((3, 3)), 100, 0)
 
 
 def test_check_counting_compares_the_dp_with_the_enumeration(monkeypatch):
@@ -292,13 +293,18 @@ def test_the_game_check_plays_100_games_per_player_count_by_default(monkeypatch)
     games = []
 
     def counted(*args, **kwargs):
-        games.append(args[1])
+        games.append((args[1], kwargs["seed"]))
         return play(*args, **kwargs)
 
     monkeypatch.setattr(verification, "play", counted)
     result = verification.check_game(Shape((2, 2)))
     assert result.detail == "loser = 3 mod m over 100 seeded games for m in (2, 3, 5)"
-    assert games == [2] * 100 + [3] * 100 + [5] * 100
+    played = [(m, m * 1_009 + t) for m in (2, 3, 5) for t in range(100)]
+    assert games == played
+    # verify_shape plays the same games by default, on seed 0
+    games.clear()
+    verify_shape(Shape((2, 2)))
+    assert games == played
 
 
 def test_the_bijection_check_reads_each_image_once(monkeypatch):
@@ -333,7 +339,8 @@ def test_the_bijection_check_fails_a_non_maximal_image(monkeypatch):
 
 def test_verify_shape_says_which_checks_do_not_apply_or_are_skipped():
     # 17 cells pass the subset filter's 16 and, doubled, the enumeration's
-    # 25; with w_d = 1 no interval can move
+    # 25; with w_d = 1 no interval can move; on 3,2 the default samples and
+    # trials, and the steps, are counted in the details
     for dims, details in [
         ((17,), {"characterization-equivalence": "d = 1: characterization not applicable",
                  "brute-force-cross-check": "skipped: 17 cells exceed the oracle budget",
@@ -342,6 +349,9 @@ def test_verify_shape_says_which_checks_do_not_apply_or_are_skipped():
                  "peel-recurrence": "d = 1: not applicable"}),
         ((3, 1), {"normalization": "w_d = 1: convert steps not defined",
                   "peel-recurrence": "1 grids telescoped to the closed form"}),
+        ((3, 2), {"characterization-equivalence": "3 maximal + 1000 sampled grids agree",
+                  "normalization": "3 grids normalized in 3 total steps",
+                  "game-loser": "loser = 4 mod m over 100 seeded games for m in (2, 3, 5)"}),
     ]:
         results = {r.name: r for r in verify_shape(Shape(dims))}
         assert all(r.passed for r in results.values()), dims
