@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable
 
 from .core import (GAME_CELL_LIMIT, VERIFY_SAMPLE_LIMIT, VERIFY_TRIAL_LIMIT, Grid, Shape,
                    _brief, _require_int, max_size)
@@ -142,74 +141,74 @@ def _rows_plain(m) -> list[str]:
     ]
 
 
-def _run(args) -> tuple[object, Callable[[], str], int]:
-    """Dispatch one parsed command; returns (json payload, a function that
-    renders the plain text, exit), so JSON mode formats no line."""
+def _run(args, plain: bool) -> tuple[object, int]:
+    """Dispatch one parsed command; returns (the plain text if ``plain``,
+    else the json payload; exit), so each mode builds only what it prints."""
     if args.verb == "size":
         value = max_size(args.w)
-        return {"w": list(args.w.dims), "size": value}, lambda: str(value), 0
+        return (str(value) if plain else {"w": list(args.w.dims), "size": value}), 0
 
     if args.verb == "count":
         count = (_package.count_maximal if args.method == "enumerate"
                  else _package.count_closed_form)
         value = count(args.w)
-        payload = {"w": list(args.w.dims), "method": args.method, "count": value}
-        return payload, lambda: str(value), 0
+        if plain:
+            return str(value), 0
+        return {"w": list(args.w.dims), "method": args.method, "count": value}, 0
 
     if args.verb == "enumerate":
         report = _package.enumerate_maximal(args.w, cap=args.cap)
-
-        def plain():
-            lines = [f"{report.count} maximal grids over {args.w.dims}"
-                     + (" (truncated)" if report.truncated else "")]
-            lines += ["  " + _grid_plain(g) for g in report.grids]
-            return "\n".join(lines)
-        return report.to_json_obj(), plain, 0
+        if not plain:
+            return report.to_json_obj(), 0
+        lines = [f"{report.count} maximal grids over {args.w.dims}"
+                 + (" (truncated)" if report.truncated else "")]
+        lines += ["  " + _grid_plain(g) for g in report.grids]
+        return "\n".join(lines), 0
 
     if args.verb == "verify":
         results = _package.verify_shape(args.w, samples=args.samples,
                                         trials=args.trials, seed=args.seed)
         passed = all(r.passed for r in results)
-        payload = {
-            "w": list(args.w.dims),
-            "passed": passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
-        }
-
-        def plain():
-            lines = [
-                f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results
-            ]
-            lines.append(("all checks passed" if passed else "some checks FAILED")
-                         + f" for shape {args.w.dims}")
-            return "\n".join(lines)
-        return payload, plain, 0 if passed else 1
+        status = 0 if passed else 1
+        if not plain:
+            return {
+                "w": list(args.w.dims),
+                "passed": passed,
+                "checks": [
+                    {"name": r.name, "passed": r.passed, "detail": r.detail}
+                    for r in results
+                ],
+            }, status
+        lines = [
+            f"{'PASS' if r.passed else 'FAIL'}  {r.name}: {r.detail}" for r in results
+        ]
+        lines.append(("all checks passed" if passed else "some checks FAILED")
+                     + f" for shape {args.w.dims}")
+        return "\n".join(lines), status
 
     if args.verb == "normalize":
         report = _package.normalize(_read_interval_map(args))
-
-        def plain():
-            lines = [f"steps: {report.steps}"]
-            lines += [f"  lowered {x}, raised {xp}" for x, xp in report.pairs]
-            lines += ["result:"] + _rows_plain(report.result)
-            return "\n".join(lines)
-        return report.to_json_obj(), plain, 0
+        if not plain:
+            return report.to_json_obj(), 0
+        lines = [f"steps: {report.steps}"]
+        lines += [f"  lowered {x}, raised {xp}" for x, xp in report.pairs]
+        lines += ["result:"] + _rows_plain(report.result)
+        return "\n".join(lines), 0
 
     if args.verb == "peel":
         peeled = _package.peel(_read_interval_map(args))
-        return peeled.to_json_obj(), lambda: "\n".join(
-            [f"peeled to shape {peeled.shape.dims}"] + _rows_plain(peeled)), 0
+        if not plain:
+            return peeled.to_json_obj(), 0
+        lines = [f"peeled to shape {peeled.shape.dims}"] + _rows_plain(peeled)
+        return "\n".join(lines), 0
 
     if args.verb == "extend":
         result = _package.extend_by_two(Grid.from_json_obj(_read_json(args)))
-        return result.to_json_obj(), lambda: _grid_plain(result), 0
+        return (_grid_plain(result) if plain else result.to_json_obj()), 0
 
     if args.verb == "project":
         result = _package.project_last(Grid.from_json_obj(_read_json(args)))
-        return result.to_json_obj(), lambda: _grid_plain(result), 0
+        return (_grid_plain(result) if plain else result.to_json_obj()), 0
 
     if args.verb == "game":
         names = args.strategy.split(",")
@@ -218,16 +217,15 @@ def _run(args) -> tuple[object, Callable[[], str], int]:
         if len(names) == 1:
             names = names * args.players
         transcript = _package.play(args.w, args.players, names, seed=args.seed)
-
-        def plain():
-            lines = [
-                f"move {i}: player {p} -> {c}"
-                for i, (p, c) in enumerate(transcript.final_state.moves)
-            ]
-            lines.append(f"loser: player {transcript.loser}"
-                         + ("" if transcript.forced else " (flipped an unsafe cell early)"))
-            return "\n".join(lines)
-        return transcript.to_json_obj(), plain, 0
+        if not plain:
+            return transcript.to_json_obj(), 0
+        lines = [
+            f"move {i}: player {p} -> {c}"
+            for i, (p, c) in enumerate(transcript.final_state.moves)
+        ]
+        lines.append(f"loser: player {transcript.loser}"
+                     + ("" if transcript.forced else " (flipped an unsafe cell early)"))
+        return "\n".join(lines), 0
 
     raise AssertionError(f"unhandled verb {args.verb}")
 
@@ -237,9 +235,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     use_plain = args.plain or (not args.json and sys.stdout.isatty())
     try:
-        payload, render, status = _run(args)
-        # inside the try, as when every verb rendered its text eagerly
-        plain = render() if use_plain else None
+        output, status = _run(args, use_plain)
     except BoxError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
         return 1
@@ -247,10 +243,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 1
-    if use_plain:
-        print(plain)
-    else:
-        print(json.dumps(payload, separators=(",", ":")))
+    print(output if use_plain else json.dumps(output, separators=(",", ":")))
     return status
 
 

@@ -15,7 +15,8 @@ dependencies).  Its seed, sample size and tables are the constants below.
    from every site of four edits (flip a comparison's strictness or
    negation, swap ``+``/``-`` or ``*``/``//``, add 1 to an int constant, swap
    ``and``/``or``); the ``SKIP`` ones among them are not run.  Then every
-   ``NAMED`` mutant.  Each runs the full Tier-1, without ``-x``, on its own
+   ``NAMED`` mutant.  Each runs the full Tier-1 (but this tool's own check,
+   tests/test_mutate_tool.py), without ``-x``, on its own
    full copy of the tree (README and demos included; no ``.git``,
    ``.hypothesis`` or caches), two children at a time.  Each child has its
    own session, a timeout and an address-space cap; a timeout kills the
@@ -48,8 +49,9 @@ SAMPLE = 33
 CHILDREN = 2
 TIMEOUT_FACTOR = 3
 MEMORY_CAP = 3 << 30
+# the tool's own check reads the copy's source, which holds unparsed modules
 PYTEST = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-          "--hypothesis-seed=0")
+          "--hypothesis-seed=0", "--ignore=tests/test_mutate_tool.py")
 COPY_IGNORE = shutil.ignore_patterns(".git", ".hypothesis", "__pycache__", ".pytest_cache",
                                      "*.pyc", ".benchmarks")
 
