@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     except BoxError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}), file=sys.stderr)
         return 1
-    except (ValueError, OverflowError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return 1

@@ -53,10 +53,13 @@ def _report(number: int, name: str, passed: bool, detail: str = ""):
 
 
 def _run(check, shape, *args, **kwargs):
-    """Run one check and fail on a failed or skipped result."""
+    """Run one check and fail on a failed result, or one that did not run:
+    skipped, or out of the check's scope."""
     result = check(shape, *args, **kwargs)
-    assert result.passed, (shape.dims, result.detail)
-    assert not result.detail.startswith("skipped"), (shape.dims, result.detail)
+    why = (shape.dims, result.detail)
+    assert result.passed, why
+    assert not result.detail.startswith("skipped"), why
+    assert not result.detail.endswith(("not applicable", "not defined")), why
     return result
 
 

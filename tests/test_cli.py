@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import io
@@ -38,21 +39,29 @@ def run(capsys, *argv):
     return status, captured.out, captured.err
 
 
-def test_size(capsys):
-    status, out, err = run(capsys, "size", "--w", "3,3", "--json")
-    assert status == 0 and err == ""
-    assert json.loads(out) == {"w": [3, 3], "size": 5}
+# the commands whose exact stdout the cli benchmark checks: every verb, each
+# row {"args": [...], "stdin": text (optional), "stdout": text}
+CLI_SCRIPT = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "cli_script.json").read_text())
+
+
+def test_the_cli_script_runs_every_verb():
+    verbs = next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices
+    assert {row["args"][0] for row in CLI_SCRIPT} == set(verbs)
+
+
+@pytest.mark.parametrize("row", CLI_SCRIPT, ids=[
+    f"{i:02d} {' '.join(row['args'])}" for i, row in enumerate(CLI_SCRIPT)])
+def test_the_cli_script_prints_its_pinned_bytes(capsys, monkeypatch, row):
+    if "stdin" in row:
+        monkeypatch.setattr("sys.stdin", io.StringIO(row["stdin"]))
+    assert run(capsys, *row["args"]) == (0, row["stdout"], "")
 
 
 def test_size_plain(capsys):
     status, out, _ = run(capsys, "size", "--w", "3,3", "--plain")
     assert status == 0 and out == "5\n"
-
-
-def test_count(capsys):
-    status, out, _ = run(capsys, "count", "--w", "2,2", "--json")
-    assert status == 0
-    assert json.loads(out)["count"] == 2
 
 
 def test_count_answers_past_the_enumeration_budget(capsys):
@@ -132,10 +141,6 @@ def test_count_refuses_counts_too_long_to_print(capsys):
 
 
 def test_count_formula(capsys):
-    status, out, _ = run(capsys, "count", "--w", "4,5", "--method", "formula", "--json")
-    assert status == 0
-    assert json.loads(out)["count"] == 35
-
     status, out, _ = run(capsys, "count", "--w", "2,2,2", "--method", "formula", "--json")
     assert status == 0
     assert json.loads(out)["count"] == 2
@@ -148,14 +153,6 @@ def test_count_formula(capsys):
     status, out, err = run(capsys, "count", "--w", "3,3,3,3", "--method", "formula", "--json")
     assert status == 1 and out == ""
     assert json.loads(err)["error"] == "PreconditionViolated"
-
-
-def test_enumerate(capsys):
-    status, out, _ = run(capsys, "enumerate", "--w", "2,2", "--cap", "10", "--json")
-    assert status == 0
-    obj = json.loads(out)
-    assert obj["count"] == 2 and not obj["truncated"]
-    assert obj["grids"][0]["ones"] == [[1, 1], [1, 2], [2, 1]]
 
 
 def test_enumerate_too_large(capsys):
@@ -178,33 +175,6 @@ def test_size_one_boxes_keep_their_bytes(capsys):
     assert status == 1 and out == ""
     assert json.loads(err) == {"error": "ShapeTooLarge",
                                "detail": "box has 30 cells, limit is 25"}
-
-
-def test_verify_passes(capsys):
-    status, out, _ = run(
-        capsys, "verify", "--w", "2,2,2", "--samples", "50", "--trials", "5", "--json"
-    )
-    assert status == 0
-    obj = json.loads(out)
-    assert obj["passed"] and all(c["passed"] for c in obj["checks"])
-    names = {c["name"] for c in obj["checks"]}
-    assert {"size-law", "characterization-equivalence", "counting",
-            "brute-force-cross-check", "append-layer-bijection",
-            "normalization", "peel-recurrence", "game-loser"} == names
-
-
-def test_normalize_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(GRID_33)))
-    status, out, _ = run(capsys, "normalize", "--json")
-    assert status == 0
-    obj = json.loads(out)
-    assert obj["steps"] == 2
-    assert obj["pairs"] == [[[3], [2]], [[2], [1]]]
-    assert obj["result"]["rows"] == [
-        {"x": [1], "l": 2, "h": 3},
-        {"x": [2], "l": 2, "h": 2},
-        {"x": [3], "l": 1, "h": 2},
-    ]
 
 
 def test_normalize_rejects_non_maximal_grid(capsys, monkeypatch):
@@ -485,18 +455,6 @@ def test_extend_and_project_round_trip(capsys, tmp_path):
     assert json.loads(out) == GRID_33
 
 
-def test_game(capsys):
-    status, out, _ = run(
-        capsys, "game", "--w", "3,3", "--players", "2",
-        "--strategy", "lex,random", "--seed", "42", "--json",
-    )
-    assert status == 0
-    obj = json.loads(out)
-    assert obj["loser"] == 1  # 5 mod 2
-    assert len(obj["moves"]) == 6
-    assert obj["moves"][-1] == [1, obj["terminal_cell"]]
-
-
 def test_game_too_large(capsys):
     status, out, err = run(capsys, "game", "--w", "1000,1000", "--json")
     assert status == 1 and out == ""
@@ -512,28 +470,12 @@ def test_game_rejects_more_players_than_moves(capsys):
         assert json.loads(err) == {"error": "ValueError", "detail": detail}
 
 
-def test_game_single_strategy_broadcasts(capsys):
-    status, out, _ = run(
-        capsys, "game", "--w", "2,2", "--players", "3", "--strategy", "lex", "--json"
-    )
-    assert status == 0
-    assert json.loads(out)["loser"] == 0  # 3 mod 3
-
-
 GRID_332 = {"w": [3, 3, 2], "ones": [
     [1, 1, 2], [1, 2, 2], [1, 3, 1], [1, 3, 2], [2, 1, 2], [2, 2, 2], [2, 3, 1],
     [2, 3, 2], [3, 1, 1], [3, 1, 2], [3, 2, 1], [3, 2, 2], [3, 3, 1], [3, 3, 2]]}
 
 
 def test_output_is_byte_identical_across_runs(capsys, monkeypatch):
-    _, first, _ = run(capsys, "enumerate", "--w", "3,3", "--json")
-    _, second, _ = run(capsys, "enumerate", "--w", "3,3", "--json")
-    assert first == second
-    _, g1, _ = run(capsys, "game", "--w", "3,3", "--players", "2",
-                   "--strategy", "random", "--seed", "7", "--json")
-    _, g2, _ = run(capsys, "game", "--w", "3,3", "--players", "2",
-                   "--strategy", "random", "--seed", "7", "--json")
-    assert g1 == g2
     # a grid read in any cell order gives its sorted form's bytes
     for verb, grid, order in [("normalize", GRID_33, [4, 0, 2, 1, 3]),
                               ("extend", GRID_22, [2, 0, 1]),

@@ -89,6 +89,18 @@ NAMED = (
     ("game", "    seed: int = 0,\n", "    seed: int = 1,\n"),
     ("verification", "def check_game(shape: Shape, trials: int = 100,",
      "def check_game(shape: Shape, trials: int = 101,"),
+    # the literal CLI examples that the pinned CLI script replaced: each fails both
+    ("cli", '"size": value}', '"size": value + 1}'),
+    ("enumeration", '"truncated": self.truncated,', '"truncated": not self.truncated,'),
+    ("normalize", '"steps": self.steps,', '"steps": self.steps + 1,'),
+    ("game", '"loser": self.loser,', '"loser": self.loser + 1,'),
+    ("cli", "if len(names) == 1:", "if len(names) == 2:"),
+    ("verification", 'name = "normalization"', 'name = "normalisation"'),
+    ("game", "rng = random.Random(seed)", "rng = random.Random()"),
+    ("enumeration", "    grids = []\n    while True:",
+     '    grids = enumerate_maximal.__dict__.setdefault("grids", [])\n    while True:'),
+    # a check out of its scope on boxes it covers
+    ("verification", "if shape.dims[-1] < 2:", "if shape.dims[-1] < 3:"),
 )
 
 # Equivalent drawn mutants, not run: the key ``sample`` gives, (module, the
