@@ -1,6 +1,8 @@
 import argparse
+import ast
 import copy
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -17,8 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_count import plane_partitions
 
-from maxac import check_characterization, iter_shapes
+from maxac import CheckResult, check_characterization, iter_shapes
 from maxac.cli import build_parser, main
+from maxac.errors import BoxError
 
 GRID_33 = {"w": [3, 3], "ones": [[1, 3], [2, 3], [3, 1], [3, 2], [3, 3]]}
 GRID_22 = {"w": [2, 2], "ones": [[1, 1], [1, 2], [2, 1]]}
@@ -45,10 +48,12 @@ CLI_SCRIPT = json.loads(
     (Path(__file__).resolve().parents[1] / "perfbench" / "cli_script.json").read_text())
 
 
+VERBS = set(next(a for a in build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)).choices)
+
+
 def test_the_cli_script_runs_every_verb():
-    verbs = next(a for a in build_parser()._actions
-                 if isinstance(a, argparse._SubParsersAction)).choices
-    assert {row["args"][0] for row in CLI_SCRIPT} == set(verbs)
+    assert {row["args"][0] for row in CLI_SCRIPT} == VERBS
 
 
 @pytest.mark.parametrize("row", CLI_SCRIPT, ids=[
@@ -59,16 +64,85 @@ def test_the_cli_script_prints_its_pinned_bytes(capsys, monkeypatch, row):
     assert run(capsys, *row["args"]) == (0, row["stdout"], "")
 
 
-def test_size_plain(capsys):
-    status, out, _ = run(capsys, "size", "--w", "3,3", "--plain")
-    assert status == 0 and out == "5\n"
+# the CLI's contract, one row per line: {"args", "stdin"?, "file"?, "tty"?,
+# "exit", "stdout", "stderr"}.  A "file" row's text is input.json in the
+# working directory, and a "tty" row's stdout is a terminal.  An exit-2 row
+# pins only argparse's message, the text after "error: " on the last line of
+# stderr: the usage text above it differs across Python versions
+CLI_CASES = json.loads((Path(__file__).parent / "cli_cases.json").read_text())
 
 
-def test_count_answers_past_the_enumeration_budget(capsys):
-    for w, count in [("12,12", 705432), ("3,3,3", 20), ("3,3,3,3", 168), ("3,3,3,3,3", 7581)]:
-        status, out, err = run(capsys, "count", "--w", w)
-        assert status == 0 and err == ""
-        assert out == f'{{"w":[{w}],"method":"enumerate","count":{count}}}\n'
+@pytest.mark.parametrize("row", CLI_CASES, ids=[
+    f"{i:02d} {' '.join(row['args'])}"[:60] + (" (tty)" if row.get("tty") else "")
+    for i, row in enumerate(CLI_CASES)])
+def test_the_cli_cases_give_their_pinned_exit_and_bytes(capsys, monkeypatch, tmp_path, row):
+    monkeypatch.chdir(tmp_path)
+    if "file" in row:
+        (tmp_path / "input.json").write_text(row["file"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(row.get("stdin", "")))
+    if row.get("tty"):
+        monkeypatch.setattr(sys.stdout, "isatty", lambda: True)
+    try:
+        status = main(row["args"])
+    except SystemExit as exc:
+        status = exc.code
+    out, err = capsys.readouterr()
+    if status == 2:
+        err = err.splitlines()[-1].partition(": error: ")[2]
+    assert (status, out, err) == (row["exit"], row["stdout"], row["stderr"])
+
+
+# the codes no CLI input reaches, and why
+UNREACHABLE = {
+    "BoxError": "the base class: the package raises only its subclasses",
+    "EmptyXSet": "only find_pair and convert_step raise it, and normalize drains the set without them",
+    "AlreadyContains": "only complete_to_maximal raises it, and no verb calls it",
+    "StrategyReturnedNonZeroCell": "only a callable strategy returns cells, and the CLI takes names",
+    "StrategyReturnedOutOfRange": "only a callable strategy returns cells, and the CLI takes names",
+}
+# the subclasses of the builtin types cli.main catches that its input readers raise
+READER_ERRORS = {"JSONDecodeError", "FileNotFoundError", "IsADirectoryError"}
+
+
+def _codes(cls):
+    return {cls.code}.union(*map(_codes, cls.__subclasses__()))
+
+
+def test_the_cli_cases_cover_every_verb_mode_input_and_error_code():
+    passing = [row for row in CLI_CASES if row["exit"] == 0]
+    for mode in ("--json", "--plain"):
+        assert {row["args"][0] for row in passing if mode in row["args"]} == VERBS
+    for verb in ("normalize", "peel"):  # from a grid and from a map
+        assert {"rows" in json.loads(row.get("stdin") or row["file"])
+                for row in passing if row["args"][0] == verb} == {False, True}
+    assert any(row.get("tty") and not {"--json", "--plain"} & set(row["args"])
+               for row in passing)
+    handlers = [node for node in ast.walk(ast.parse(inspect.getsource(main)))
+                if isinstance(node, ast.ExceptHandler)]
+    caught = {node.id for h in handlers for node in ast.walk(h.type) if isinstance(node, ast.Name)}
+    codes = (caught - {"BoxError"} | _codes(BoxError) | READER_ERRORS) - set(UNREACHABLE)
+    assert {json.loads(row["stderr"])["error"] for row in CLI_CASES if row["exit"] == 1} == codes
+
+
+@pytest.mark.parametrize("mode", ["--json", "--plain"])
+def test_verify_exits_1_when_a_check_fails(capsys, monkeypatch, mode):
+    failed, seeds = CheckResult("game-loser", False, "loser off on trial 0"), []
+
+    def check_game(shape, trials, seed):
+        seeds.append(seed)
+        return failed
+
+    monkeypatch.setattr("maxac.verification.check_game", check_game)
+    status, out, err = run(capsys, "verify", "--w", "2,2", "--samples", "5", "--trials", "1", mode)
+    # the default seed: what a failing check reports depends on it
+    assert (status, err, seeds) == (1, "", [0])
+    if mode == "--json":
+        assert '"passed":false,' in out
+        assert json.loads(out)["checks"][-1] == {
+            "name": "game-loser", "passed": False, "detail": "loser off on trial 0"}
+    else:
+        assert out.splitlines()[-2:] == ["FAIL  game-loser: loser off on trial 0",
+                                         "some checks FAILED for shape (2, 2)"]
 
 
 def test_count_refuses_past_its_budgets_before_any_pass(capsys, monkeypatch):
@@ -138,96 +212,6 @@ def test_count_refuses_counts_too_long_to_print(capsys):
         assert json.loads(out)["count"] == math.comb(2198, 1099)
     finally:
         sys.set_int_max_str_digits(limit)
-
-
-def test_count_formula(capsys):
-    status, out, _ = run(capsys, "count", "--w", "2,2,2", "--method", "formula", "--json")
-    assert status == 0
-    assert json.loads(out)["count"] == 2
-
-    for w, count in [("3,3,3", 20), ("7", 7), ("1,3,3", 1), ("2,2,3", 3)]:
-        status, out, _ = run(capsys, "count", "--w", w, "--method", "formula", "--json")
-        assert status == 0
-        assert json.loads(out)["count"] == count
-
-    status, out, err = run(capsys, "count", "--w", "3,3,3,3", "--method", "formula", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err)["error"] == "PreconditionViolated"
-
-
-def test_enumerate_too_large(capsys):
-    status, out, err = run(capsys, "enumerate", "--w", "6,6", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err)["error"] == "ShapeTooLarge"
-
-
-def test_size_one_boxes_keep_their_bytes(capsys):
-    status, out, err = run(capsys, "enumerate", "--w", "3,1,2")
-    assert status == 0 and err == ""
-    assert out == (
-        '{"w":[3,1,2],"count":1,"truncated":false,"grids":[{"w":[3,1,2],"ones":'
-        '[[1,1,1],[1,1,2],[2,1,1],[2,1,2],[3,1,1],[3,1,2]]}]}\n')
-    status, out, err = run(capsys, "count", "--w", "3,1,2")
-    assert status == 0 and err == ""
-    assert out == '{"w":[3,1,2],"method":"enumerate","count":1}\n'
-    # the cell budget still comes first
-    status, out, err = run(capsys, "enumerate", "--w", "1,30")
-    assert status == 1 and out == ""
-    assert json.loads(err) == {"error": "ShapeTooLarge",
-                               "detail": "box has 30 cells, limit is 25"}
-
-
-def test_normalize_rejects_non_maximal_grid(capsys, monkeypatch):
-    bad = {"w": [2, 2], "ones": [[1, 2], [2, 1]]}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
-    status, out, err = run(capsys, "normalize", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err)["error"] == "NotMaximal"
-
-
-def test_normalize_reports_empty_row(capsys, monkeypatch):
-    bad = {"w": [2, 2], "ones": [[1, 1]]}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
-    status, _, err = run(capsys, "normalize", "--json")
-    assert status == 1
-    assert json.loads(err)["error"] == "EmptyRow"
-
-
-@pytest.mark.parametrize("ones", [[], [[2], [3]], [[1], [4]]],
-                         ids=["empty", "adjacent", "gapped"])
-def test_extend_rejects_a_non_maximal_one_dimensional_grid(capsys, monkeypatch, ones):
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"w": [5], "ones": ones})))
-    status, out, err = run(capsys, "extend", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err) == {"error": "NotMaximal", "detail": "input grid is not maximal"}
-
-
-def test_peel_accepts_interval_map_input(capsys, tmp_path, monkeypatch):
-    path = tmp_path / "map.json"
-    path.write_text(json.dumps(MAP_33_NORMALIZED))
-    status, out, _ = run(capsys, "peel", "--input", str(path), "--json")
-    assert status == 0
-    obj = json.loads(out)
-    assert obj["w"] == [3, 2]
-    assert obj["rows"] == [
-        {"x": [1], "l": 2, "h": 2},
-        {"x": [2], "l": 2, "h": 2},
-        {"x": [3], "l": 1, "h": 2},
-    ]
-
-
-def test_peel_rejects_non_maximal_interval_map(capsys, monkeypatch):
-    # empty obstruction set, but the h-rule fails at (2,)
-    bad = {"w": [3, 3], "rows": [{"x": [1], "l": 1, "h": 3},
-                                 {"x": [2], "l": 1, "h": 2},
-                                 {"x": [3], "l": 1, "h": 2}]}
-    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(bad)))
-    status, out, err = run(capsys, "peel", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err) == {
-        "error": "NotMaximal",
-        "detail": "row (2,) violates the h-rule: expected 1, found 2",
-    }
 
 
 def test_normalize_runs_the_characterization_sweep_once(capsys, monkeypatch):
@@ -441,35 +425,6 @@ def test_extend_past_its_output_budget_is_refused_at_once(obj, cells):
     assert error["detail"].endswith(f"gives {cells} cells, limit is 250000 (EXTEND_CELL_LIMIT)")
 
 
-def test_extend_and_project_round_trip(capsys, tmp_path):
-    path = tmp_path / "grid.json"
-    path.write_text(json.dumps(GRID_33))
-    status, out, _ = run(capsys, "extend", "--input", str(path), "--json")
-    assert status == 0
-    extended = json.loads(out)
-    assert extended["w"] == [3, 3, 2]
-
-    path.write_text(json.dumps(extended))
-    status, out, _ = run(capsys, "project", "--input", str(path), "--json")
-    assert status == 0
-    assert json.loads(out) == GRID_33
-
-
-def test_game_too_large(capsys):
-    status, out, err = run(capsys, "game", "--w", "1000,1000", "--json")
-    assert status == 1 and out == ""
-    assert json.loads(err)["error"] == "ShapeTooLarge"
-
-
-def test_game_rejects_more_players_than_moves(capsys):
-    for players, detail in [("1000000000", "players must be at most 10001, got 1000000000"),
-                            ("10002", "players must be at most 10001, got 10002"),
-                            ("1", "players must be at least 2, got 1")]:
-        status, out, err = run(capsys, "game", "--w", "2,2", "--players", players, "--json")
-        assert status == 1 and out == ""
-        assert json.loads(err) == {"error": "ValueError", "detail": detail}
-
-
 GRID_332 = {"w": [3, 3, 2], "ones": [
     [1, 1, 2], [1, 2, 2], [1, 3, 1], [1, 3, 2], [2, 1, 2], [2, 2, 2], [2, 3, 1],
     [2, 3, 2], [3, 1, 1], [3, 1, 2], [3, 2, 1], [3, 2, 2], [3, 3, 1], [3, 3, 2]]}
@@ -490,40 +445,16 @@ def test_output_is_byte_identical_across_runs(capsys, monkeypatch):
         assert outs[0] == outs[1]
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2():
+    # no row of cli_cases.json: argparse's list of the verbs differs across
+    # Python versions
     with pytest.raises(SystemExit) as exc:
-        main(["size"])  # missing --w
+        main(["frobnicate"])
     assert exc.value.code == 2
-    for verb, w in (("size", "0,2"), ("count", "2,x")):  # invalid shapes
-        with pytest.raises(SystemExit) as exc:
-            main([verb, "--w", w])
-        assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])  # unknown verb
-    assert exc.value.code == 2
+    # only parsed: a count at the limit (10000, as documented) is accepted
     for flag in ("--samples", "--trials"):
-        for bad in ("-1", "-5", "x"):
-            with pytest.raises(SystemExit) as exc:
-                main(["verify", "--w", "2,2", flag, bad])
-            assert exc.value.code == 2
-    assert "bad count '-5': trials must be at least 0, got -5" in capsys.readouterr().err
-    # only parsed: a count above the limit (10000, as documented) must stop
-    # before any work
-    for flag, limit in (("--samples", 10_000), ("--trials", 10_000)):
-        argv = ["verify", "--w", "2,2", flag]
-        assert vars(build_parser().parse_args(argv + [str(limit)]))[flag[2:]] == limit
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(argv + [str(limit + 1)])
-        assert exc.value.code == 2
-        assert f"must be at most {limit}" in capsys.readouterr().err
-    for bad in ("0", "-1", "x"):
-        with pytest.raises(SystemExit) as exc:
-            main(["enumerate", "--w", "2,2", "--cap", bad])
-        assert exc.value.code == 2
-    assert "bad count '-1': cap must be at least 1, got -1" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exc:
-        main(["enumerate", "--w", "2,2", "--max-cells", "30"])  # no work budget override
-    assert exc.value.code == 2
+        args = build_parser().parse_args(["verify", "--w", "2,2", flag, "10000"])
+        assert vars(args)[flag[2:]] == 10_000
 
 
 def test_a_huge_count_gives_a_short_usage_error(capsys):
@@ -563,22 +494,6 @@ def test_every_int_seed_still_parses(capsys):
     assert status == 0
 
 
-def test_bad_json_input(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
-    status, _, err = run(capsys, "normalize", "--json")
-    assert status == 1
-    assert json.loads(err)["error"] == "JSONDecodeError"
-
-
-def test_verify_plain_prints_one_line_per_check(capsys):
-    status, out, _ = run(
-        capsys, "verify", "--w", "2,2", "--samples", "20", "--trials", "2", "--plain"
-    )
-    assert status == 0
-    lines = out.strip().splitlines()
-    assert sum(1 for line in lines if line.startswith("PASS")) == 8
-
-
 def _first_row(**change):
     return dict(MAP_22, rows=[dict(MAP_22["rows"][0], **change), MAP_22["rows"][1]])
 
@@ -610,15 +525,6 @@ def test_malformed_json_exits_1(capsys, monkeypatch, bad, code):
         assert err.count("\n") == 1 and json.loads(err)["error"] == code
         if not isinstance(bad, dict):
             assert json.loads(err)["detail"] == "input JSON must be an object"
-
-
-def test_verify_zero_trials_says_skipped(capsys):
-    status, out, _ = run(capsys, "verify", "--w", "2,2", "--samples", "5",
-                         "--trials", "0", "--json")
-    assert status == 0
-    game = json.loads(out)["checks"][-1]
-    assert game == {"name": "game-loser", "passed": True,
-                    "detail": "skipped: 0 trials requested"}
 
 
 # one SHA-256 over the `verify --json` output and then the exit code of every

@@ -42,7 +42,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "maxac"
-MODULES = ("core", "rowform", "normalize", "enumeration", "counting", "game", "verification")
+MODULES = ("core", "rowform", "normalize", "enumeration", "counting", "game", "verification", "cli",
+           "errors")
 SEED = 0
 # drawn per module; at least 30 of them run while SKIP holds at most 3
 SAMPLE = 33
@@ -101,6 +102,28 @@ NAMED = (
      '    grids = enumerate_maximal.__dict__.setdefault("grids", [])\n    while True:'),
     # a check out of its scope on boxes it covers
     ("verification", "if shape.dims[-1] < 2:", "if shape.dims[-1] < 3:"),
+    # CLI faults that no test caught before the table of tests/cli_cases.json
+    ("cli", "enumerate(transcript.final_state.moves)", "enumerate(transcript.final_state.moves, 1)"),
+    ("cli", 'f"steps: {report.steps}"', 'f"steps: {report.steps + 1}"'),
+    ("cli", "use_plain = args.plain or (not args.json and sys.stdout.isatty())",
+     "use_plain = args.plain"),
+    ("cli", "except (ValueError, OverflowError, OSError) as exc:",
+     "except (ValueError, OverflowError) as exc:"),
+    ("cli", "status = 0 if passed else 1", "status = 0"),
+    # the literal CLI examples that the table replaced: each fails both
+    ("cli", "(str(value) if plain", "(str(value + 1) if plain"),
+    ("enumeration", "DEFAULT_CELL_LIMIT = 25", "DEFAULT_CELL_LIMIT = 36"),
+    ("cli", 'if "rows" in obj:', 'if "rows" not in obj:'),
+    ("rowform", "if len(g.ones) != max_size(g.shape):", "if len(g.ones) < max_size(g.shape):"),
+    ("counting", "lh == (1, 2)]", "lh[1] == 2]"),
+    ("core", "raise ShapeTooLargeError(cells, GAME_CELL_LIMIT)",
+     "raise ValueError(cells, GAME_CELL_LIMIT)"),
+    ("core", "if most is not None and value > most:", "if most is not None and value > most + 1:"),
+    ("cli", "except RecursionError:", "except (RecursionError, ValueError):"),
+    ("cli", "for r in results\n        ]\n        lines.append",
+     "for r in results[1:]\n        ]\n        lines.append"),
+    ("verification", "if trials == 0:", "if trials == 1:"),
+    ("cli", '_count_arg(t, "cap", 1)', '_count_arg(t, "cap", 0)'),
 )
 
 # Equivalent drawn mutants, not run: the key ``sample`` gives, (module, the
@@ -127,6 +150,9 @@ SKIP = {
         "the slots outside rows.inner never leave 1, so every key moves by one constant",
     ("game", "taken[j] = 1", "taken[j] = 2"):
         "taken is only read as a truth value and searched for 0",
+    ("cli", 'default=1000, help="max grids to keep (default 1000)")',
+     'default=1001, help="max grids to keep (default 1000)")'):
+        "no box within the 25-cell budget has over 1000 maximal grids (5,5 has the most, 70)",
 }
 
 
