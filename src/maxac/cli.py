@@ -223,8 +223,7 @@ def _run(args, plain: bool) -> tuple[object, int]:
             f"move {i}: player {p} -> {c}"
             for i, (p, c) in enumerate(transcript.final_state.moves)
         ]
-        lines.append(f"loser: player {transcript.loser}"
-                     + ("" if transcript.forced else " (flipped an unsafe cell early)"))
+        lines.append(f"loser: player {transcript.loser}")
         return "\n".join(lines), 0
 
     raise AssertionError(f"unhandled verb {args.verb}")

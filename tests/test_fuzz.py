@@ -3,11 +3,12 @@
 A case is one verb run through ``cli.main`` on one input: a maximal grid from
 ``random_maximal`` on a box with d <= 4 and sides <= 5, or its interval map,
 mutated one to four times.  A mutation drops or adds a key, swaps a value for
-an odd one (a bool, a float or infinity, a str, null, an empty list or
-object, 10**30, 2**63), shifts an integer by 1, 2 or 10**9 either way, or
-duplicates, drops, shuffles or nests list items.  Every case must end in
-exit 0, in exit 1 with exactly one ``{"error": ...}`` line on stderr, or in
-exit 2, within ``CASE_SECONDS``.
+an odd one (a bool, a float, infinity or NaN, a short str, null, a negative
+int, 10**30, 2**63, an empty or nested list or object), shifts an integer by
+1, 2 or 10**9 either way, or duplicates, drops, shuffles or nests list items.
+Every case must end in exit 0 with an empty stderr (and, with ``--json``, a
+stdout that parses as JSON), in exit 1 with an empty stdout and exactly one
+``{"error": ...}`` line on stderr, or in exit 2, within ``CASE_SECONDS``.
 
 The sweep runs in a child process under an address-space cap and a
 timeout, so unbounded work fails the test and does not fill the machine.
@@ -34,7 +35,8 @@ from maxac.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 VERBS = ("normalize", "peel", "extend", "project")
 CASE_SECONDS = 2.0
-ODD = (True, False, 0.5, 2.0, float("inf"), "1", None, 10**30, 2**63, [], {})
+ODD = (True, False, 0.5, 2.0, float("inf"), float("nan"), "", "1", "ab", None, -1, 10**30, 2**63,
+       [], {}, [[1, 2]], {"x": [1]})
 SHIFTS = (-10**9, -2, -1, 1, 2, 10**9)
 KEYS = ("w", "ones", "rows", "x", "l", "h", "extra")
 
@@ -108,11 +110,19 @@ def _run(verb, fmt, text):
     seconds = time.perf_counter() - start
     if seconds > CASE_SECONDS:
         return f"took {seconds:.2f} s"
-    if status == 1:
+    if status == 0:
+        if err.getvalue():
+            return f"exit 0 with stderr {err.getvalue()[:200]!r}"
+        if fmt == "--json":
+            try:
+                json.loads(out.getvalue())
+            except ValueError:
+                return f"exit 0 with stdout {out.getvalue()[:200]!r}"
+    elif status == 1:
         lines = err.getvalue().splitlines()
-        if len(lines) != 1 or not lines[0].startswith('{"error": '):
-            return f"exit 1 with stderr {err.getvalue()[:200]!r}"
-    elif status not in (0, 2):
+        if len(lines) != 1 or not lines[0].startswith('{"error": ') or out.getvalue():
+            return f"exit 1 with stdout {out.getvalue()[:200]!r}, stderr {err.getvalue()[:200]!r}"
+    elif status != 2:
         return f"exit {status!r}"
     return None
 

@@ -22,6 +22,8 @@ def test_the_sample_is_seeded_large_enough_and_every_mutant_compiles():
     for module in mutate.MODULES:
         *_, nodes = mutate._parse(module)
         sites = len(list(mutate._sites(nodes)))
+        # no two sites share a key, identical lines included, so a SKIP entry skips one
+        assert len(set(mutate.keys(module).values())) == sites
         assert per_module[module] == min(mutate.SAMPLE, sites)
         assert per_module[module] - skipped[module] >= min(30, sites - skipped[module])
         mine = [site for m, site, _ in drawn if m == module]

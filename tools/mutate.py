@@ -5,8 +5,8 @@ Run from anywhere, with no arguments:
 
     python tools/mutate.py
 
-It needs only the standard library, pytest and hypothesis (the test
-dependencies).  Its seed, sample size and tables are the constants below.
+It needs only the standard library and pytest (the test dependency).  Its
+seed, sample size and tables are the constants below.
 
 1. Baseline: Tier-1 runs on a full copy of the tree whose ``MODULES`` are
    replaced by their ``ast.unparse``, unmutated.  It must pass, and its wall
@@ -14,13 +14,15 @@ dependencies).  Its seed, sample size and tables are the constants below.
 2. Mutants: per module of ``MODULES``, ``SAMPLE`` sites drawn by ``SEED``
    from every site of four edits (flip a comparison's strictness or
    negation, swap ``+``/``-`` or ``*``/``//``, add 1 to an int constant, swap
-   ``and``/``or``); the ``SKIP`` ones among them are not run.  Then every
-   ``NAMED`` mutant.  Each runs the full Tier-1 (but this tool's own check,
-   tests/test_mutate_tool.py), without ``-x``, on its own
-   full copy of the tree (README and demos included; no ``.git``,
-   ``.hypothesis`` or caches), two children at a time.  Each child has its
-   own session, a timeout and an address-space cap; a timeout kills the
-   session and counts as a kill by the suite, with no test named.
+   ``and``/``or``); the ``SKIP`` ones among them are not run.  A site's
+   key is its source text before and after the edit, plus its index among
+   the module's sites of the same text, so identical lines keep apart.
+   Then every ``NAMED`` mutant.  Each runs the full Tier-1 (but this tool's
+   own check, tests/test_mutate_tool.py), without ``-x``, on its own full
+   copy of the tree (README and demos included; no ``.git`` or caches), two
+   children at a time.  Each child has its own session, a timeout and an
+   address-space cap; a timeout kills the session and counts as a kill by
+   the suite, with no test named.
 3. Report: the kill matrix (mutant by test), the survivors, and per test the
    mutants that only it kills.
 
@@ -38,6 +40,7 @@ import sys
 import tempfile
 import time
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,9 +55,9 @@ TIMEOUT_FACTOR = 3
 MEMORY_CAP = 3 << 30
 # the tool's own check reads the copy's source, which holds unparsed modules
 PYTEST = ("-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider",
-          "--hypothesis-seed=0", "--ignore=tests/test_mutate_tool.py")
-COPY_IGNORE = shutil.ignore_patterns(".git", ".hypothesis", "__pycache__", ".pytest_cache",
-                                     "*.pyc", ".benchmarks")
+          "--ignore=tests/test_mutate_tool.py")
+COPY_IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", "*.pyc",
+                                     ".benchmarks")
 
 # Hand-written mutants: (module, snippet, replacement).  The snippet occurs
 # exactly once in the module's source.
@@ -124,34 +127,42 @@ NAMED = (
      "for r in results[1:]\n        ]\n        lines.append"),
     ("verification", "if trials == 0:", "if trials == 1:"),
     ("cli", '_count_arg(t, "cap", 1)', '_count_arg(t, "cap", 0)'),
+    # order and cleanliness faults that the random property draws passed on
+    # most seeds, and the small-scope sweeps of test_properties.py fail
+    ("core", "return all(x < y for x, y in zip(a, b))",
+     "return all(0 < y - x < 2 for x, y in zip(a, b))"),
+    ("core", "                return True\n    return False",
+     "                return True\n    return len(ones) == 2"),
 )
 
 # Equivalent drawn mutants, not run: the key ``sample`` gives, (module, the
-# lines that hold the site, the same lines edited), to why no test can tell
-# the mutant apart.
+# lines that hold the site, the same lines edited, the site's index among
+# the module's sites with those two texts), to why no test can tell the
+# mutant apart.
 SKIP = {
     ("core", "return bool(limit) and x.bit_length() > 3 * limit and _digit_count(x) > limit",
-     "return bool(limit) and x.bit_length() > 3 // limit and _digit_count(x) > limit"):
+     "return bool(limit) and x.bit_length() > 3 // limit and _digit_count(x) > limit", 0):
         "the bit length is only a pre-filter; _digit_count decides",
-    ("core", "if lo > start and alive[lo - 1]:", "if lo >= start and alive[lo - 1]:"):
+    ("core", "if lo > start and alive[lo - 1]:", "if lo >= start and alive[lo - 1]:", 0):
         "at lo == start the scan finds no dead cell left of lo, so lo stays start",
     ("rowform", "if not set(map(type, chain(ls, hs))) <= {int}:",
-     "if not set(map(type, chain(ls, hs))) < {int}:"):
+     "if not set(map(type, chain(ls, hs))) < {int}:", 0):
         "plain int bounds then take the int() copy too, which changes no value",
-    ("rowform", "if i % w and a[i - 1] < a[i]:", "if i % w and a[i - 1] <= a[i]:"):
+    ("rowform", "if i % w and a[i - 1] < a[i]:", "if i % w and a[i - 1] <= a[i]:", 0):
         "an equal minimum is written over itself",
     ("rowform", "end = bisect_left(ones, following, start, stop if stop < n else n)",
-     "end = bisect_left(ones, following, start, stop if stop <= n else n)"):
+     "end = bisect_left(ones, following, start, stop if stop <= n else n)", 0):
         "at stop == n both branches give n",
     ("normalize", "return next(_walk(ls, hs, box, top, pending[:1])), ls, hs",
-     "return next(_walk(ls, hs, box, top, pending[:2])), ls, hs"):
+     "return next(_walk(ls, hs, box, top, pending[:2])), ls, hs", 0):
         "next() takes the walk's first pair, found from the first pending row alone",
-    ("enumeration", "digit = [0] * (len(rows.cells) + 1)", "digit = [1] * (len(rows.cells) + 1)"):
+    ("enumeration", "digit = [0] * (len(rows.cells) + 1)",
+     "digit = [1] * (len(rows.cells) + 1)", 0):
         "the slots outside rows.inner never leave 1, so every key moves by one constant",
-    ("game", "taken[j] = 1", "taken[j] = 2"):
+    ("game", "taken[j] = 1", "taken[j] = 2", 0):
         "taken is only read as a truth value and searched for 0",
     ("cli", 'default=1000, help="max grids to keep (default 1000)")',
-     'default=1001, help="max grids to keep (default 1000)")'):
+     'default=1001, help="max grids to keep (default 1000)")', 0):
         "no box within the 25-cell budget has over 1000 maximal grids (5,5 has the most, 70)",
 }
 
@@ -192,15 +203,28 @@ def _parse(module):
     return source, tree, list(ast.walk(tree))
 
 
-def _key(module, lines, node, k):
-    """(module, the source lines that hold the edited node, the same lines
-    with the edit made), each with its whitespace collapsed."""
+def _text(lines, node, k):
+    """(the source lines that hold the edited node, the same lines with the
+    edit made), each with its whitespace collapsed."""
     text = "\n".join(lines[node.lineno - 1:node.end_lineno]).encode()
     end = len(text) - len(lines[node.end_lineno - 1].encode()) + node.end_col_offset
     _edit(node, k)
     after = text[:node.col_offset].decode() + ast.unparse(node) + text[end:].decode()
     _edit(node, k, -1)
-    return module, " ".join(text.decode().split()), " ".join(after.split())
+    return " ".join(text.decode().split()), " ".join(after.split())
+
+
+def keys(module):
+    """{site: key} for every site of ``module``; the key is (module, the
+    two texts, the site's index in source order among the sites with the
+    same two texts)."""
+    source, _, nodes = _parse(module)
+    lines, seen, out = source.splitlines(), Counter(), {}
+    for i, k in sorted(_sites(nodes), key=lambda s: (nodes[s[0]].lineno, nodes[s[0]].col_offset)):
+        text = _text(lines, nodes[i], k)
+        out[i, k] = (module, *text, seen[text])
+        seen[text] += 1
+    return out
 
 
 def sample():
@@ -209,11 +233,10 @@ def sample():
     the key."""
     out = []
     for module in MODULES:
-        source, _, nodes = _parse(module)
-        sites = list(_sites(nodes))
+        *_, nodes = _parse(module)
+        sites, key = list(_sites(nodes)), keys(module)
         picked = random.Random(f"{module}:{SEED}").sample(sites, min(SAMPLE, len(sites)))
-        out += [(module, site, _key(module, source.splitlines(), nodes[site[0]], site[1]))
-                for site in sorted(picked)]
+        out += [(module, site, key[site]) for site in sorted(picked)]
     return out
 
 
@@ -251,7 +274,7 @@ def _mutants():
     for module in MODULES:
         mine = [(site, key) for m, site, key in drawn if m == module]
         trees = edited_trees(module, [site for site, _ in mine])
-        for (_, (_, before, after)), (tree, _, line) in zip(mine, trees):
+        for (_, (_, before, after, _)), (tree, _, line) in zip(mine, trees):
             out.append((module, f"{module}:{line}: {before}  ->  {after}", ast.unparse(tree)))
     out += [(m, label, ast.unparse(ast.parse(text))) for m, label, text in named()]
     return out
